@@ -14,7 +14,6 @@
 //! granularity at which `recovery` journals node-variable writes — so
 //! boundary crashes lose whole runs, never half of one.
 
-use crate::error::RunError;
 use std::time::Duration;
 
 /// What happens to a hop's delivery at the destination PE.
@@ -79,7 +78,7 @@ pub struct FaultPlan {
     /// When `true` (default) the executors checkpoint messenger state at
     /// hop boundaries and journal node-store writes, so crashes are
     /// recovered. When `false` a crash surfaces as
-    /// [`RunError::PeCrashed`].
+    /// [`RunError::PeCrashed`](crate::RunError::PeCrashed).
     pub checkpointing: bool,
     /// How many times a dropped delivery is retried before recovery is
     /// declared failed.
@@ -151,7 +150,8 @@ impl FaultPlan {
     }
 
     /// Disable hop-boundary checkpointing: any crash becomes a
-    /// structured [`RunError::PeCrashed`] instead of being recovered.
+    /// structured [`RunError::PeCrashed`](crate::RunError::PeCrashed)
+    /// instead of being recovered.
     pub fn without_checkpointing(mut self) -> FaultPlan {
         self.checkpointing = false;
         self
@@ -504,12 +504,6 @@ impl FaultTracker {
             }
         }
         false
-    }
-
-    /// The structured error for a crash on `pe` when checkpointing is
-    /// off.
-    pub fn crash_error(pe: usize, run: u64) -> RunError {
-        RunError::PeCrashed { pe, run }
     }
 }
 

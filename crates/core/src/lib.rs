@@ -33,11 +33,11 @@
 //!
 //! ## Executing
 //!
-//! Two interchangeable executors run the same messengers:
-//!
-//! The three transformations themselves (DSC, pipelining, phase
-//! shifting) are available as a reusable API in [`transform`] — the
-//! paper's future-work item made concrete.
+//! Three interchangeable executors run the same messengers, all through
+//! one PE core ([`pe_core::PeCore`]) that holds the daemon's semantics —
+//! stepping, injection, signals and waits, hops, checkpoints, crash
+//! restart and the journal commit — while each executor supplies only
+//! its clock and transport:
 //!
 //! * [`SimExecutor`] — a deterministic discrete-event simulator over the
 //!   [`navp_sim`] virtual cluster. Work is charged through
@@ -46,11 +46,17 @@
 //!   the paper's tables at the original problem sizes.
 //! * [`ThreadExecutor`] — one OS thread per PE with real agent migration
 //!   over channels; measures wall-clock time on the host machine.
+//! * The networked executor in the `navp-net` crate — one OS process per
+//!   PE, messengers migrating as TCP frames.
 //!
-//! Both executors honour an optional [`FaultPlan`] attached to the
+//! All of them honour an optional [`FaultPlan`] attached to the
 //! cluster: deterministic PE crashes, hop-delivery delays/drops and lost
 //! event signals, absorbed (when checkpointing is on) by the
 //! hop-boundary checkpoint/restart machinery in [`recovery`].
+//!
+//! The three transformations themselves (DSC, pipelining, phase
+//! shifting) are available as a reusable API in [`transform`] — the
+//! paper's future-work item made concrete.
 
 #![warn(missing_docs)]
 
@@ -60,9 +66,12 @@ pub mod durable;
 pub mod error;
 pub mod explore;
 pub mod fault;
+pub mod pe_core;
 pub mod recovery;
 pub mod script;
 pub mod sim_exec;
+#[cfg(test)]
+mod testkit;
 pub mod thread_exec;
 pub mod transform;
 

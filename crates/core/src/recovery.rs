@@ -61,16 +61,6 @@ impl WriteJournal {
         WriteJournal::default()
     }
 
-    /// Number of journaled operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// `true` when nothing has been journaled.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
     /// Commit the run that just finished: drain the store's dirty keys
     /// (deterministically sorted) and append each key's post-run state —
     /// a shared (copy-on-write) snapshot, or a removal marker if the key
@@ -121,8 +111,7 @@ pub type RestoredCheckpoint = (u64, String, Option<Box<dyn Messenger>>);
 /// executor's messenger id.
 ///
 /// Lifecycle: [`register`](CheckpointTable::register)ed at each delivery
-/// point, [`relocate`](CheckpointTable::relocate)d when a hop leaves for
-/// another PE (the in-flight messenger now belongs to the destination's
+/// point (a hop re-registers the messenger into the destination's
 /// failure domain), [`remove`](CheckpointTable::remove)d when the
 /// messenger finishes or parks on an event (parked state is held by the
 /// executor's event service, which survives PE crashes).
@@ -164,14 +153,6 @@ impl CheckpointTable {
     /// crash-safe event service).
     pub fn remove(&mut self, id: u64) {
         self.map.remove(&id);
-    }
-
-    /// Move messenger `id`'s checkpoint to PE `dst`: from the moment a
-    /// hop is sent, the messenger is lost iff *the destination* crashes.
-    pub fn relocate(&mut self, id: u64, dst: usize) {
-        if let Some(c) = self.map.get_mut(&id) {
-            c.pe = dst;
-        }
     }
 
     /// Visit every live checkpoint in ascending id order (deterministic
@@ -283,7 +264,7 @@ mod tests {
         assert_eq!(t.len(), 3);
 
         // Messenger 2 hops from PE 0 to PE 1: its failure domain moves.
-        t.relocate(2, 1);
+        t.register(2, 1, &Probe(20));
         // Messenger 1 finishes.
         t.remove(1);
 

@@ -15,30 +15,30 @@
 //!   configuration replays **bit-identically** — the property the
 //!   determinism tests pin down with trace fingerprints.
 //!
+//! Messengers run through the same [`PeCore`] as on the real
+//! executors; this module supplies only the virtual clock, the event
+//! queue and the deadlock report.
+//!
 //! The result is a [`SimReport`]: virtual makespan, the post-run stores
 //! (to extract the product matrix), and optionally a full [`Trace`].
 
-use crate::agent::{Effect, Messenger, MsgrCtx, StepOutputs};
+use crate::agent::{Messenger, StepOutputs};
 use crate::cluster::{Cluster, ClusterParts};
-use crate::durable::{self, DurableCodec, DurableError, Manifest, ParkedWaiter};
+use crate::durable::DurableCodec;
 use crate::error::RunError;
-use crate::fault::{FaultPlan, FaultStats, FaultTracker, HopFault};
-use crate::recovery::{CheckpointTable, WriteJournal};
+use crate::fault::FaultStats;
+use crate::pe_core::{observe_park, Arrival, EventTable, Parked, PeCore, PeIo, Recovery, Spill};
 use navp_metrics::RunMetrics;
-use navp_obs::EventKind as ObsKind;
+use navp_obs::Lane;
 use navp_sim::key::{EventKey, NodeId};
-use navp_sim::store::NodeStore;
 use navp_sim::memory::MemoryModel;
+use navp_sim::store::NodeStore;
 use navp_sim::trace::{Trace, TraceEvent, TraceKind};
 use navp_sim::{CostModel, EventQueue, PeResources, VTime};
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Fixed per-hop state overhead in bytes (thread control block, program
-/// counter, daemon bookkeeping) — the paper's "small amount of state data".
-pub const HOP_STATE_BYTES: u64 = 256;
+pub use crate::pe_core::HOP_STATE_BYTES;
 
 struct AgentSlot {
     msgr: Option<Box<dyn Messenger>>,
@@ -48,27 +48,8 @@ struct AgentSlot {
     /// from a checkpoint, so queue entries from before the crash are
     /// recognized as stale and discarded.
     gen: u64,
-}
-
-/// Fault-injection state, allocated only when the cluster carries a
-/// non-empty [`FaultPlan`](crate::FaultPlan) — fault-free runs pay
-/// nothing.
-struct FaultMachinery {
-    tracker: FaultTracker,
-    ckpt: CheckpointTable,
-    journals: Vec<WriteJournal>,
-    /// Pristine pre-run stores; a crashed PE's store is rebuilt as
-    /// `initial + journal replay`.
-    initial: Vec<NodeStore>,
-    stats: FaultStats,
-}
-
-#[derive(Default)]
-struct EventState {
-    count: u64,
-    /// Parked agents with the virtual time they parked at (feeds the
-    /// park-time metrics; in this executor park durations are virtual).
-    waiters: VecDeque<(usize, VTime)>,
+    /// How its pending delivery arrives.
+    via: Arrival,
 }
 
 /// Result of a virtual-time run.
@@ -102,94 +83,200 @@ impl std::fmt::Debug for SimReport {
     }
 }
 
-/// Durable-spill state: target directory, codec, session nonce and the
-/// monotone boundary counter stamped into each cut.
-struct DurableSpill {
-    dir: PathBuf,
-    codec: Arc<dyn DurableCodec>,
-    nonce: u64,
-    boundary: u64,
-}
-
-fn durable_run_err(e: DurableError) -> RunError {
-    RunError::Transport {
-        detail: e.to_string(),
-    }
-}
-
-/// Spill the whole cluster's consistent cut (committed stores, live
-/// checkpoints, event service) to the durable directory. Called only at
-/// run boundaries, where the recovery invariants guarantee consistency.
-fn spill_all(
-    ds: &mut DurableSpill,
-    fm: &FaultMachinery,
-    num_nodes: usize,
-    events: &HashMap<EventKey, EventState>,
-    agents: &[AgentSlot],
-    metrics: Option<&RunMetrics>,
-) -> Result<(), RunError> {
-    ds.boundary += 1;
-    // Event counts and parked waiters all go into PE 0's cut: restore
-    // replays every cut's event section regardless of which PE it rode
-    // in, and each waiter records its own origin PE.
-    let mut waiters = Vec::new();
-    let mut counts = Vec::new();
-    let mut keys: Vec<&EventKey> = events.keys().collect();
-    keys.sort();
-    for key in keys {
-        let st = &events[key];
-        if st.count > 0 {
-            counts.push((*key, st.count));
-        }
-        for &(aid, _) in &st.waiters {
-            let m = agents[aid].msgr.as_ref().ok_or_else(|| RunError::Transport {
-                detail: format!("parked agent {} has no messenger", agents[aid].label),
-            })?;
-            let snap = m.wire_snapshot().ok_or_else(|| RunError::NotSerializable {
-                agent: agents[aid].label.clone(),
-            })?;
-            waiters.push(ParkedWaiter {
-                id: aid as u64,
-                origin: agents[aid].pe as u32,
-                key: *key,
-                snap,
-            });
-        }
-    }
-    for pe in 0..num_nodes {
-        let store = durable::committed_store(&fm.initial[pe], &fm.journals[pe]);
-        let (w, c) = if pe == 0 {
-            (std::mem::take(&mut waiters), std::mem::take(&mut counts))
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let cut = durable::build_cut(
-            pe,
-            num_nodes,
-            ds.nonce,
-            ds.boundary,
-            &store,
-            &fm.ckpt,
-            w,
-            c,
-            ds.codec.as_ref(),
-        )
-        .map_err(durable_run_err)?;
-        let bytes = durable::write_cut(&ds.dir, &cut).map_err(durable_run_err)?;
-        if let Some(mx) = metrics {
-            mx.durable_flushes.inc();
-            mx.durable_bytes.add(bytes);
-        }
-    }
-    Ok(())
-}
-
 /// Deterministic discrete-event executor for NavP programs.
 pub struct SimExecutor {
     cost: CostModel,
     tracing: bool,
     metrics: Option<Arc<RunMetrics>>,
     durable: Option<(PathBuf, Arc<dyn DurableCodec>)>,
+}
+
+/// The simulated cluster's clock and transport: one [`PeIo`] shared by
+/// every PE's core, pointed at the PE whose run is being simulated.
+struct Sim<'a> {
+    cost: &'a CostModel,
+    metrics: Option<&'a RunMetrics>,
+    lane: Arc<Lane>,
+    res: Vec<PeResources>,
+    // Queue payloads carry the agent's delivery generation so
+    // deliveries scheduled before a crash are discarded as stale.
+    queue: EventQueue<(usize, u64)>,
+    agents: Vec<AgentSlot>,
+    events: EventTable<Box<dyn Messenger>>,
+    trace: Trace,
+    rec: Option<Recovery>,
+    live: usize,
+    makespan: VTime,
+    /// The PE running now, and its clock: the delivery time until the
+    /// first step, then the end of the latest step.
+    pe: NodeId,
+    t: VTime,
+}
+
+impl Sim<'_> {
+    fn push(&mut self, start: VTime, end: VTime, aid: usize, kind: TraceKind) {
+        let label = self.agents[aid].label.clone();
+        self.trace.push(TraceEvent {
+            start,
+            end,
+            actor: aid as u64,
+            label,
+            kind,
+        });
+    }
+
+    /// A new agent on `pe`, runnable at `at`.
+    fn spawn(&mut self, pe: NodeId, msgr: Box<dyn Messenger>, at: VTime) {
+        self.agents.push(AgentSlot {
+            label: msgr.label(),
+            msgr: Some(msgr),
+            pe,
+            gen: 0,
+            via: Arrival::Fresh,
+        });
+        self.live += 1;
+        self.queue.schedule(at, (self.agents.len() - 1, 0));
+    }
+}
+
+impl PeIo for Sim<'_> {
+    fn recovery(&mut self) -> Option<impl std::ops::DerefMut<Target = Recovery> + '_> {
+        self.rec.as_mut()
+    }
+
+    fn stepped(&mut self, id: u64, out: &StepOutputs, store: &NodeStore, msgr: &dyn Messenger) {
+        let (aid, pe, t) = (id as usize, self.pe, self.t);
+        // Duration: modeled compute + daemon overhead + paging.
+        let mut dur = self.cost.compute_time(out.flops, out.factor.max(1.0))
+            + self.cost.overhead()
+            + VTime::from_secs_f64(out.extra_seconds);
+        if out.touched_bytes > 0 {
+            let mut mem = MemoryModel::new();
+            mem.grow(store.total_bytes() + msgr.payload_bytes());
+            let fault = mem.fault_time(out.touched_bytes, self.cost);
+            if fault > VTime::ZERO {
+                dur += fault;
+                self.push(t, t + fault, aid, TraceKind::Fault { pe });
+            }
+        }
+        let (start, end) = self.res[pe].run(t, dur);
+        self.makespan = self.makespan.max(end);
+        self.push(start, end, aid, TraceKind::Exec { pe });
+        self.t = end;
+    }
+
+    fn next_id(&mut self) -> u64 {
+        self.agents.len() as u64
+    }
+
+    fn inject(&mut self, _id: u64, msgr: Box<dyn Messenger>) {
+        // Local injections become runnable when the step completes.
+        self.spawn(self.pe, msgr, self.t);
+    }
+
+    fn signal(&mut self, id: u64, key: EventKey) -> Result<(), RunError> {
+        let end = self.t;
+        self.push(end, end, id as usize, TraceKind::Signal { pe: self.pe });
+        if let Some(w) = self.events.signal(key) {
+            // Waking a parked messenger is a delivery point: it
+            // re-enters its PE's failure domain, so checkpoint it.
+            let waiter = w.id as usize;
+            if let Some(r) = &mut self.rec {
+                r.checkpoint(w.id, w.origin, w.msgr.as_ref());
+            }
+            if let Some(m) = self.metrics {
+                let parked = VTime(w.parked_ns).as_secs_f64();
+                let ns = ((end.as_secs_f64() - parked).max(0.0) * 1e9) as u64;
+                observe_park(m, w.origin, ns);
+            }
+            self.agents[waiter].msgr = Some(w.msgr);
+            self.queue.schedule(end, (waiter, self.agents[waiter].gen));
+        }
+        Ok(())
+    }
+
+    fn wait(
+        &mut self,
+        id: u64,
+        key: EventKey,
+        msgr: Box<dyn Messenger>,
+        _parked_ns: u64,
+    ) -> Result<Option<Box<dyn Messenger>>, RunError> {
+        if self.events.take_banked(key) {
+            return Ok(Some(msgr));
+        }
+        let end = self.t;
+        self.push(end, end, id as usize, TraceKind::Block { pe: self.pe });
+        self.events.park(
+            key,
+            Parked {
+                id,
+                origin: self.pe,
+                parked_ns: end.0,
+                msgr,
+            },
+        );
+        Ok(None)
+    }
+
+    fn hop(
+        &mut self,
+        id: u64,
+        dst: NodeId,
+        bytes: u64,
+        _sent_ns: u64,
+        msgr: Box<dyn Messenger>,
+    ) -> Result<(), RunError> {
+        let (aid, pe, end) = (id as usize, self.pe, self.t);
+        let (_departed, mut arrival) = self.res[pe].send(end, bytes, self.cost);
+        if let Some(r) = &mut self.rec {
+            arrival += r.hop_fault(dst, &self.lane, 0)?.virtual_time();
+            // The hop is a delivery point: checkpoint the post-run
+            // state into the destination's failure domain.
+            r.checkpoint(id, dst, msgr.as_ref());
+        }
+        self.push(
+            end,
+            arrival,
+            aid,
+            TraceKind::Transfer {
+                from: pe,
+                to: dst,
+                bytes,
+            },
+        );
+        let agent = &mut self.agents[aid];
+        agent.pe = dst;
+        agent.msgr = Some(msgr);
+        agent.via = Arrival::Hop {
+            from: pe,
+            sent_ns: 0,
+            bytes,
+            landed_ns: 0,
+        };
+        let gen = agent.gen;
+        self.makespan = self.makespan.max(arrival);
+        self.queue.schedule(arrival, (aid, gen));
+        Ok(())
+    }
+
+    fn done(&mut self, _id: u64) {
+        self.live -= 1;
+    }
+
+    fn restarted(&mut self, redelivered: Vec<(u64, Box<dyn Messenger>)>) {
+        let seconds = self.rec.as_ref().map_or(0.0, |r| r.plan().recovery_seconds);
+        let resume = self.t + VTime::from_secs_f64(seconds);
+        for (id, msgr) in redelivered {
+            let agent = &mut self.agents[id as usize];
+            agent.gen += 1;
+            agent.msgr = Some(msgr);
+            agent.via = Arrival::Fresh;
+            let gen = agent.gen;
+            self.queue.schedule(resume, (id as usize, gen));
+        }
+        self.makespan = self.makespan.max(resume);
+    }
 }
 
 impl SimExecutor {
@@ -252,446 +339,116 @@ impl SimExecutor {
             fault_plan,
         } = cluster.into_parts();
         let num_nodes = stores.len();
-        let mut pes: Vec<PeResources> = (0..num_nodes).map(|_| PeResources::new()).collect();
-        // Queue payloads carry the agent's delivery generation so
-        // deliveries scheduled before a crash are discarded as stale.
-        let mut queue: EventQueue<(usize, u64)> = EventQueue::new();
-        let mut agents: Vec<AgentSlot> = Vec::with_capacity(injections.len());
-        let mut events: HashMap<EventKey, EventState> = HashMap::new();
-        let mut trace = if self.tracing {
-            Trace::enabled()
-        } else {
-            Trace::disabled()
-        };
+        let durable = self.durable.is_some();
+        let rec = Recovery::for_run(fault_plan, durable, &mut stores, &self.metrics)?;
         // Flight-recorder lane for the whole simulated mesh. Events
         // are observational only — nothing reads them back into the
         // run, so products stay bitwise-identical recorder on or off.
-        let flight_lane = navp_obs::flight().lane("sim");
-
-        // A cluster without an explicit plan accepts one from the
-        // `NAVP_FAULT_SPEC` environment (repro files paste in verbatim);
-        // a malformed spec is a loud error, not a silently clean run.
-        let fault_plan = match fault_plan {
-            Some(p) => Some(p),
-            None => FaultPlan::from_env().map_err(|detail| RunError::Transport { detail })?,
+        let lane = navp_obs::flight().lane("sim");
+        let mut cores: Vec<PeCore> = stores
+            .into_iter()
+            .enumerate()
+            .map(|(pe, store)| {
+                PeCore::new(
+                    pe,
+                    num_nodes,
+                    store,
+                    Arc::clone(&lane),
+                    self.metrics.clone(),
+                )
+            })
+            .collect();
+        let mut sim = Sim {
+            cost: &self.cost,
+            metrics: self.metrics.as_deref(),
+            lane,
+            res: (0..num_nodes).map(|_| PeResources::new()).collect(),
+            queue: EventQueue::new(),
+            agents: Vec::with_capacity(injections.len()),
+            events: EventTable::default(),
+            trace: if self.tracing {
+                Trace::enabled()
+            } else {
+                Trace::disabled()
+            },
+            rec,
+            live: 0,
+            makespan: VTime::ZERO,
+            pe: 0,
+            t: VTime::ZERO,
         };
-        // Durable mode needs the journal/checkpoint machinery even
-        // under an empty fault plan: the cut it spills *is* that state.
-        let fault_plan = match fault_plan.filter(|p| !p.is_empty()) {
-            None if self.durable.is_some() => Some(FaultPlan::new()),
-            other => other,
-        };
-        let mut fm = fault_plan.map(|plan| {
-            // Snapshot the pristine stores before write tracking starts:
-            // a crashed PE's store is rebuilt from this plus its journal.
-            // Copy-on-write makes this a reference bump per entry.
-            let initial = stores.clone();
-            for s in &mut stores {
-                s.enable_tracking();
-            }
-            FaultMachinery {
-                tracker: FaultTracker::new(plan, num_nodes),
-                ckpt: CheckpointTable::new(),
-                journals: (0..num_nodes).map(|_| WriteJournal::new()).collect(),
-                initial,
-                stats: FaultStats::default(),
-            }
-        });
-
         for key in initial_events {
-            events.entry(key).or_default().count += 1;
+            sim.events.bank(key);
         }
-
-        let metrics = self.metrics.as_deref();
-        let note_ckpt = |m: &dyn Messenger| {
-            if let Some(mx) = metrics {
-                mx.checkpoints.inc();
-                mx.checkpoint_bytes.add(m.payload_bytes());
-            }
-        };
-        let mut live = 0usize;
         for (pe, msgr) in injections {
-            let label = msgr.label();
-            if let Some(fm) = &mut fm {
-                fm.ckpt.register(agents.len() as u64, pe, msgr.as_ref());
-                note_ckpt(msgr.as_ref());
-            }
-            if let Some(p) = metrics.and_then(|m| m.pe(pe)) {
-                p.injections.inc();
-            }
-            agents.push(AgentSlot {
-                msgr: Some(msgr),
-                pe,
-                label,
-                gen: 0,
-            });
-            queue.schedule(VTime::ZERO, (agents.len() - 1, 0));
-            live += 1;
+            cores[pe].admit(sim.rec.as_mut(), sim.agents.len() as u64, msgr.as_ref());
+            sim.spawn(pe, msgr, VTime::ZERO);
         }
 
-        let mut ds = match &self.durable {
+        let mut spill = match &self.durable {
             Some((dir, codec)) => {
-                let nonce = durable::fresh_nonce();
-                durable::write_manifest(dir, &Manifest {
-                    pes: num_nodes,
-                    nonce,
-                })
-                .map_err(durable_run_err)?;
-                let mut ds = DurableSpill {
-                    dir: dir.clone(),
-                    codec: Arc::clone(codec),
-                    nonce,
-                    boundary: 0,
-                };
+                let mut spill = Spill::create(dir.clone(), Arc::clone(codec), num_nodes)?;
                 // Boundary 0: the injected-but-unrun cluster, so even a
                 // kill before the first run restores cleanly.
-                let fm = fm.as_ref().expect("durable mode forces fault machinery");
-                spill_all(&mut ds, fm, num_nodes, &events, &agents, metrics)?;
-                Some(ds)
+                let rec = sim
+                    .rec
+                    .as_ref()
+                    .expect("durable mode forces fault machinery");
+                spill.spill_all(rec, &sim.events, &sim.lane)?;
+                Some(spill)
             }
             None => None,
         };
 
-        let mut out = StepOutputs::default();
-        let mut makespan = VTime::ZERO;
-        let (mut steps, mut hops, mut hop_bytes) = (0u64, 0u64, 0u64);
-
-        while let Some((t, (aid, gen))) = queue.pop() {
-            if agents[aid].gen != gen {
+        while let Some((t, (aid, gen))) = sim.queue.pop() {
+            if sim.agents[aid].gen != gen {
                 // Scheduled before a crash re-delivered this agent.
                 continue;
             }
-            let pe = agents[aid].pe;
-
-            // A delivery is a run boundary: the only place a fault plan
-            // may crash this PE.
-            if let Some(fm) = &mut fm {
-                if let Some(run) = fm.tracker.on_run(pe) {
-                    if !fm.tracker.plan().checkpointing {
-                        return Err(RunError::PeCrashed { pe, run });
-                    }
-                    fm.stats.crashes += 1;
-                    if let Some(mx) = metrics {
-                        mx.faults.inc();
-                    }
-                    // Rebuild the store: pristine copy + journal replay.
-                    let mut rebuilt = fm.initial[pe].clone();
-                    fm.stats.replayed_writes += fm.journals[pe].replay_into(&mut rebuilt);
-                    rebuilt.enable_tracking();
-                    stores[pe] = rebuilt;
-                    // Re-deliver every messenger lost with the PE from
-                    // its last checkpoint (parked event-waiters survive
-                    // in the event service and are not re-delivered).
-                    let resume =
-                        t + VTime::from_secs_f64(fm.tracker.plan().recovery_seconds);
-                    for (id, label, snap) in fm.ckpt.drain_pe(pe) {
-                        let Some(snap) = snap else {
-                            return Err(RunError::RecoveryFailed {
-                                pe,
-                                reason: format!(
-                                    "messenger {label} does not support snapshots"
-                                ),
-                            });
-                        };
-                        fm.ckpt.register(id, pe, snap.as_ref());
-                        note_ckpt(snap.as_ref());
-                        let id = id as usize;
-                        agents[id].gen += 1;
-                        agents[id].msgr = Some(snap);
-                        queue.schedule(resume, (id, agents[id].gen));
-                        fm.stats.redelivered += 1;
-                    }
-                    makespan = makespan.max(resume);
-                    continue;
-                }
-            }
-
-            let mut msgr = match agents[aid].msgr.take() {
-                Some(m) => m,
-                // A stale wake-up for an agent that already finished
-                // cannot happen (Done agents are never rescheduled), but
-                // be defensive.
-                None => continue,
+            let pe = sim.agents[aid].pe;
+            // Done agents are never rescheduled, but be defensive.
+            let Some(msgr) = sim.agents[aid].msgr.take() else {
+                continue;
             };
-
-            // The MESSENGERS daemon is non-preemptive: a messenger runs
-            // until it leaves the PE, blocks on an unsignalled event, or
-            // finishes. Local hops and waits on already-banked events
-            // therefore continue inline (`t` advances to the step's end),
-            // exactly like the threaded executor's daemon loop.
-            let mut t = t;
-            loop {
-            out.clear();
-            let effect = {
-                let mut ctx = MsgrCtx::new(pe, num_nodes, &mut stores[pe], &mut out);
-                msgr.step(&mut ctx)
-            };
-            steps += 1;
-            if let Some(p) = metrics.and_then(|m| m.pe(pe)) {
-                p.steps.inc();
-            }
-
-            // Duration: modeled compute + daemon overhead + paging.
-            let mut dur = self
-                .cost
-                .compute_time(out.flops, out.factor.max(1.0))
-                + self.cost.overhead()
-                + VTime::from_secs_f64(out.extra_seconds);
-            if out.touched_bytes > 0 {
-                let mut mem = MemoryModel::new();
-                mem.grow(stores[pe].total_bytes() + msgr.payload_bytes());
-                let fault = mem.fault_time(out.touched_bytes, &self.cost);
-                if fault > VTime::ZERO {
-                    dur += fault;
-                    trace.push(TraceEvent {
-                        start: t,
-                        end: t + fault,
-                        actor: aid as u64,
-                        label: agents[aid].label.clone(),
-                        kind: TraceKind::Fault { pe },
-                    });
-                }
-            }
-            let (start, end) = pes[pe].run(t, dur);
-            makespan = makespan.max(end);
-            trace.push(TraceEvent {
-                start,
-                end,
-                actor: aid as u64,
-                label: agents[aid].label.clone(),
-                kind: TraceKind::Exec { pe },
-            });
-
-            // Local injections become runnable when this step completes.
-            for inj in out.injections.drain(..) {
-                let label = inj.label();
-                if let Some(fm) = &mut fm {
-                    fm.ckpt.register(agents.len() as u64, pe, inj.as_ref());
-                    note_ckpt(inj.as_ref());
-                }
-                if let Some(p) = metrics.and_then(|m| m.pe(pe)) {
-                    p.injections.inc();
-                }
-                agents.push(AgentSlot {
-                    msgr: Some(inj),
-                    pe,
-                    label,
-                    gen: 0,
-                });
-                live += 1;
-                queue.schedule(end, (agents.len() - 1, 0));
-            }
-
-            // Signals: wake one waiter each, or bank the count.
-            for key in out.signals.drain(..) {
-                if let Some(fm) = &mut fm {
-                    if fm.tracker.on_signal(pe) {
-                        fm.stats.signals_lost += 1;
-                        if let Some(mx) = metrics {
-                            mx.faults.inc();
-                        }
-                        continue;
-                    }
-                }
-                if let Some(p) = metrics.and_then(|m| m.pe(pe)) {
-                    p.signals.inc();
-                }
-                trace.push(TraceEvent {
-                    start: end,
-                    end,
-                    actor: aid as u64,
-                    label: agents[aid].label.clone(),
-                    kind: TraceKind::Signal { pe },
-                });
-                flight_lane.record(ObsKind::Signal, pe as u32, 0, aid as u64, 0);
-                let st = events.entry(key).or_default();
-                if let Some((waiter, parked_at)) = st.waiters.pop_front() {
-                    // Waking a parked messenger is a delivery point: it
-                    // re-enters its PE's failure domain, so checkpoint it.
-                    if let Some(fm) = &mut fm {
-                        if let Some(m) = agents[waiter].msgr.as_ref() {
-                            fm.ckpt.register(waiter as u64, agents[waiter].pe, m.as_ref());
-                            let bytes = m.payload_bytes();
-                            if let Some(mx) = metrics {
-                                mx.checkpoints.inc();
-                                mx.checkpoint_bytes.add(bytes);
-                            }
-                        }
-                    }
-                    if let Some(mx) = metrics {
-                        let parked_ns = ((end.as_secs_f64() - parked_at.as_secs_f64())
-                            .max(0.0)
-                            * 1e9) as u64;
-                        if let Some(p) = mx.pe(agents[waiter].pe) {
-                            p.park_ns.add(parked_ns);
-                        }
-                        mx.park_wait_ns.observe(parked_ns);
-                    }
-                    queue.schedule(end, (waiter, agents[waiter].gen));
-                } else {
-                    st.count += 1;
-                }
-            }
-
-            match effect {
-                Effect::Hop(dst) => {
-                    if dst >= num_nodes {
-                        return Err(RunError::BadHop {
-                            agent: agents[aid].label.clone(),
-                            dst,
-                            pes: num_nodes,
-                        });
-                    }
-                    if dst == pe {
-                        t = end;
-                        continue;
-                    } else {
-                        let bytes = msgr.payload_bytes() + HOP_STATE_BYTES;
-                        flight_lane.record(ObsKind::HopSend, pe as u32, 0, dst as u64, bytes);
-                        let (_departed, mut arrival) = pes[pe].send(end, bytes, &self.cost);
-                        if let Some(fm) = &mut fm {
-                            // Each delivery attempt may be faulted; a
-                            // dropped attempt is retried after a backoff
-                            // until the retry budget runs out.
-                            let mut attempts = 0u32;
-                            loop {
-                                match fm.tracker.on_hop(dst) {
-                                    None => break,
-                                    Some(HopFault::Delay { seconds }) => {
-                                        arrival += VTime::from_secs_f64(seconds);
-                                        fm.stats.hops_delayed += 1;
-                                        if let Some(mx) = metrics {
-                                            mx.faults.inc();
-                                        }
-                                        break;
-                                    }
-                                    Some(HopFault::Drop) => {
-                                        fm.stats.hops_dropped += 1;
-                                        if let Some(mx) = metrics {
-                                            mx.faults.inc();
-                                        }
-                                        attempts += 1;
-                                        if attempts > fm.tracker.plan().max_send_retries {
-                                            return Err(RunError::RecoveryFailed {
-                                                pe: dst,
-                                                reason: format!(
-                                                    "hop delivery dropped {attempts} times; retry budget exhausted"
-                                                ),
-                                            });
-                                        }
-                                        fm.stats.send_retries += 1;
-                                        arrival += VTime::from_secs_f64(
-                                            fm.tracker.plan().retry_backoff.as_secs_f64(),
-                                        );
-                                    }
-                                }
-                            }
-                            // The hop is a delivery point: checkpoint the
-                            // post-run state into the destination's
-                            // failure domain.
-                            fm.ckpt.register(aid as u64, dst, msgr.as_ref());
-                            note_ckpt(msgr.as_ref());
-                        }
-                        trace.push(TraceEvent {
-                            start: end,
-                            end: arrival,
-                            actor: aid as u64,
-                            label: agents[aid].label.clone(),
-                            kind: TraceKind::Transfer {
-                                from: pe,
-                                to: dst,
-                                bytes,
-                            },
-                        });
-                        hops += 1;
-                        hop_bytes += bytes;
-                        if let Some(mx) = metrics {
-                            if let Some(p) = mx.pe(pe) {
-                                p.hops.inc();
-                                p.hop_bytes.add(bytes);
-                            }
-                            mx.hop_payload_bytes.observe(bytes - HOP_STATE_BYTES);
-                        }
-                        agents[aid].pe = dst;
-                        agents[aid].msgr = Some(msgr);
-                        makespan = makespan.max(arrival);
-                        queue.schedule(arrival, (aid, agents[aid].gen));
-                        break;
-                    }
-                }
-                Effect::WaitEvent(key) => {
-                    let st = events.entry(key).or_default();
-                    if st.count > 0 {
-                        st.count -= 1;
-                        t = end;
-                        continue;
-                    } else {
-                        trace.push(TraceEvent {
-                            start: end,
-                            end,
-                            actor: aid as u64,
-                            label: agents[aid].label.clone(),
-                            kind: TraceKind::Block { pe },
-                        });
-                        st.waiters.push_back((aid, end));
-                        agents[aid].msgr = Some(msgr);
-                        if let Some(p) = metrics.and_then(|m| m.pe(pe)) {
-                            p.waits.inc();
-                        }
-                        // Parked state is held by the event service,
-                        // which survives PE crashes: drop the checkpoint.
-                        if let Some(fm) = &mut fm {
-                            fm.ckpt.remove(aid as u64);
-                        }
-                        break;
-                    }
-                }
-                Effect::Done => {
-                    live -= 1;
-                    if let Some(fm) = &mut fm {
-                        fm.ckpt.remove(aid as u64);
-                    }
-                    // msgr dropped here.
-                    break;
-                }
-            }
-            } // inner daemon loop
-
-            // Run boundary: commit this run's node-store writes to the
-            // PE's journal (atomic w.r.t. crashes, which only fire at
-            // delivery points).
-            if let Some(fm) = &mut fm {
-                fm.journals[pe].commit_dirty(&mut stores[pe]);
-                if let Some(mx) = metrics {
-                    mx.journal_commits.inc();
-                }
-                if let Some(ds) = &mut ds {
-                    spill_all(ds, fm, num_nodes, &events, &agents, metrics)?;
-                }
+            let via = std::mem::replace(&mut sim.agents[aid].via, Arrival::Fresh);
+            cores[pe].arrived(aid as u64, &via, msgr.as_ref());
+            (sim.pe, sim.t) = (pe, t);
+            // The daemon is non-preemptive: the run continues through
+            // local hops and banked waits, `t` advancing step by step.
+            let ran = cores[pe].run(&mut sim, aid as u64, msgr)?;
+            if let (true, Some(spill), Some(rec)) = (ran, &mut spill, &sim.rec) {
+                spill.spill_all(rec, &sim.events, &sim.lane)?;
             }
         }
 
-        if live > 0 {
-            let mut blocked = Vec::new();
-            for (key, st) in &events {
-                for &(aid, _) in &st.waiters {
-                    if agents[aid].msgr.is_some() {
-                        blocked.push((agents[aid].label.clone(), key.to_string()));
-                    }
-                }
-            }
+        if sim.live > 0 {
+            let mut blocked: Vec<(String, String)> = sim
+                .events
+                .waiters()
+                .map(|(key, w)| (sim.agents[w.id as usize].label.clone(), key.to_string()))
+                .collect();
             blocked.sort();
             return Err(RunError::Deadlock { blocked });
         }
 
+        let (mut steps, mut hops, mut hop_bytes) = (0, 0, 0);
+        let stores = cores
+            .into_iter()
+            .map(|c| {
+                steps += c.tally.steps;
+                hops += c.tally.hops;
+                hop_bytes += c.tally.hop_bytes;
+                c.store
+            })
+            .collect();
         Ok(SimReport {
-            makespan,
+            makespan: sim.makespan,
             stores,
-            trace,
+            trace: sim.trace,
             steps,
             hops,
             hop_bytes,
-            faults: fm.map(|f| f.stats).unwrap_or_default(),
+            faults: sim.rec.map(|r| r.stats()).unwrap_or_default(),
         })
     }
 }
@@ -699,6 +456,8 @@ impl SimExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{PingPong, ToyCodec, WirePingPong};
+    use crate::agent::{Effect, MsgrCtx};
     use navp_sim::key::Key;
     use crate::script::Script;
 
@@ -922,31 +681,6 @@ mod tests {
         assert_eq!(r1.makespan, r2.makespan);
     }
 
-    /// A checkpointable messenger that ping-pongs between PEs, bumping a
-    /// per-PE visit counter on each arrival.
-    #[derive(Clone)]
-    struct PingPong {
-        hops_left: usize,
-    }
-    impl Messenger for PingPong {
-        fn step(&mut self, ctx: &mut MsgrCtx<'_>) -> Effect {
-            let k = Key::plain("count");
-            let cur = ctx.store_ref().get::<u64>(k).copied().unwrap_or(0);
-            ctx.store().insert(k, cur + 1, 8);
-            if self.hops_left == 0 {
-                return Effect::Done;
-            }
-            self.hops_left -= 1;
-            Effect::Hop((ctx.here() + 1) % ctx.num_nodes())
-        }
-        fn label(&self) -> String {
-            "pingpong".to_string()
-        }
-        fn snapshot(&self) -> Option<Box<dyn Messenger>> {
-            Some(Box::new(self.clone()))
-        }
-    }
-
     fn pingpong_cluster() -> Cluster {
         let mut c = Cluster::new(2).unwrap();
         c.inject(0, PingPong { hops_left: 6 });
@@ -1132,78 +866,6 @@ mod tests {
         assert_eq!(snap.total("navp_steps_total") as u64, rep.steps);
         assert_eq!(snap.total("navp_injections_total") as u64, 1);
         navp_metrics::validate_prometheus(&m.registry.render()).expect("valid");
-    }
-
-    /// Wire-serializable ping-pong for the durable tests (the plain
-    /// [`PingPong`] has snapshots but no wire form).
-    #[derive(Clone)]
-    struct WirePingPong {
-        hops_left: usize,
-    }
-    impl Messenger for WirePingPong {
-        fn step(&mut self, ctx: &mut MsgrCtx<'_>) -> Effect {
-            let k = Key::plain("count");
-            let cur = ctx.store_ref().get::<u64>(k).copied().unwrap_or(0);
-            ctx.store().insert(k, cur + 1, 8);
-            if self.hops_left == 0 {
-                return Effect::Done;
-            }
-            self.hops_left -= 1;
-            Effect::Hop((ctx.here() + 1) % ctx.num_nodes())
-        }
-        fn label(&self) -> String {
-            "wirepingpong".to_string()
-        }
-        fn snapshot(&self) -> Option<Box<dyn Messenger>> {
-            Some(Box::new(self.clone()))
-        }
-        fn wire_snapshot(&self) -> Option<crate::agent::WireSnapshot> {
-            let mut w = navp_sim::codec::WireWriter::new();
-            w.put_usize(self.hops_left);
-            Some(crate::agent::WireSnapshot::new("test.wpp", w.into_vec()))
-        }
-    }
-
-    /// Minimal durable codec for stores whose values are all `u64`.
-    struct ToyCodec;
-    impl DurableCodec for ToyCodec {
-        fn encode_store(&self, store: &NodeStore) -> Result<Vec<u8>, String> {
-            let mut keys: Vec<Key> = store.keys().copied().collect();
-            keys.sort();
-            let mut w = navp_sim::codec::WireWriter::new();
-            for k in keys {
-                let v = store
-                    .get::<u64>(k)
-                    .ok_or_else(|| format!("{k} is not a u64"))?;
-                w.put_key(&k);
-                w.put_u64(*v);
-            }
-            Ok(w.into_vec())
-        }
-        fn decode_store(&self, bytes: &[u8]) -> Result<NodeStore, String> {
-            let mut r = navp_sim::codec::WireReader::new(bytes);
-            let mut s = NodeStore::new();
-            while r.remaining() > 0 {
-                let k = r.get_key().map_err(|e| e.to_string())?;
-                let v = r.get_u64().map_err(|e| e.to_string())?;
-                s.insert(k, v, 8);
-            }
-            Ok(s)
-        }
-        fn decode_messenger(
-            &self,
-            snap: &crate::agent::WireSnapshot,
-        ) -> Result<Box<dyn Messenger>, String> {
-            match snap.tag.as_str() {
-                "test.wpp" => {
-                    let mut r = navp_sim::codec::WireReader::new(&snap.bytes);
-                    Ok(Box::new(WirePingPong {
-                        hops_left: r.get_usize().map_err(|e| e.to_string())?,
-                    }))
-                }
-                other => Err(format!("unknown messenger tag {other:?}")),
-            }
-        }
     }
 
     fn wire_cluster() -> Cluster {

@@ -2,11 +2,12 @@
 //!
 //! [`ThreadExecutor`] is the MESSENGERS *daemon* reproduced with modern
 //! threads: each PE runs a daemon loop that pops runnable messengers,
-//! steps them until they block or leave, and forwards hopping messengers
-//! to the destination daemon over a channel. The box holding the
-//! messenger's agent variables is what actually moves — code never does,
-//! exactly as in the paper ("although the state of the computation is
-//! moved on each hop, the code is not moved").
+//! runs them through its [`PeCore`] until they block or leave, and
+//! forwards hopping messengers to the destination daemon over a
+//! `std::sync::mpsc` channel. The box holding the messenger's agent
+//! variables is what actually moves — code never does, exactly as in
+//! the paper ("although the state of the computation is moved on each
+//! hop, the code is not moved").
 //!
 //! This executor does real work in real time (the arithmetic inside each
 //! step is what is being measured), so `charge_*` calls are ignored. Use
@@ -20,49 +21,35 @@
 //!
 //! When the cluster carries a [`FaultPlan`](crate::FaultPlan), the
 //! executor injects its faults and (with checkpointing on) absorbs PE
-//! crashes. A crash is quantized to a *run boundary*: before each
-//! messenger run the daemon asks the tracker whether its PE fails here.
-//! On a crash the daemon restarts itself in place — it discards its
-//! local queue and store, bumps its delivery *epoch*, rebuilds the store
-//! as `initial + write-journal replay`, and re-delivers the last
-//! checkpoint of every messenger in its failure domain. The epoch
-//! defeats double delivery: every channel send is stamped with the
-//! destination's epoch read under the same lock that registers the
-//! checkpoint, so a message racing a crash is either redelivered from
-//! its checkpoint (and the stale original discarded on receipt) or
-//! delivered normally — never both. Messengers parked on events live in
-//! the shared event service, which survives daemon restarts.
+//! crashes. A crash is quantized to a *run boundary* (see
+//! [`PeCore::run`]). On a crash the daemon restarts itself in place — it
+//! discards its local queue, its core rebuilds the store, bumps the PE's
+//! delivery *epoch*, and re-delivers the last checkpoint of every
+//! messenger in its failure domain. The epoch defeats double delivery:
+//! every channel send is stamped with the destination's epoch read under
+//! the same lock that registers the checkpoint, so a message racing a
+//! crash is either redelivered from its checkpoint (and the stale
+//! original discarded on receipt) or delivered normally — never both.
+//! Messengers parked on events live in the shared event service, which
+//! survives daemon restarts.
 
-use crate::agent::{Effect, Messenger, MsgrCtx, StepOutputs};
+use crate::agent::{Messenger, StepOutputs};
 use crate::cluster::{Cluster, ClusterParts};
-use crate::durable::{self, DurableCodec, Manifest, ParkedWaiter};
+use crate::durable::DurableCodec;
 use crate::error::RunError;
-use crate::fault::{FaultPlan, FaultStats, FaultTracker, HopFault};
-use crate::recovery::{CheckpointTable, WriteJournal};
-use crate::sim_exec::HOP_STATE_BYTES;
+use crate::fault::FaultStats;
+use crate::pe_core::{Arrival, EventTable, Parked, PeCore, PeIo, Recovery, Spill};
 use navp_metrics::RunMetrics;
-use navp_obs::EventKind as ObsKind;
+use navp_obs::Lane;
 use navp_sim::key::{EventKey, NodeId};
 use navp_sim::store::NodeStore;
-use navp_trace::recorder::DEFAULT_CAPACITY;
-use navp_trace::{merge_pe_traces, PeLog, PeRecorder, Trace, TraceEvent, TraceKind};
+use navp_trace::{merge_pe_traces, PeLog, Trace};
+use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Trace context a delivery carries, so the *receiving* daemon can
-/// record the hop transfer or event wait into its own recorder without
-/// any shared trace state. `None` on untraced runs.
-enum DeliveryMeta {
-    /// An inter-PE hop: where from, when it left (shared anchor clock),
-    /// and how many payload bytes moved.
-    Hop { from: NodeId, sent_ns: u64, bytes: u64 },
-    /// A woken event waiter: when it parked (shared anchor clock).
-    Wake { parked_ns: u64 },
-}
 
 enum DaemonMsg {
     Agent {
@@ -72,141 +59,26 @@ enum DaemonMsg {
         /// discarded on receipt (the crash already re-delivered them).
         epoch: u64,
         msgr: Box<dyn Messenger>,
-        /// What to trace about this delivery (`None` when untraced).
-        meta: Option<DeliveryMeta>,
+        via: Arrival,
     },
     Shutdown,
-}
-
-#[derive(Default)]
-struct EventState {
-    count: u64,
-    /// Parked messengers: (id, messenger, home PE, park timestamp on
-    /// the shared anchor clock — 0 when neither traced nor metered).
-    waiters: VecDeque<(u64, Box<dyn Messenger>, NodeId, u64)>,
-}
-
-/// Recovery state shared by all daemons, behind one lock so that
-/// epoch reads, checkpoint registration and crash collection serialize
-/// against each other (the exactly-once argument depends on it).
-struct Recovery {
-    tracker: FaultTracker,
-    ckpt: CheckpointTable,
-    journals: Vec<WriteJournal>,
-    /// Pristine pre-run stores; a crashed PE's store is rebuilt as
-    /// `initial + journal replay`.
-    initial: Vec<NodeStore>,
-    /// Per-PE delivery epoch, bumped on each crash of that PE.
-    epochs: Vec<u64>,
-    stats: FaultStats,
-}
-
-/// Durable-spill sink shared by all daemons: the directory, codec,
-/// session nonce and monotone boundary counter. Locked *after* the
-/// recovery lock (recovery → durable → events is the global order).
-struct DurableSink {
-    dir: PathBuf,
-    codec: Arc<dyn DurableCodec>,
-    nonce: u64,
-    boundary: u64,
-}
-
-/// Spill the whole cluster's consistent cut under the recovery lock.
-/// Every PE's committed store is `initial + journal`, every live
-/// messenger sits in the checkpoint table, and the event service holds
-/// the parked waiters — the same invariants in-memory crash recovery
-/// relies on, so the cut is consistent even while other daemons are
-/// mid-run (their uncommitted writes simply aren't in it yet).
-fn spill_threads(
-    sink: &mut DurableSink,
-    r: &Recovery,
-    pes: usize,
-    events: &Mutex<HashMap<EventKey, EventState>>,
-    metrics: Option<&RunMetrics>,
-) -> Result<(), RunError> {
-    sink.boundary += 1;
-    let mut waiters = Vec::new();
-    let mut counts = Vec::new();
-    {
-        let ev = events.lock().unwrap();
-        let mut keys: Vec<&EventKey> = ev.keys().collect();
-        keys.sort();
-        for key in keys {
-            let st = &ev[key];
-            if st.count > 0 {
-                counts.push((*key, st.count));
-            }
-            for (id, msgr, origin, _) in &st.waiters {
-                let snap = msgr
-                    .wire_snapshot()
-                    .ok_or_else(|| RunError::NotSerializable {
-                        agent: msgr.label(),
-                    })?;
-                waiters.push(ParkedWaiter {
-                    id: *id,
-                    origin: *origin as u32,
-                    key: *key,
-                    snap,
-                });
-            }
-        }
-    }
-    for pe in 0..pes {
-        let store = durable::committed_store(&r.initial[pe], &r.journals[pe]);
-        let (w, c) = if pe == 0 {
-            (std::mem::take(&mut waiters), std::mem::take(&mut counts))
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let cut = durable::build_cut(
-            pe,
-            pes,
-            sink.nonce,
-            sink.boundary,
-            &store,
-            &r.ckpt,
-            w,
-            c,
-            sink.codec.as_ref(),
-        )
-        .map_err(|e| RunError::Transport {
-            detail: e.to_string(),
-        })?;
-        let bytes = durable::write_cut(&sink.dir, &cut).map_err(|e| RunError::Transport {
-            detail: e.to_string(),
-        })?;
-        if let Some(m) = metrics {
-            m.durable_flushes.inc();
-            m.durable_bytes.add(bytes);
-        }
-    }
-    Ok(())
 }
 
 struct Shared {
     chans: Vec<Sender<DaemonMsg>>,
     live: AtomicUsize,
     progress: AtomicU64,
-    steps: AtomicU64,
-    hops: AtomicU64,
-    /// Payload + fixed state bytes moved over all hops — the numerator
-    /// of the effective hop bandwidth the perf baseline reports.
-    hop_bytes: AtomicU64,
     next_id: AtomicU64,
-    events: Mutex<HashMap<EventKey, EventState>>,
+    events: Mutex<EventTable<Box<dyn Messenger>>>,
     failure: Mutex<Option<RunError>>,
+    /// Recovery state shared by all daemons, behind one lock so that
+    /// epoch reads, checkpoint registration and crash collection
+    /// serialize against each other (the exactly-once argument depends
+    /// on it). Lock order: recovery → durable → events.
     recovery: Option<Mutex<Recovery>>,
     /// Durable checkpoint sink, `None` unless requested — durable-off
     /// runs perform zero filesystem syscalls.
-    durable: Option<Mutex<DurableSink>>,
-    /// Wall tracing on? All daemons anchor their recorders at `anchor`,
-    /// so per-PE timestamps are directly comparable (offsets are zero).
-    trace: bool,
-    anchor: Instant,
-    /// Live metric set, `None` unless requested — the `Option` test is
-    /// the single branch metrics-off hot paths pay (same discipline as
-    /// `PeRecorder::is_enabled`).
-    metrics: Option<Arc<RunMetrics>>,
+    durable: Option<Mutex<Spill>>,
 }
 
 impl Shared {
@@ -226,137 +98,168 @@ impl Shared {
         self.shutdown_all();
     }
 
+    fn recovery(&self) -> Option<MutexGuard<'_, Recovery>> {
+        self.recovery.as_ref().map(|r| r.lock().unwrap())
+    }
+
     /// Deliver messenger `id` to `dst`: checkpoint it into the
     /// destination's failure domain, stamp the destination epoch, and
-    /// send. Hop deliveries (`is_hop`) additionally pass through the
-    /// fault plan's delay/drop rules, retrying dropped attempts with
-    /// backoff. Returns `false` when the run is failing.
+    /// send. Hops first pass through the fault plan's delay/drop rules
+    /// (faults recorded on `lane`); the hold is slept off here.
     fn send_agent(
         &self,
         dst: NodeId,
         id: u64,
         msgr: Box<dyn Messenger>,
-        is_hop: bool,
-        meta: Option<DeliveryMeta>,
-    ) -> bool {
-        let Some(rec) = &self.recovery else {
-            let _ = self.chans[dst].send(DaemonMsg::Agent {
-                id,
-                epoch: 0,
-                msgr,
-                meta,
-            });
-            return true;
-        };
-        enum Next {
-            Deliver(u64),
-            /// Sleep, then retry; the flag disarms further fault checks
-            /// (a Delay's attempt itself succeeds, as in the simulator).
-            Sleep(Duration, bool),
-            Fail(RunError),
-        }
-        let mut attempts = 0u32;
-        let mut faults_armed = is_hop;
-        let epoch = loop {
-            let next = {
-                let mut r = rec.lock().unwrap();
-                let fault = if faults_armed { r.tracker.on_hop(dst) } else { None };
-                match fault {
-                    None => {
-                        r.ckpt.register(id, dst, msgr.as_ref());
-                        self.note_checkpoint(msgr.as_ref());
-                        Next::Deliver(r.epochs[dst])
-                    }
-                    Some(HopFault::Delay { seconds }) => {
-                        r.stats.hops_delayed += 1;
-                        if let Some(m) = &self.metrics {
-                            m.faults.inc();
-                        }
-                        Next::Sleep(Duration::from_secs_f64(seconds), true)
-                    }
-                    Some(HopFault::Drop) => {
-                        r.stats.hops_dropped += 1;
-                        if let Some(m) = &self.metrics {
-                            m.faults.inc();
-                        }
-                        attempts += 1;
-                        if attempts > r.tracker.plan().max_send_retries {
-                            Next::Fail(RunError::RecoveryFailed {
-                                pe: dst,
-                                reason: format!(
-                                    "hop delivery dropped {attempts} times; retry budget exhausted"
-                                ),
-                            })
-                        } else {
-                            r.stats.send_retries += 1;
-                            Next::Sleep(r.tracker.plan().retry_backoff, false)
-                        }
+        via: Arrival,
+        lane: &Lane,
+    ) -> Result<(), RunError> {
+        let epoch = match self.recovery() {
+            None => 0,
+            Some(mut r) => {
+                if matches!(via, Arrival::Hop { .. }) {
+                    let hold = r.hop_fault(dst, lane, 0)?;
+                    if !hold.is_empty() {
+                        drop(r);
+                        // Keep the watchdog fed through injected latency.
+                        self.progress.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(hold.wall());
+                        r = self.recovery().expect("recovery is on");
                     }
                 }
-            };
-            match next {
-                Next::Deliver(e) => break e,
-                Next::Sleep(d, disarm) => {
-                    // Keep the watchdog fed through injected latency.
-                    self.progress.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(d);
-                    if disarm {
-                        faults_armed = false;
-                    }
-                }
-                Next::Fail(err) => {
-                    self.fail(err);
-                    return false;
-                }
+                r.checkpoint(id, dst, msgr.as_ref());
+                r.epochs[dst]
             }
         };
         let _ = self.chans[dst].send(DaemonMsg::Agent {
             id,
             epoch,
             msgr,
-            meta,
+            via,
         });
-        true
+        Ok(())
     }
 
-    fn signal(&self, key: EventKey) {
-        let woken = {
-            let mut ev = self.events.lock().unwrap();
-            let st = ev.entry(key).or_default();
-            match st.waiters.pop_front() {
-                Some(w) => Some(w),
-                None => {
-                    st.count += 1;
-                    None
-                }
-            }
+    /// Spill the whole cluster's consistent cut. Every PE's committed
+    /// store is `initial + journal`, every live messenger sits in the
+    /// checkpoint table, and the event service holds the parked waiters
+    /// — the same invariants in-memory crash recovery relies on, so the
+    /// cut is consistent even while other daemons are mid-run (their
+    /// uncommitted writes simply aren't in it yet).
+    fn spill(&self, lane: &Lane) -> Result<(), RunError> {
+        let (Some(rec), Some(ds)) = (&self.recovery, &self.durable) else {
+            return Ok(());
         };
-        if let Some((id, msgr, pe, parked_ns)) = woken {
-            self.progress.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                // parked_ns is stamped whenever trace or metrics are
-                // on, so a zero here only means "no park clock".
-                if parked_ns > 0 {
-                    let dur = (self.anchor.elapsed().as_nanos() as u64).saturating_sub(parked_ns);
-                    if let Some(p) = m.pe(pe) {
-                        p.park_ns.add(dur);
-                    }
-                    m.park_wait_ns.observe(dur);
-                }
-            }
+        let r = rec.lock().unwrap();
+        let mut spill = ds.lock().unwrap();
+        let events = self.events.lock().unwrap();
+        spill.spill_all(&r, &events, lane)
+    }
+}
+
+/// One daemon's transport: the shared channels and event service, plus
+/// its local runnable queue.
+struct ThreadIo<'a> {
+    shared: &'a Shared,
+    pe: NodeId,
+    lane: Arc<Lane>,
+    /// Locally injected messengers run before the channel is polled
+    /// again — MESSENGERS' local scheduling queue.
+    local: VecDeque<(u64, Box<dyn Messenger>)>,
+}
+
+impl PeIo for ThreadIo<'_> {
+    fn recovery(&mut self) -> Option<impl std::ops::DerefMut<Target = Recovery> + '_> {
+        self.shared.recovery()
+    }
+
+    fn stepped(&mut self, _id: u64, _out: &StepOutputs, _store: &NodeStore, _m: &dyn Messenger) {
+        self.shared.progress.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn next_id(&mut self) -> u64 {
+        self.shared.next_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn inject(&mut self, id: u64, msgr: Box<dyn Messenger>) {
+        self.shared.live.fetch_add(1, Ordering::SeqCst);
+        self.local.push_back((id, msgr));
+    }
+
+    fn signal(&mut self, _id: u64, key: EventKey) -> Result<(), RunError> {
+        let woken = self.shared.events.lock().unwrap().signal(key);
+        if let Some(w) = woken {
+            self.shared.progress.fetch_add(1, Ordering::Relaxed);
             // Waking is a delivery point: the messenger re-enters its
             // PE's failure domain.
-            let meta = self.trace.then_some(DeliveryMeta::Wake { parked_ns });
-            self.send_agent(pe, id, msgr, false, meta);
+            let via = Arrival::Wake {
+                parked_ns: w.parked_ns,
+            };
+            self.shared
+                .send_agent(w.origin, w.id, w.msgr, via, &self.lane)?;
+        }
+        Ok(())
+    }
+
+    fn wait(
+        &mut self,
+        id: u64,
+        key: EventKey,
+        msgr: Box<dyn Messenger>,
+        parked_ns: u64,
+    ) -> Result<Option<Box<dyn Messenger>>, RunError> {
+        let mut ev = self.shared.events.lock().unwrap();
+        if ev.take_banked(key) {
+            return Ok(Some(msgr));
+        }
+        let origin = self.pe;
+        ev.park(
+            key,
+            Parked {
+                id,
+                origin,
+                parked_ns,
+                msgr,
+            },
+        );
+        Ok(None)
+    }
+
+    fn hop(
+        &mut self,
+        id: u64,
+        dst: NodeId,
+        bytes: u64,
+        sent_ns: u64,
+        msgr: Box<dyn Messenger>,
+    ) -> Result<(), RunError> {
+        let via = Arrival::Hop {
+            from: self.pe,
+            sent_ns,
+            bytes,
+            landed_ns: 0,
+        };
+        self.shared.send_agent(dst, id, msgr, via, &self.lane)
+    }
+
+    fn done(&mut self, _id: u64) {
+        if self.shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.shared.shutdown_all();
         }
     }
 
-    /// Count one checkpoint registration into the metric set.
-    fn note_checkpoint(&self, msgr: &dyn Messenger) {
-        if let Some(m) = &self.metrics {
-            m.checkpoints.inc();
-            m.checkpoint_bytes.add(msgr.payload_bytes());
+    fn restarted(&mut self, redelivered: Vec<(u64, Box<dyn Messenger>)>) {
+        self.local.clear();
+        let epoch = self.shared.recovery().map_or(0, |r| r.epochs[self.pe]);
+        for (id, msgr) in redelivered {
+            let _ = self.shared.chans[self.pe].send(DaemonMsg::Agent {
+                id,
+                epoch,
+                msgr,
+                via: Arrival::Fresh,
+            });
         }
+        self.shared.progress.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -462,7 +365,7 @@ impl ThreadExecutor {
 
     /// Export live metrics into `metrics` during the run (off by
     /// default). The executor updates the shared
-    /// [`RunMetrics`](navp_metrics::RunMetrics) instruments as it goes;
+    /// [`RunMetrics`] instruments as it goes;
     /// the caller keeps its own handle to scrape or snapshot them —
     /// also mid-run, which is the whole point. Products are unaffected.
     pub fn with_metrics(mut self, metrics: Arc<RunMetrics>) -> ThreadExecutor {
@@ -498,37 +401,8 @@ impl ThreadExecutor {
             });
         }
 
-        // A cluster without an explicit plan accepts one from the
-        // `NAVP_FAULT_SPEC` environment (repro files paste in verbatim);
-        // a malformed spec is a loud error, not a silently clean run.
-        let fault_plan = match fault_plan {
-            Some(p) => Some(p),
-            None => FaultPlan::from_env().map_err(|detail| RunError::Transport { detail })?,
-        };
-        // Durable mode needs the journal/checkpoint machinery even
-        // under an empty fault plan: the cut it spills *is* that state.
-        let fault_plan = match fault_plan.filter(|p| !p.is_empty()) {
-            None if self.durable.is_some() => Some(FaultPlan::new()),
-            other => other,
-        };
-        let recovery = fault_plan.map(|plan| {
-            // Pristine pre-run image for crash rebuilds. The store is
-            // copy-on-write, so this is a per-entry reference bump, not a
-            // deep copy — payloads are only duplicated if a run later
-            // mutates them.
-            let initial = stores.clone();
-            for s in &mut stores {
-                s.enable_tracking();
-            }
-            Mutex::new(Recovery {
-                tracker: FaultTracker::new(plan, pes),
-                ckpt: CheckpointTable::new(),
-                journals: (0..pes).map(|_| WriteJournal::new()).collect(),
-                initial,
-                epochs: vec![0; pes],
-                stats: FaultStats::default(),
-            })
-        });
+        let durable = self.durable.is_some();
+        let mut rec = Recovery::for_run(fault_plan, durable, &mut stores, &self.metrics)?;
 
         let mut senders = Vec::with_capacity(pes);
         let mut receivers: Vec<Receiver<DaemonMsg>> = Vec::with_capacity(pes);
@@ -537,93 +411,77 @@ impl ThreadExecutor {
             senders.push(tx);
             receivers.push(rx);
         }
-        let shared = Shared {
-            chans: senders,
-            live: AtomicUsize::new(injections.len()),
-            progress: AtomicU64::new(0),
-            steps: AtomicU64::new(0),
-            hops: AtomicU64::new(0),
-            hop_bytes: AtomicU64::new(0),
-            next_id: AtomicU64::new(injections.len() as u64),
-            events: Mutex::new(HashMap::new()),
-            failure: Mutex::new(None),
-            recovery,
-            durable: match &self.durable {
-                Some((dir, codec)) => {
-                    let nonce = durable::fresh_nonce();
-                    durable::write_manifest(dir, &Manifest { pes, nonce }).map_err(|e| {
-                        RunError::Transport {
-                            detail: e.to_string(),
-                        }
-                    })?;
-                    Some(Mutex::new(DurableSink {
-                        dir: dir.clone(),
-                        codec: Arc::clone(codec),
-                        nonce,
-                        boundary: 0,
-                    }))
-                }
-                None => None,
-            },
-            trace: self.trace,
-            anchor: Instant::now(),
-            metrics: self.metrics.clone(),
-        };
-
-        {
-            let mut ev = shared.events.lock().unwrap();
-            for key in initial_events {
-                ev.entry(key).or_default().count += 1;
-            }
+        // All daemons anchor their recorders at one instant, so per-PE
+        // timestamps are directly comparable (offsets are zero).
+        let anchor = Instant::now();
+        let mut cores: Vec<PeCore> = stores
+            .into_iter()
+            .enumerate()
+            .map(|(pe, store)| {
+                // Per-PE flight lane, fetched once; purely observational
+                // (see `navp_obs`), so products stay bitwise-identical.
+                let lane = navp_obs::flight().lane(&format!("pe{pe}"));
+                PeCore::new(pe, pes, store, lane, self.metrics.clone())
+                    .with_trace(anchor, self.trace)
+            })
+            .collect();
+        let mut events = EventTable::default();
+        for key in initial_events {
+            events.bank(key);
         }
         // Queue the time-zero injections before any daemon starts; each
         // is a delivery point, so checkpoint it.
+        let live = injections.len();
         for (i, (pe, msgr)) in injections.into_iter().enumerate() {
-            let id = i as u64;
-            if let Some(rec) = &shared.recovery {
-                rec.lock().unwrap().ckpt.register(id, pe, msgr.as_ref());
-                shared.note_checkpoint(msgr.as_ref());
-            }
-            if let Some(p) = shared.metrics.as_ref().and_then(|m| m.pe(pe)) {
-                p.injections.inc();
-            }
-            let _ = shared.chans[pe].send(DaemonMsg::Agent {
-                id,
+            cores[pe].admit(rec.as_mut(), i as u64, msgr.as_ref());
+            let _ = senders[pe].send(DaemonMsg::Agent {
+                id: i as u64,
                 epoch: 0,
                 msgr,
-                meta: None,
+                via: Arrival::Fresh,
             });
         }
-
+        let durable = match &self.durable {
+            Some((dir, codec)) => Some(Mutex::new(Spill::create(
+                dir.clone(),
+                Arc::clone(codec),
+                pes,
+            )?)),
+            None => None,
+        };
+        let shared = Shared {
+            chans: senders,
+            live: AtomicUsize::new(live),
+            progress: AtomicU64::new(0),
+            next_id: AtomicU64::new(live as u64),
+            events: Mutex::new(events),
+            failure: Mutex::new(None),
+            recovery: rec.map(Mutex::new),
+            durable,
+        };
         // Boundary 0: the injected-but-unrun cluster, so even a kill
         // before the first run restores cleanly.
-        if let (Some(rec), Some(ds)) = (&shared.recovery, &shared.durable) {
-            let r = rec.lock().unwrap();
-            let mut sink = ds.lock().unwrap();
-            spill_threads(&mut sink, &r, pes, &shared.events, shared.metrics.as_deref())?;
-        }
+        shared.spill(cores[0].lane())?;
 
         let start = Instant::now();
-        type DaemonOut = (NodeStore, Vec<TraceEvent>, u64);
-        let mut joined_stores: Vec<Option<DaemonOut>> = (0..pes).map(|_| None).collect();
+        let mut joined: Vec<Option<PeCore>> = (0..pes).map(|_| None).collect();
         let mut panic_msg: Option<String> = None;
 
         std::thread::scope(|s| {
             let shared = &shared;
-            let handles: Vec<_> = stores
+            let handles: Vec<_> = cores
                 .into_iter()
                 .zip(receivers)
-                .enumerate()
-                .map(|(pe, (store, rx))| {
+                .map(|(core, rx)| {
                     s.spawn(move || {
                         // Report a messenger panic through the failure
                         // slot immediately, so the main loop stops at its
                         // next tick instead of waiting out the watchdog.
-                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || daemon(pe, pes, store, rx, shared),
-                        ));
+                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            daemon(core, rx, shared)
+                        }));
                         match run {
-                            Ok(store) => store,
+                            Ok(core) => core,
                             Err(p) => {
                                 shared.fail(RunError::WorkerPanic(panic_text(&*p)));
                                 std::panic::resume_unwind(p);
@@ -662,7 +520,7 @@ impl ThreadExecutor {
 
             for (pe, h) in handles.into_iter().enumerate() {
                 match h.join() {
-                    Ok(store) => joined_stores[pe] = Some(store),
+                    Ok(core) => joined[pe] = Some(core),
                     Err(p) => panic_msg = Some(panic_text(&*p)),
                 }
             }
@@ -675,15 +533,17 @@ impl ThreadExecutor {
         if let Some(err) = shared.failure.lock().unwrap().take() {
             return Err(err);
         }
-        let faults = shared
-            .recovery
-            .as_ref()
-            .map(|r| r.lock().unwrap().stats)
-            .unwrap_or_default();
+        let faults = shared.recovery().map(|r| r.stats()).unwrap_or_default();
+        let (mut steps, mut hops, mut hop_bytes) = (0, 0, 0);
         let mut stores = Vec::with_capacity(pes);
         let mut logs = Vec::with_capacity(pes);
-        for (pe, joined) in joined_stores.into_iter().enumerate() {
-            let (store, events, dropped) = joined.expect("all daemons joined");
+        for (pe, core) in joined.into_iter().enumerate() {
+            let core = core.expect("all daemons joined");
+            steps += core.tally.steps;
+            hops += core.tally.hops;
+            hop_bytes += core.tally.hop_bytes;
+            let (store, mut recorder) = core.into_parts();
+            let (events, dropped) = recorder.take();
             stores.push(store);
             logs.push(PeLog {
                 pe,
@@ -705,9 +565,9 @@ impl ThreadExecutor {
         Ok(WallReport {
             wall,
             stores,
-            steps: shared.steps.load(Ordering::Relaxed),
-            hops: shared.hops.load(Ordering::Relaxed),
-            hop_bytes: shared.hop_bytes.load(Ordering::Relaxed),
+            steps,
+            hops,
+            hop_bytes,
             faults,
             watchdog: self.watchdog,
             trace,
@@ -724,102 +584,19 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "unknown panic".to_string())
 }
 
-/// Crash check at a run boundary. Returns `true` when the daemon may run
-/// the messenger it holds; `false` when the PE just crashed (the held
-/// messenger's checkpoint has been re-delivered — drop the stale copy)
-/// or the run is failing.
-fn survive_run_boundary(
-    shared: &Shared,
-    pe: NodeId,
-    store: &mut NodeStore,
-    local: &mut VecDeque<(u64, Box<dyn Messenger>)>,
-    recorder: &mut PeRecorder,
-) -> bool {
-    let Some(rec) = &shared.recovery else {
-        return true;
+/// The daemon loop of one PE: deliveries in, runs through the core.
+/// Returns the core (store, recorder, tally) when the PE shuts down.
+fn daemon(mut core: PeCore, rx: Receiver<DaemonMsg>, shared: &Shared) -> PeCore {
+    let pe = core.pe();
+    let mut io = ThreadIo {
+        shared,
+        pe,
+        lane: Arc::clone(core.lane()),
+        local: VecDeque::new(),
     };
-    let redeliver = {
-        let mut r = rec.lock().unwrap();
-        let Some(run) = r.tracker.on_run(pe) else {
-            return true;
-        };
-        if !r.tracker.plan().checkpointing {
-            drop(r);
-            shared.fail(RunError::PeCrashed { pe, run });
-            return false;
-        }
-        r.stats.crashes += 1;
-        if let Some(m) = &shared.metrics {
-            m.faults.inc();
-        }
-        // Daemon restart: new epoch (stale in-flight deliveries will be
-        // discarded), fresh store from the journal, empty local queue.
-        r.epochs[pe] += 1;
-        let epoch = r.epochs[pe];
-        let mut rebuilt = r.initial[pe].clone();
-        r.stats.replayed_writes += r.journals[pe].replay_into(&mut rebuilt);
-        rebuilt.enable_tracking();
-        *store = rebuilt;
-        local.clear();
-        // Re-deliver everything lost with the PE from its checkpoints.
-        let mut to_send = Vec::new();
-        let mut lost: Option<String> = None;
-        for (id, label, snap) in r.ckpt.drain_pe(pe) {
-            match snap {
-                Some(snap) => {
-                    r.ckpt.register(id, pe, snap.as_ref());
-                    r.stats.redelivered += 1;
-                    to_send.push((id, epoch, snap));
-                }
-                None => lost = Some(label),
-            }
-        }
-        if let Some(label) = lost {
-            drop(r);
-            shared.fail(RunError::RecoveryFailed {
-                pe,
-                reason: format!("messenger {label} does not support snapshots"),
-            });
-            return false;
-        }
-        to_send
-    };
-    recorder.instant(u64::MAX, "crash", TraceKind::Fault { pe });
-    for (id, epoch, msgr) in redeliver {
-        let _ = shared.chans[pe].send(DaemonMsg::Agent {
-            id,
-            epoch,
-            msgr,
-            meta: None,
-        });
-    }
-    shared.progress.fetch_add(1, Ordering::Relaxed);
-    false
-}
-
-/// The daemon loop of one PE. Owns the PE's node-variable store for the
-/// duration of the run and returns it when the PE shuts down.
-fn daemon(
-    pe: NodeId,
-    pes: usize,
-    mut store: NodeStore,
-    rx: Receiver<DaemonMsg>,
-    shared: &Shared,
-) -> (NodeStore, Vec<TraceEvent>, u64) {
-    // Locally injected messengers run before we poll the channel again —
-    // MESSENGERS' local scheduling queue.
-    let mut local: VecDeque<(u64, Box<dyn Messenger>)> = VecDeque::new();
-    let mut out = StepOutputs::default();
-    // This daemon's private trace ring: single writer, no locks.
-    let mut recorder = PeRecorder::with_anchor(shared.anchor, shared.trace, DEFAULT_CAPACITY);
-    // This daemon's slice of the metric set, hoisted so the hot loop
-    // pays one pointer test, not a registry lookup.
-    let pm = shared.metrics.as_ref().and_then(|m| m.pe(pe));
     loop {
-        if let Some(p) = pm {
-            p.queue_depth.set(local.len() as i64);
-        }
-        let (id, msgr) = if let Some(m) = local.pop_front() {
+        core.note_queue_depth(io.local.len());
+        let (id, msgr) = if let Some(m) = io.local.pop_front() {
             m
         } else {
             match rx.recv_timeout(Duration::from_millis(100)) {
@@ -827,50 +604,14 @@ fn daemon(
                     id,
                     epoch,
                     msgr,
-                    meta,
+                    via,
                 }) => {
-                    if let Some(rec) = &shared.recovery {
-                        if rec.lock().unwrap().epochs[pe] != epoch {
-                            // Sent before a crash of this PE; the crash
-                            // re-delivered it from its checkpoint.
-                            continue;
-                        }
+                    if shared.recovery().is_some_and(|r| r.epochs[pe] != epoch) {
+                        // Sent before a crash of this PE; the crash
+                        // re-delivered it from its checkpoint.
+                        continue;
                     }
-                    // The receiving side records deliveries: hop
-                    // transfers end here, event waits end here.
-                    if recorder.is_enabled() {
-                        match meta {
-                            Some(DeliveryMeta::Hop {
-                                from,
-                                sent_ns,
-                                bytes,
-                            }) => {
-                                let now = recorder.now_ns();
-                                recorder.record(
-                                    sent_ns,
-                                    now,
-                                    id,
-                                    &msgr.label(),
-                                    TraceKind::Transfer {
-                                        from,
-                                        to: pe,
-                                        bytes,
-                                    },
-                                );
-                            }
-                            Some(DeliveryMeta::Wake { parked_ns }) => {
-                                let now = recorder.now_ns();
-                                recorder.record(
-                                    parked_ns,
-                                    now,
-                                    id,
-                                    &msgr.label(),
-                                    TraceKind::Block { pe },
-                                );
-                            }
-                            None => {}
-                        }
-                    }
+                    core.arrived(id, &via, msgr.as_ref());
                     (id, msgr)
                 }
                 Ok(DaemonMsg::Shutdown) => break,
@@ -878,205 +619,27 @@ fn daemon(
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         };
-        if !survive_run_boundary(shared, pe, &mut store, &mut local, &mut recorder) {
-            continue;
-        }
-        run_messenger(
-            pe,
-            pes,
-            id,
-            msgr,
-            &mut store,
-            &mut local,
-            &mut out,
-            shared,
-            &mut recorder,
-        );
-        // Run boundary: commit this run's store writes to the journal.
-        // Same-thread sequencing makes the commit atomic w.r.t. crashes
-        // of this PE (they only fire at run boundaries, above).
-        if let Some(rec) = &shared.recovery {
-            let mut r = rec.lock().unwrap();
-            r.journals[pe].commit_dirty(&mut store);
-            if let Some(m) = &shared.metrics {
-                m.journal_commits.inc();
+        let ran = core.run(&mut io, id, msgr).and_then(|ran| {
+            if ran {
+                shared.spill(&io.lane)?;
             }
-            if let Some(ds) = &shared.durable {
-                let mut sink = ds.lock().unwrap();
-                let spilled = spill_threads(
-                    &mut sink,
-                    &r,
-                    r.journals.len(),
-                    &shared.events,
-                    shared.metrics.as_deref(),
-                );
-                drop(sink);
-                drop(r);
-                if let Err(err) = spilled {
-                    shared.fail(err);
-                    break;
-                }
-            }
+            Ok(())
+        });
+        if let Err(err) = ran {
+            shared.fail(err);
         }
     }
-    let (events, dropped) = recorder.take();
-    (store, events, dropped)
-}
-
-/// Step one messenger until it leaves this PE (hop), parks (wait), or
-/// finishes.
-#[allow(clippy::too_many_arguments)]
-fn run_messenger(
-    pe: NodeId,
-    pes: usize,
-    id: u64,
-    mut msgr: Box<dyn Messenger>,
-    store: &mut NodeStore,
-    local: &mut VecDeque<(u64, Box<dyn Messenger>)>,
-    out: &mut StepOutputs,
-    shared: &Shared,
-    recorder: &mut PeRecorder,
-) {
-    // One Exec span per messenger *run* (delivery → hop/park/done);
-    // local hops and injections extend the same span.
-    let tracing = recorder.is_enabled();
-    let label = if tracing { msgr.label() } else { String::new() };
-    let exec_start = recorder.now_ns();
-    let pm = shared.metrics.as_ref().and_then(|m| m.pe(pe));
-    // Per-PE flight lane; purely observational (see `navp_obs`), so
-    // products stay bitwise-identical with the recorder on or off.
-    let flight_lane = navp_obs::flight().lane(&format!("pe{pe}"));
-    let end_exec = |recorder: &mut PeRecorder| {
-        if tracing {
-            let now = recorder.now_ns();
-            recorder.record(exec_start, now, id, &label, TraceKind::Exec { pe });
-        }
-    };
-    loop {
-        out.clear();
-        let effect = {
-            let mut ctx = MsgrCtx::new(pe, pes, store, out);
-            msgr.step(&mut ctx)
-        };
-        shared.steps.fetch_add(1, Ordering::Relaxed);
-        shared.progress.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = pm {
-            p.steps.inc();
-        }
-
-        for inj in out.injections.drain(..) {
-            let inj_id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-            // Local injection is a delivery point on this PE.
-            if let Some(rec) = &shared.recovery {
-                rec.lock().unwrap().ckpt.register(inj_id, pe, inj.as_ref());
-                shared.note_checkpoint(inj.as_ref());
-            }
-            if let Some(p) = pm {
-                p.injections.inc();
-            }
-            shared.live.fetch_add(1, Ordering::SeqCst);
-            local.push_back((inj_id, inj));
-        }
-        for key in out.signals.drain(..) {
-            if let Some(rec) = &shared.recovery {
-                let mut r = rec.lock().unwrap();
-                if r.tracker.on_signal(pe) {
-                    r.stats.signals_lost += 1;
-                    drop(r);
-                    if let Some(m) = &shared.metrics {
-                        m.faults.inc();
-                    }
-                    continue;
-                }
-            }
-            shared.signal(key);
-            if let Some(p) = pm {
-                p.signals.inc();
-            }
-            flight_lane.record(ObsKind::Signal, pe as u32, 0, id, 0);
-            recorder.instant(id, &label, TraceKind::Signal { pe });
-        }
-
-        match effect {
-            Effect::Hop(dst) if dst == pe => continue,
-            Effect::Hop(dst) => {
-                if dst >= pes {
-                    shared.fail(RunError::BadHop {
-                        agent: msgr.label(),
-                        dst,
-                        pes,
-                    });
-                    return;
-                }
-                shared.hops.fetch_add(1, Ordering::Relaxed);
-                let payload = msgr.payload_bytes();
-                let hop_bytes = payload + HOP_STATE_BYTES;
-                shared.hop_bytes.fetch_add(hop_bytes, Ordering::Relaxed);
-                if let Some(p) = pm {
-                    p.hops.inc();
-                    p.hop_bytes.add(hop_bytes);
-                }
-                if let Some(m) = &shared.metrics {
-                    m.hop_payload_bytes.observe(payload);
-                }
-                flight_lane.record(ObsKind::HopSend, pe as u32, 0, dst as u64, hop_bytes);
-                end_exec(recorder);
-                let meta = tracing.then(|| DeliveryMeta::Hop {
-                    from: pe,
-                    sent_ns: recorder.now_ns(),
-                    bytes: hop_bytes,
-                });
-                shared.send_agent(dst, id, msgr, true, meta);
-                return;
-            }
-            Effect::WaitEvent(key) => {
-                let mut ev = shared.events.lock().unwrap();
-                let st = ev.entry(key).or_default();
-                if st.count > 0 {
-                    st.count -= 1;
-                    drop(ev);
-                    continue;
-                }
-                end_exec(recorder);
-                // Stamp the park time whenever anyone will consume it:
-                // the tracer's Block span or the park-time metrics.
-                // Both read the same shared anchor clock.
-                let parked_ns = if tracing {
-                    recorder.now_ns()
-                } else if shared.metrics.is_some() {
-                    shared.anchor.elapsed().as_nanos() as u64
-                } else {
-                    0
-                };
-                if let Some(p) = pm {
-                    p.waits.inc();
-                }
-                st.waiters.push_back((id, msgr, pe, parked_ns));
-                drop(ev);
-                // Parked state lives in the event service, which
-                // survives daemon restarts: drop the checkpoint.
-                if let Some(rec) = &shared.recovery {
-                    rec.lock().unwrap().ckpt.remove(id);
-                }
-                return;
-            }
-            Effect::Done => {
-                end_exec(recorder);
-                if let Some(rec) = &shared.recovery {
-                    rec.lock().unwrap().ckpt.remove(id);
-                }
-                if shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    shared.shutdown_all();
-                }
-                return;
-            }
-        }
-    }
+    core
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{PingPong, ToyCodec, WirePingPong};
+    use crate::agent::Effect;
+    use crate::durable;
+    use crate::sim_exec::HOP_STATE_BYTES;
+    use navp_trace::TraceKind;
     use navp_sim::key::Key;
     use crate::fault::FaultPlan;
     use crate::script::Script;
@@ -1211,31 +774,6 @@ mod tests {
         let rep = ThreadExecutor::new().run(c).unwrap();
         // 16 hop-steps per agent; some are local (free) but all counted as steps.
         assert_eq!(rep.steps, 32 * 17);
-    }
-
-    /// A checkpointable messenger that ping-pongs between PEs, bumping a
-    /// per-PE visit counter on each arrival.
-    #[derive(Clone)]
-    struct PingPong {
-        hops_left: usize,
-    }
-    impl Messenger for PingPong {
-        fn step(&mut self, ctx: &mut MsgrCtx<'_>) -> Effect {
-            let k = Key::plain("count");
-            let cur = ctx.store_ref().get::<u64>(k).copied().unwrap_or(0);
-            ctx.store().insert(k, cur + 1, 8);
-            if self.hops_left == 0 {
-                return Effect::Done;
-            }
-            self.hops_left -= 1;
-            Effect::Hop((ctx.here() + 1) % ctx.num_nodes())
-        }
-        fn label(&self) -> String {
-            "pingpong".to_string()
-        }
-        fn snapshot(&self) -> Option<Box<dyn Messenger>> {
-            Some(Box::new(self.clone()))
-        }
     }
 
     fn counts(rep: &WallReport) -> (u64, u64) {
@@ -1471,76 +1009,6 @@ mod tests {
         );
         assert!(m.checkpoints.get() >= 1, "delivery points checkpointed");
         assert!(m.journal_commits.get() >= 1);
-    }
-
-    /// Wire-serializable ping-pong for the durable test.
-    #[derive(Clone)]
-    struct WirePingPong {
-        hops_left: usize,
-    }
-    impl Messenger for WirePingPong {
-        fn step(&mut self, ctx: &mut MsgrCtx<'_>) -> Effect {
-            let k = Key::plain("count");
-            let cur = ctx.store_ref().get::<u64>(k).copied().unwrap_or(0);
-            ctx.store().insert(k, cur + 1, 8);
-            if self.hops_left == 0 {
-                return Effect::Done;
-            }
-            self.hops_left -= 1;
-            Effect::Hop((ctx.here() + 1) % ctx.num_nodes())
-        }
-        fn label(&self) -> String {
-            "wirepingpong".to_string()
-        }
-        fn snapshot(&self) -> Option<Box<dyn Messenger>> {
-            Some(Box::new(self.clone()))
-        }
-        fn wire_snapshot(&self) -> Option<crate::agent::WireSnapshot> {
-            let mut w = navp_sim::codec::WireWriter::new();
-            w.put_usize(self.hops_left);
-            Some(crate::agent::WireSnapshot::new("test.wpp", w.into_vec()))
-        }
-    }
-
-    struct ToyCodec;
-    impl DurableCodec for ToyCodec {
-        fn encode_store(&self, store: &NodeStore) -> Result<Vec<u8>, String> {
-            let mut keys: Vec<Key> = store.keys().copied().collect();
-            keys.sort();
-            let mut w = navp_sim::codec::WireWriter::new();
-            for k in keys {
-                let v = store
-                    .get::<u64>(k)
-                    .ok_or_else(|| format!("{k} is not a u64"))?;
-                w.put_key(&k);
-                w.put_u64(*v);
-            }
-            Ok(w.into_vec())
-        }
-        fn decode_store(&self, bytes: &[u8]) -> Result<NodeStore, String> {
-            let mut r = navp_sim::codec::WireReader::new(bytes);
-            let mut s = NodeStore::new();
-            while r.remaining() > 0 {
-                let k = r.get_key().map_err(|e| e.to_string())?;
-                let v = r.get_u64().map_err(|e| e.to_string())?;
-                s.insert(k, v, 8);
-            }
-            Ok(s)
-        }
-        fn decode_messenger(
-            &self,
-            snap: &crate::agent::WireSnapshot,
-        ) -> Result<Box<dyn Messenger>, String> {
-            match snap.tag.as_str() {
-                "test.wpp" => {
-                    let mut r = navp_sim::codec::WireReader::new(&snap.bytes);
-                    Ok(Box::new(WirePingPong {
-                        hops_left: r.get_usize().map_err(|e| e.to_string())?,
-                    }))
-                }
-                other => Err(format!("unknown messenger tag {other:?}")),
-            }
-        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 
 use navp::script::Script;
 use navp::transform::Itinerary;
-use navp::{Cluster, Effect, Key, SimExecutor, ThreadExecutor};
+use navp::{Cluster, Effect, FaultPlan, Key, Messenger, MsgrCtx, SimExecutor, ThreadExecutor};
+use navp_metrics::RunMetrics;
 use navp_sim::CostModel;
 use std::sync::Arc;
 
@@ -140,4 +141,61 @@ fn heavy_contention_reaches_same_totals() {
         };
     assert_eq!(total(&sim), 120);
     assert_eq!(total(&thr), 120);
+}
+
+/// A checkpointable messenger that ping-pongs between two PEs, bumping
+/// a per-PE visit counter on each arrival.
+#[derive(Clone)]
+struct PingPong {
+    hops_left: usize,
+}
+
+impl Messenger for PingPong {
+    fn step(&mut self, ctx: &mut MsgrCtx<'_>) -> Effect {
+        let k = Key::plain("count");
+        let cur = ctx.store_ref().get::<u64>(k).copied().unwrap_or(0);
+        ctx.store().insert(k, cur + 1, 8);
+        if self.hops_left == 0 {
+            return Effect::Done;
+        }
+        self.hops_left -= 1;
+        Effect::Hop((ctx.here() + 1) % ctx.num_nodes())
+    }
+    fn payload_bytes(&self) -> u64 {
+        64
+    }
+    fn snapshot(&self) -> Option<Box<dyn Messenger>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+#[test]
+fn crash_recovery_counters_agree_across_executors() {
+    let build = || {
+        let mut cl = Cluster::new(2).expect("cluster");
+        cl.inject(0, PingPong { hops_left: 6 });
+        cl.with_fault_plan(FaultPlan::new().crash_pe(1, 2))
+    };
+    let sim_m = RunMetrics::new(2);
+    let sim = SimExecutor::new(CostModel::paper_cluster())
+        .with_metrics(Arc::clone(&sim_m))
+        .run(build())
+        .expect("sim run");
+    let thr_m = RunMetrics::new(2);
+    let thr = ThreadExecutor::new()
+        .with_metrics(Arc::clone(&thr_m))
+        .run(build())
+        .expect("thread run");
+    assert_eq!(sim.faults, thr.faults);
+    let (sim_s, thr_s) = (sim_m.snapshot(), thr_m.snapshot());
+    for name in [
+        "navp_checkpoints_total",
+        "navp_checkpoint_bytes_total",
+        "navp_journal_commits_total",
+        "navp_hops_total",
+        "navp_steps_total",
+        "navp_fault_injections_total",
+    ] {
+        assert_eq!(sim_s.total(name), thr_s.total(name), "{name} disagrees");
+    }
 }

@@ -25,10 +25,10 @@
 //! * [`exec`] — the driver: [`NetExecutor`] keeps the exact
 //!   step/Effect contract of the other executors, spawns or joins PE
 //!   processes, and tallies progress until the cluster drains.
-//! * [`pe`] — the PE daemon ([`pe::pe_main`]) that `navp-pe` runs:
-//!   store slice, event table, runnable queue, fault injection
-//!   (delay/drop/crash on real sockets) and checkpoint/restart
-//!   recovery reusing [`navp::recovery`].
+//! * [`pe`] — the PE daemon ([`pe::pe_main`]) that `navp-pe` runs: the
+//!   transport around the shared [`navp::pe_core::PeCore`] — frames,
+//!   event homing, the runnable queue, and fault holds on real sockets
+//!   (the core does stepping, checkpoints and crash restart).
 //! * [`sys`] + [`netloop`] — the mesh event loop: a hand-rolled
 //!   epoll/poll readiness wrapper and the process-global nonblocking
 //!   I/O threads that own every mesh socket, with coalesced,

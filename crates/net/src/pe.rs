@@ -1,12 +1,14 @@
 //! The PE daemon: one OS process hosting one PE's `NodeStore` slice,
 //! event table, and runnable queue.
 //!
-//! Mirrors the per-PE daemon of `navp::thread_exec`, with channels
-//! replaced by TCP frames. The daemon is single-threaded (reader
-//! threads only feed an in-process channel), so delivery, fault
-//! injection, and crash recovery all serialize on the main loop — the
-//! epoch stamps the thread executor needs to guard racy re-deliveries
-//! degenerate here and are omitted (see DESIGN.md §9).
+//! Messengers run through the same [`PeCore`] as in the other
+//! executors; this module is its transport: frames to peers and the
+//! driver, `event_home` routing, the write-ahead outbox, the Mattern
+//! termination counters and the handshake. The daemon is
+//! single-threaded (the I/O loop only feeds an in-process channel), so
+//! delivery, fault injection, and crash recovery all serialize on the
+//! main loop — the epoch stamps the thread executor needs to guard racy
+//! re-deliveries degenerate here and are unused (see DESIGN.md §9).
 //!
 //! Fault mapping on a real socket:
 //! * **delay** — the arriving `Hop` frame is held for the configured
@@ -25,19 +27,13 @@ use crate::durable::{register_durable, RegistryCodec};
 use crate::frame::{Frame, StoreEntry};
 use crate::netloop::{IoHandle, IoLoop};
 use crate::registry::{decode_messenger, decode_store, encode_messenger, encode_store};
-use navp::durable::{self as core_durable, OutFrame, ParkedWaiter};
-use navp::fault::{FaultTracker, HopFault};
-use navp::recovery::{CheckpointTable, WriteJournal};
+use navp::durable::{self as core_durable, OutFrame};
+use navp::pe_core::{Arrival, EventTable, HopHold, Parked, PeCore, PeIo, Recovery, Spill, Tally};
 use navp::sim_exec::HOP_STATE_BYTES;
-use navp::{
-    Effect, EventKey, FaultPlan, FaultStats, Messenger, MsgrCtx, NodeStore, RunError,
-    StepOutputs, WireSnapshot,
-};
+use navp::{EventKey, FaultPlan, Messenger, RunError, WireSnapshot};
 use navp_metrics::{serve_http_with, Counter, MetricsRegistry, RunMetrics};
 use navp_obs::{flight, EventKind as ObsKind, Lane as ObsLane};
-use navp_trace::recorder::DEFAULT_CAPACITY;
-use navp_trace::{PeRecorder, TraceKind};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,12 +50,6 @@ pub const CRASH_EXIT: i32 = 113;
 /// driver. Distinct from [`CRASH_EXIT`] and from abrupt deaths so the
 /// driver (and operators) can tell a rolling restart from a failure.
 pub const GRACEFUL_EXIT: i32 = 114;
-
-/// Flight-recorder `FaultInjected` site codes (the event's `a`
-/// operand): which fault mechanism fired.
-const FAULT_SITE_DELAY: u64 = 1;
-const FAULT_SITE_DROP: u64 = 2;
-const FAULT_SITE_CRASH: u64 = 3;
 
 /// Set by the SIGTERM/SIGINT handler; polled by the daemon's event
 /// loop between atomic units (runs / frame handlings).
@@ -237,11 +227,7 @@ enum PeEvent {
 /// leaves on disk either the state before the unit or the state after
 /// it with every unsent frame recoverable from the outbox.
 struct NetDurable {
-    dir: PathBuf,
-    /// Session nonce from the directory's manifest.
-    nonce: u64,
-    /// Monotone spill counter.
-    boundary: u64,
+    spill: Spill,
     /// Frames sent on each `(self, dst)` channel, 1-based.
     sent_to: Vec<u64>,
     /// Frames received on each `(src, self)` channel.
@@ -255,104 +241,44 @@ struct NetDurable {
     pending: Vec<(usize, Frame)>,
 }
 
-#[derive(Default)]
-struct EvState {
-    count: u64,
-    /// Parked waiters: `(id, origin PE, snapshot, parked_ns)` — the
-    /// park timestamp is on the *origin's* trace clock (0 untraced)
-    /// and is echoed back in `Deliver` so the origin records the
-    /// event-wait span against its own clock.
-    waiters: VecDeque<(u64, u32, WireSnapshot, u64)>,
-}
-
-struct Daemon {
+/// A daemon's transport: frames to peers and the driver, the events
+/// homed on this PE, and the runnable queue. Its [`PeCore`] sits next
+/// to it in [`Daemon`].
+struct NetIo {
     pe: usize,
     pes: usize,
     /// Run-id namespace of this session (= job id through navp-serve;
     /// 0 anonymous). Stamped into flight-recorder events.
     run: u64,
-    /// This PE's always-on flight-recorder lane (`pe<k>`). Unlike the
-    /// span recorder below it is never off unless `NAVP_FLIGHT=0`.
-    flight: Arc<ObsLane>,
-    store: NodeStore,
-    /// Clone of the store as received in `Start` (crash rebuild base);
-    /// `Some` iff recovery is active — checkpointing fault plan *or*
-    /// durable mode (the spilled cut is exactly this machinery).
-    initial_store: Option<NodeStore>,
-    /// Does a crash fault restart the daemon in place (plan has
-    /// checkpointing) rather than exit the process? Durable mode keeps
-    /// the recovery machinery alive without changing crash semantics.
-    crash_restarts: bool,
+    /// This PE's always-on flight-recorder lane (`pe<k>`).
+    lane: Arc<ObsLane>,
+    /// Fault plan and checkpoint/restart state, `Some` iff the driver
+    /// sent a fault plan or `--durable-dir` is active (the spilled cut
+    /// is exactly this machinery).
+    recovery: Option<Recovery>,
     /// Durable-spill state, `Some` iff `--durable-dir` was given.
     durable: Option<NetDurable>,
-    journal: WriteJournal,
-    ckpt: CheckpointTable,
-    events: HashMap<EventKey, EvState>,
-    queue: VecDeque<(u64, Box<dyn Messenger>)>,
-    tracker: Option<FaultTracker>,
-    stats: FaultStats,
+    /// Events homed on this PE; parked waiters as wire snapshots.
+    events: EventTable<WireSnapshot>,
+    /// Runnable messengers, each with how it arrived: the core records
+    /// the hop or wait a delivery ends when it next runs.
+    queue: VecDeque<(u64, Box<dyn Messenger>, Arrival)>,
     next_inject: u64,
     initial_live: u64,
     peers: Vec<Option<IoHandle>>,
     driver: IoHandle,
-    /// Wall-clock span recorder, enabled iff `Start.trace`. Anchored
-    /// at session start; the driver measures this clock's offset when
-    /// it collects the buffer (`TraceCollect`/`TraceDump`).
-    recorder: PeRecorder,
-    /// The shared run metric set, `Some` iff `Start.metrics` or the
-    /// process was given `--metrics-addr`. Only this PE's slot of the
-    /// per-PE vector is ever touched.
+    /// The shared run metric set (frame byte counters).
     metrics: Option<Arc<RunMetrics>>,
-    /// Park-time clock for metered-but-untraced runs (the recorder's
-    /// clock reads 0 when tracing is off).
-    anchor: Instant,
     /// `/healthz` state, `Some` iff `--metrics-addr` was given.
     health: Option<Arc<Health>>,
-    // Un-flushed accounting increments (next `Delta`).
-    d_spawned: u64,
-    d_finished: u64,
-    d_steps: u64,
-    d_hops: u64,
-    d_hop_payload: u64,
+    /// Un-flushed wire bytes (next `Delta`).
     d_wire: u64,
     // Lifetime counters for the driver's termination probes.
-    t_spawned: u64,
-    t_finished: u64,
     t_peer_sent: u64,
     t_peer_recv: u64,
 }
 
-impl Daemon {
-    fn recovery_active(&self) -> bool {
-        self.initial_store.is_some()
-    }
-
-    /// Park-time clock: the recorder's when tracing (so trace spans and
-    /// metrics agree), a process anchor when only metered, 0 otherwise.
-    fn clock_ns(&self) -> u64 {
-        if self.recorder.is_enabled() {
-            self.recorder.now_ns()
-        } else if self.metrics.is_some() {
-            self.anchor.elapsed().as_nanos() as u64
-        } else {
-            0
-        }
-    }
-
-    /// Observe a completed event park (wake time minus `parked_ns`).
-    fn note_unpark(&self, parked_ns: u64) {
-        if parked_ns == 0 {
-            return;
-        }
-        if let Some(met) = &self.metrics {
-            let dur = self.clock_ns().saturating_sub(parked_ns);
-            if let Some(p) = met.pe(self.pe) {
-                p.park_ns.add(dur);
-            }
-            met.park_wait_ns.observe(dur);
-        }
-    }
-
+impl NetIo {
     fn peer(&self, dst: usize) -> Result<&IoHandle, RunError> {
         self.peers
             .get(dst)
@@ -380,7 +306,7 @@ impl Daemon {
 
     /// Send a payload frame to a peer — immediately when durability is
     /// off, or buffered into the current atomic unit's pending list so
-    /// [`Daemon::durable_commit`] can spill it write-ahead first.
+    /// [`NetIo::durable_commit`] can spill it write-ahead first.
     fn queue_send(&mut self, dst: usize, frame: Frame) -> Result<(), RunError> {
         match &mut self.durable {
             Some(ds) => {
@@ -397,108 +323,30 @@ impl Daemon {
     /// atomically to `pe-<k>.ckpt`, then transmit. No-op when
     /// durability is off.
     fn durable_commit(&mut self) -> Result<(), RunError> {
-        if self.durable.is_none() {
+        let (Some(ds), Some(rec)) = (&mut self.durable, &self.recovery) else {
             return Ok(());
-        }
-        let durable_err = |pe: usize, e: core_durable::DurableError| RunError::Transport {
-            detail: format!("PE {pe} durable spill: {e}"),
         };
-        let pending = {
-            let ds = self.durable.as_mut().expect("durable checked above");
-            let pending = std::mem::take(&mut ds.pending);
-            for (dst, frame) in &pending {
-                ds.sent_to[*dst] += 1;
-                ds.outbox.push(OutFrame {
-                    dst: *dst as u32,
-                    seq: ds.sent_to[*dst],
-                    bytes: frame.encode(),
-                });
-            }
-            ds.boundary += 1;
-            pending
-        };
-        let initial = self.initial_store.as_ref().ok_or_else(|| RunError::Transport {
-            detail: format!(
-                "PE {} has --durable-dir but no recovery machinery \
-                 (driver sent no checkpointing fault plan)",
-                self.pe
-            ),
-        })?;
-        let committed = core_durable::committed_store(initial, &self.journal);
-        // Event table in deterministic (sorted-key) order; waiters keep
-        // their FIFO park order within a key.
-        let mut keys: Vec<EventKey> = self.events.keys().copied().collect();
-        keys.sort();
-        let mut waiters = Vec::new();
-        let mut counts = Vec::new();
-        for key in keys {
-            let st = &self.events[&key];
-            if st.count > 0 {
-                counts.push((key, st.count));
-            }
-            for (id, origin, snap, _) in &st.waiters {
-                waiters.push(ParkedWaiter {
-                    id: *id,
-                    origin: *origin,
-                    key,
-                    snap: snap.clone(),
-                });
-            }
+        let pending = std::mem::take(&mut ds.pending);
+        for (dst, frame) in &pending {
+            ds.sent_to[*dst] += 1;
+            ds.outbox.push(OutFrame {
+                dst: *dst as u32,
+                seq: ds.sent_to[*dst],
+                bytes: frame.encode(),
+            });
         }
-        let ds = self.durable.as_ref().expect("durable checked above");
-        let mut cut = core_durable::build_cut(
-            self.pe,
-            self.pes,
-            ds.nonce,
-            ds.boundary,
-            &committed,
-            &self.ckpt,
-            waiters,
-            counts,
-            &RegistryCodec,
-        )
-        .map_err(|e| durable_err(self.pe, e))?;
+        ds.spill.boundary += 1;
+        let mut cut = ds.spill.cut(rec, self.pe, Some(&self.events))?;
         cut.sent_to = ds.sent_to.clone();
         cut.recv_from = ds.recv_from.clone();
         cut.outbox = ds.outbox.clone();
-        let bytes =
-            core_durable::write_cut(&ds.dir, &cut).map_err(|e| durable_err(self.pe, e))?;
-        if let Some(met) = &self.metrics {
-            met.durable_flushes.inc();
-            met.durable_bytes.add(bytes);
-        }
-        self.flight.record(
-            ObsKind::CheckpointCut,
-            self.pe as u32,
-            self.run,
-            ds.boundary,
-            bytes,
-        );
+        ds.spill.write(rec, &cut, &self.lane, self.run)?;
         // The cut is committed; transmission can now happen (and fail)
         // safely — an unsent frame is recoverable from the outbox.
         for (dst, frame) in pending {
             self.send_peer(dst, &frame)?;
         }
         Ok(())
-    }
-
-    /// A stop signal arrived: flush accounting and the durable cut,
-    /// tell the driver this PE stopped *cleanly*, and exit with the
-    /// graceful status.
-    fn graceful_stop(&mut self) -> ! {
-        let _ = self.flush_delta();
-        if self.durable.is_some() {
-            if let Err(e) = self.durable_commit() {
-                eprintln!("navp-pe: final durable flush failed: {e}");
-            }
-        }
-        let _ = self.driver.send(&Frame::Fatal {
-            err: RunError::PeStopped { pe: self.pe },
-        });
-        // The frame is queued on the event loop; give it time to reach
-        // the wire — exiting immediately would race the flush.
-        let _ = self.driver.drain(Duration::from_secs(2));
-        std::process::exit(GRACEFUL_EXIT);
     }
 
     fn heartbeat(&self) {
@@ -512,419 +360,32 @@ impl Daemon {
         });
     }
 
-    fn flush_delta(&mut self) -> Result<(), RunError> {
-        if self.d_spawned == 0
-            && self.d_finished == 0
-            && self.d_steps == 0
-            && self.d_hops == 0
-            && self.d_hop_payload == 0
-            && self.d_wire == 0
-        {
-            return Ok(());
-        }
-        let frame = Frame::Delta {
-            spawned: self.d_spawned,
-            finished: self.d_finished,
-            steps: self.d_steps,
-            hops: self.d_hops,
-            hop_payload: self.d_hop_payload,
-            wire_bytes: self.d_wire,
-        };
-        self.d_spawned = 0;
-        self.d_finished = 0;
-        self.d_steps = 0;
-        self.d_hops = 0;
-        self.d_hop_payload = 0;
-        self.d_wire = 0;
-        self.driver
-            .send(&frame)
-            .map_err(|e| RunError::Transport {
-                detail: format!("PE {} lost the driver: {e}", self.pe),
-            })
-            .map(|_| ())
-    }
-
-    fn commit_run(&mut self) {
-        if self.recovery_active() {
-            self.journal.commit_dirty(&mut self.store);
-            if let Some(met) = &self.metrics {
-                met.journal_commits.inc();
-            }
-        }
-    }
-
     /// Accept a messenger at a delivery point: checkpoint + enqueue.
-    fn deliver(&mut self, id: u64, m: Box<dyn Messenger>) {
-        if self.recovery_active() {
-            self.ckpt.register(id, self.pe, m.as_ref());
-            if let Some(met) = &self.metrics {
-                met.checkpoints.inc();
-                met.checkpoint_bytes.add(m.payload_bytes());
-            }
+    fn deliver(&mut self, id: u64, m: Box<dyn Messenger>, via: Arrival) {
+        if let Some(r) = &mut self.recovery {
+            r.checkpoint(id, self.pe, m.as_ref());
         }
-        self.queue.push_back((id, m));
-        if let Some(p) = self.metrics.as_ref().and_then(|met| met.pe(self.pe)) {
-            p.queue_depth.set(self.queue.len() as i64);
-        }
-    }
-
-    /// A `Hop` frame arrived: run it through the fault machinery, then
-    /// deliver. Delay holds the frame; drop burns a retry (the re-sent
-    /// attempt is a fresh arrival, so the counters keep counting).
-    ///
-    /// The Transfer span runs from the sender's `sent_ns` (sender
-    /// clock; corrected at merge) to arrival — `recv_ns`, stamped by
-    /// the I/O loop when the frame was decoded, so daemon queueing
-    /// doesn't inflate it. A fault-delay hold moves the end stamp past
-    /// the hold: the delay shows up as transfer time, which it is on
-    /// the wire's timeline.
-    fn accept_hop(
-        &mut self,
-        from: usize,
-        id: u64,
-        sent_ns: u64,
-        recv_ns: u64,
-        snap: WireSnapshot,
-    ) -> Result<(), RunError> {
-        let mut attempts: u32 = 0;
-        let mut held = false;
-        loop {
-            let fault = self.tracker.as_mut().and_then(|t| t.on_hop(self.pe));
-            match fault {
-                None => break,
-                Some(HopFault::Delay { seconds }) => {
-                    self.stats.hops_delayed += 1;
-                    if let Some(met) = &self.metrics {
-                        met.faults.inc();
-                    }
-                    self.flight.record(
-                        ObsKind::FaultInjected,
-                        self.pe as u32,
-                        self.run,
-                        FAULT_SITE_DELAY,
-                        (seconds * 1e3) as u64,
-                    );
-                    held = true;
-                    self.heartbeat();
-                    std::thread::sleep(Duration::from_secs_f64(seconds.max(0.0)));
-                    break; // single-shot rule: delivered after the hold
-                }
-                Some(HopFault::Drop) => {
-                    self.stats.hops_dropped += 1;
-                    if let Some(met) = &self.metrics {
-                        met.faults.inc();
-                    }
-                    self.flight.record(
-                        ObsKind::FaultInjected,
-                        self.pe as u32,
-                        self.run,
-                        FAULT_SITE_DROP,
-                        attempts as u64 + 1,
-                    );
-                    held = true;
-                    attempts += 1;
-                    let plan = self.tracker.as_ref().expect("fault fired").plan();
-                    if attempts > plan.max_send_retries {
-                        return Err(RunError::RecoveryFailed {
-                            pe: self.pe,
-                            reason: format!(
-                                "delivery of messenger {id} dropped {attempts} times, \
-                                 retry budget exhausted"
-                            ),
-                        });
-                    }
-                    self.stats.send_retries += 1;
-                    let backoff = plan.retry_backoff;
-                    self.heartbeat();
-                    std::thread::sleep(backoff);
-                }
-            }
-        }
-        let m = decode_messenger(&snap).map_err(|e| RunError::Transport {
-            detail: format!("PE {} cannot decode hopped messenger {id}: {e}", self.pe),
-        })?;
-        self.flight.record(
-            ObsKind::HopRecv,
-            self.pe as u32,
-            self.run,
-            from as u64,
-            m.payload_bytes() + HOP_STATE_BYTES,
-        );
-        if self.recorder.is_enabled() {
-            let kind = TraceKind::Transfer {
-                from,
-                to: self.pe,
-                bytes: m.payload_bytes() + HOP_STATE_BYTES,
-            };
-            let end = if held || recv_ns == 0 {
-                self.recorder.now_ns()
-            } else {
-                recv_ns
-            };
-            self.recorder.record(sent_ns, end, id, &m.label(), kind);
-        }
-        self.deliver(id, m);
-        Ok(())
-    }
-
-    /// Crash check at a run boundary. `Ok(true)` means a crash fired
-    /// and the daemon restarted — the caller must drop the messenger it
-    /// was about to run (its checkpoint was just re-delivered).
-    fn survive_run_boundary(&mut self) -> Result<bool, RunError> {
-        let crashed = self
-            .tracker
-            .as_mut()
-            .and_then(|t| t.on_run(self.pe))
-            .is_some();
-        if !crashed {
-            return Ok(false);
-        }
-        if !self.crash_restarts {
-            // Crash = process exit: the abrupt death the driver must
-            // surface as PeerDisconnected within its watchdog. (Durable
-            // mode keeps the recovery machinery alive for its spills
-            // but does not change these semantics — the spilled cut is
-            // what a later restore resumes from.)
-            std::process::exit(CRASH_EXIT);
-        }
-        self.stats.crashes += 1;
-        if let Some(met) = &self.metrics {
-            met.faults.inc();
-        }
-        self.flight.record(
-            ObsKind::FaultInjected,
-            self.pe as u32,
-            self.run,
-            FAULT_SITE_CRASH,
-            self.stats.crashes,
-        );
-        self.recorder
-            .instant(u64::MAX, "crash", TraceKind::Fault { pe: self.pe });
-        let mut rebuilt = self
-            .initial_store
-            .as_ref()
-            .expect("recovery active")
-            .clone();
-        self.stats.replayed_writes += self.journal.replay_into(&mut rebuilt);
-        rebuilt.enable_tracking();
-        rebuilt.drain_dirty(); // the replay itself is not a new write
-        self.store = rebuilt;
-        self.queue.clear(); // lost with the daemon; rebuilt from checkpoints
-        for (id, label, snap) in self.ckpt.drain_pe(self.pe) {
-            let m = snap.ok_or_else(|| RunError::RecoveryFailed {
-                pe: self.pe,
-                reason: format!("no snapshot for messenger {label} (id {id})"),
-            })?;
-            self.stats.redelivered += 1;
-            self.deliver(id, m);
-        }
-        Ok(true)
+        self.queue.push_back((id, m, via));
     }
 
     fn local_signal(&mut self, key: EventKey) -> Result<(), RunError> {
-        let st = self.events.entry(key).or_default();
-        match st.waiters.pop_front() {
-            Some((id, origin, snap, parked_ns)) => {
-                if origin as usize == self.pe {
-                    let m = decode_messenger(&snap).map_err(|e| RunError::Transport {
-                        detail: format!("PE {} cannot decode parked waiter: {e}", self.pe),
-                    })?;
-                    if self.recorder.is_enabled() {
-                        let kind = TraceKind::Block { pe: self.pe };
-                        self.recorder
-                            .record(parked_ns, self.recorder.now_ns(), id, &m.label(), kind);
-                    }
-                    self.note_unpark(parked_ns);
-                    self.deliver(id, m);
-                } else {
-                    self.queue_send(
-                        origin as usize,
-                        Frame::Deliver {
-                            id,
-                            parked_ns,
-                            msgr: snap,
-                        },
-                    )?;
-                }
-            }
-            None => st.count += 1,
-        }
-        Ok(())
-    }
-
-    fn route_signal(&mut self, key: EventKey) -> Result<(), RunError> {
-        let home = event_home(&key, self.pes);
-        self.flight
-            .record(ObsKind::Signal, self.pe as u32, self.run, home as u64, 0);
-        if home == self.pe {
-            self.local_signal(key)
+        let Some(w) = self.events.signal(key) else {
+            return Ok(());
+        };
+        if w.origin == self.pe {
+            let m = decode_messenger(&w.msgr).map_err(|e| RunError::Transport {
+                detail: format!("PE {} cannot decode parked waiter: {e}", self.pe),
+            })?;
+            let parked_ns = w.parked_ns;
+            self.deliver(w.id, m, Arrival::Wake { parked_ns });
+            Ok(())
         } else {
-            self.queue_send(home, Frame::EventSignal { key })
-        }
-    }
-
-    /// Run one messenger to its next departure (hop away, park, done).
-    fn run_messenger(&mut self, id: u64, mut m: Box<dyn Messenger>) -> Result<(), RunError> {
-        if self.survive_run_boundary()? {
-            return Ok(()); // messenger re-queued from its checkpoint
-        }
-        // One Exec span per run: delivery to departure. Self-hops and
-        // banked-count waits continue the same span, as in the other
-        // executors.
-        let tracing = self.recorder.is_enabled();
-        let label = if tracing { m.label() } else { String::new() };
-        let exec_start = self.recorder.now_ns();
-        let met = self.metrics.clone();
-        let pm = met.as_ref().and_then(|met| met.pe(self.pe));
-        let mut out = StepOutputs::default();
-        loop {
-            out.clear();
-            let effect = {
-                let mut ctx = MsgrCtx::new(self.pe, self.pes, &mut self.store, &mut out);
-                m.step(&mut ctx)
+            let frame = Frame::Deliver {
+                id: w.id,
+                parked_ns: w.parked_ns,
+                msgr: w.msgr,
             };
-            self.d_steps += 1;
-            if let Some(p) = pm {
-                p.steps.inc();
-            }
-            for inj in out.injections.drain(..) {
-                let new_id =
-                    self.initial_live + self.pe as u64 + self.pes as u64 * self.next_inject;
-                self.next_inject += 1;
-                self.d_spawned += 1;
-                self.t_spawned += 1;
-                if let Some(p) = pm {
-                    p.injections.inc();
-                }
-                self.deliver(new_id, inj);
-            }
-            let signals: Vec<EventKey> = out.signals.drain(..).collect();
-            for key in signals {
-                let lost = self
-                    .tracker
-                    .as_mut()
-                    .is_some_and(|t| t.on_signal(self.pe));
-                if lost {
-                    self.stats.signals_lost += 1;
-                    if let Some(met) = &met {
-                        met.faults.inc();
-                    }
-                    continue;
-                }
-                self.route_signal(key)?;
-                if let Some(p) = pm {
-                    p.signals.inc();
-                }
-                if tracing {
-                    self.recorder
-                        .instant(id, &label, TraceKind::Signal { pe: self.pe });
-                }
-            }
-            match effect {
-                Effect::Hop(dst) if dst == self.pe => continue,
-                Effect::Hop(dst) => {
-                    if dst >= self.pes {
-                        return Err(RunError::BadHop {
-                            agent: m.label(),
-                            dst,
-                            pes: self.pes,
-                        });
-                    }
-                    self.commit_run();
-                    let snap = encode_messenger(m.as_ref())?;
-                    self.d_hops += 1;
-                    self.d_hop_payload += m.payload_bytes();
-                    if let Some(met) = &met {
-                        let payload = m.payload_bytes();
-                        if let Some(p) = met.pe(self.pe) {
-                            p.hops.inc();
-                            p.hop_bytes.add(payload + HOP_STATE_BYTES);
-                        }
-                        met.hop_payload_bytes.observe(payload);
-                    }
-                    let sent_ns = self.recorder.now_ns();
-                    if tracing {
-                        let kind = TraceKind::Exec { pe: self.pe };
-                        self.recorder.record(exec_start, sent_ns, id, &label, kind);
-                    }
-                    self.flight.record(
-                        ObsKind::HopSend,
-                        self.pe as u32,
-                        self.run,
-                        dst as u64,
-                        m.payload_bytes() + HOP_STATE_BYTES,
-                    );
-                    self.queue_send(
-                        dst,
-                        Frame::Hop {
-                            id,
-                            sent_ns,
-                            msgr: snap,
-                        },
-                    )?;
-                    // In flight, the messenger belongs to the
-                    // destination's failure domain — which is another
-                    // process entirely.
-                    self.ckpt.remove(id);
-                    return Ok(());
-                }
-                Effect::WaitEvent(key) => {
-                    let home = event_home(&key, self.pes);
-                    if home == self.pe {
-                        let st = self.events.entry(key).or_default();
-                        if st.count > 0 {
-                            st.count -= 1;
-                            continue; // banked count: same run continues
-                        }
-                        self.commit_run();
-                        let snap = encode_messenger(m.as_ref())?;
-                        let parked_ns = self.clock_ns();
-                        if tracing {
-                            let kind = TraceKind::Exec { pe: self.pe };
-                            self.recorder.record(exec_start, parked_ns, id, &label, kind);
-                        }
-                        let st = self.events.entry(key).or_default();
-                        st.waiters.push_back((id, self.pe as u32, snap, parked_ns));
-                    } else {
-                        self.commit_run();
-                        let snap = encode_messenger(m.as_ref())?;
-                        let parked_ns = self.clock_ns();
-                        if tracing {
-                            let kind = TraceKind::Exec { pe: self.pe };
-                            self.recorder.record(exec_start, parked_ns, id, &label, kind);
-                        }
-                        self.queue_send(
-                            home,
-                            Frame::EventWait {
-                                key,
-                                id,
-                                origin: self.pe as u32,
-                                parked_ns,
-                                msgr: snap,
-                            },
-                        )?;
-                    }
-                    // Parked state is held by the event table (local or
-                    // remote), outside this daemon's crash domain.
-                    if let Some(p) = pm {
-                        p.waits.inc();
-                    }
-                    self.ckpt.remove(id);
-                    return Ok(());
-                }
-                Effect::Done => {
-                    self.commit_run();
-                    if tracing {
-                        let end = self.recorder.now_ns();
-                        let kind = TraceKind::Exec { pe: self.pe };
-                        self.recorder.record(exec_start, end, id, &label, kind);
-                    }
-                    self.d_finished += 1;
-                    self.t_finished += 1;
-                    self.ckpt.remove(id);
-                    return Ok(());
-                }
-            }
+            self.queue_send(w.origin, frame)
         }
     }
 
@@ -937,21 +398,64 @@ impl Daemon {
         parked_ns: u64,
         snap: WireSnapshot,
     ) -> Result<(), RunError> {
-        let st = self.events.entry(key).or_default();
-        if st.count > 0 {
-            st.count -= 1;
-            self.queue_send(
-                origin as usize,
-                Frame::Deliver {
-                    id,
-                    parked_ns,
-                    msgr: snap,
-                },
-            )
-        } else {
-            st.waiters.push_back((id, origin, snap, parked_ns));
-            Ok(())
+        if self.events.take_banked(key) {
+            let frame = Frame::Deliver {
+                id,
+                parked_ns,
+                msgr: snap,
+            };
+            return self.queue_send(origin as usize, frame);
         }
+        let origin = origin as usize;
+        self.events.park(
+            key,
+            Parked {
+                id,
+                origin,
+                parked_ns,
+                msgr: snap,
+            },
+        );
+        Ok(())
+    }
+
+    /// A `Hop` frame arrived: run it through the fault machinery, then
+    /// deliver. Delay holds the frame; drop burns a retry (the re-sent
+    /// attempt is a fresh arrival, so the counters keep counting).
+    ///
+    /// The Transfer span runs from the sender's `sent_ns` (sender
+    /// clock; corrected at merge) to arrival — `recv_ns`, stamped by
+    /// the I/O loop when the frame was decoded, so daemon queueing
+    /// doesn't inflate it. A fault hold moves the end stamp past the
+    /// hold: the delay shows up as transfer time, which it is on the
+    /// wire's timeline.
+    fn accept_hop(
+        &mut self,
+        from: usize,
+        id: u64,
+        sent_ns: u64,
+        recv_ns: u64,
+        snap: WireSnapshot,
+    ) -> Result<(), RunError> {
+        let hold = match &mut self.recovery {
+            Some(r) => r.hop_fault(self.pe, &self.lane, self.run)?,
+            None => HopHold::default(),
+        };
+        if !hold.is_empty() {
+            self.heartbeat();
+            std::thread::sleep(hold.wall());
+        }
+        let m = decode_messenger(&snap).map_err(|e| RunError::Transport {
+            detail: format!("PE {} cannot decode hopped messenger {id}: {e}", self.pe),
+        })?;
+        let via = Arrival::Hop {
+            from,
+            sent_ns,
+            bytes: m.payload_bytes() + HOP_STATE_BYTES,
+            landed_ns: if hold.is_empty() { recv_ns } else { 0 },
+        };
+        self.deliver(id, m, via);
+        Ok(())
     }
 
     fn handle_peer_frame(
@@ -988,13 +492,7 @@ impl Daemon {
                 })?;
                 // The park timestamp is on *this* PE's clock — the
                 // waiter parked here and the home echoed it back.
-                if self.recorder.is_enabled() {
-                    let kind = TraceKind::Block { pe: self.pe };
-                    self.recorder
-                        .record(parked_ns, self.recorder.now_ns(), id, &m.label(), kind);
-                }
-                self.note_unpark(parked_ns);
-                self.deliver(id, m);
+                self.deliver(id, m, Arrival::Wake { parked_ns });
                 Ok(())
             }
             other => Err(RunError::Transport {
@@ -1005,6 +503,186 @@ impl Daemon {
             }),
         }
     }
+}
+
+impl PeIo for NetIo {
+    fn recovery(&mut self) -> Option<impl std::ops::DerefMut<Target = Recovery> + '_> {
+        self.recovery.as_mut()
+    }
+
+    fn next_id(&mut self) -> u64 {
+        let id = self.initial_live + self.pe as u64 + self.pes as u64 * self.next_inject;
+        self.next_inject += 1;
+        id
+    }
+
+    fn inject(&mut self, id: u64, msgr: Box<dyn Messenger>) {
+        self.queue.push_back((id, msgr, Arrival::Fresh));
+    }
+
+    fn signal(&mut self, _id: u64, key: EventKey) -> Result<(), RunError> {
+        let home = event_home(&key, self.pes);
+        if home == self.pe {
+            self.local_signal(key)
+        } else {
+            self.queue_send(home, Frame::EventSignal { key })
+        }
+    }
+
+    fn wait(
+        &mut self,
+        id: u64,
+        key: EventKey,
+        msgr: Box<dyn Messenger>,
+        parked_ns: u64,
+    ) -> Result<Option<Box<dyn Messenger>>, RunError> {
+        let home = event_home(&key, self.pes);
+        if home == self.pe && self.events.take_banked(key) {
+            return Ok(Some(msgr)); // banked count: same run continues
+        }
+        let snap = encode_messenger(msgr.as_ref())?;
+        if home == self.pe {
+            let origin = self.pe;
+            self.events.park(
+                key,
+                Parked {
+                    id,
+                    origin,
+                    parked_ns,
+                    msgr: snap,
+                },
+            );
+        } else {
+            let frame = Frame::EventWait {
+                key,
+                id,
+                origin: self.pe as u32,
+                parked_ns,
+                msgr: snap,
+            };
+            self.queue_send(home, frame)?;
+        }
+        Ok(None)
+    }
+
+    fn hop(
+        &mut self,
+        id: u64,
+        dst: usize,
+        _bytes: u64,
+        sent_ns: u64,
+        msgr: Box<dyn Messenger>,
+    ) -> Result<(), RunError> {
+        let snap = encode_messenger(msgr.as_ref())?;
+        self.queue_send(
+            dst,
+            Frame::Hop {
+                id,
+                sent_ns,
+                msgr: snap,
+            },
+        )?;
+        // In flight, the messenger belongs to the destination's failure
+        // domain — which is another process entirely.
+        if let Some(r) = &mut self.recovery {
+            r.forget(id);
+        }
+        Ok(())
+    }
+
+    fn restarted(&mut self, redelivered: Vec<(u64, Box<dyn Messenger>)>) {
+        // The queue was lost with the daemon; rebuilt from checkpoints.
+        self.queue.clear();
+        self.queue.extend(
+            redelivered
+                .into_iter()
+                .map(|(id, m)| (id, m, Arrival::Fresh)),
+        );
+    }
+}
+
+struct Daemon {
+    core: PeCore,
+    io: NetIo,
+    /// The core's tally as of the last `Delta` sent to the driver.
+    flushed: Tally,
+}
+
+impl Daemon {
+    /// A stop signal arrived: flush accounting and the durable cut,
+    /// tell the driver this PE stopped *cleanly*, and exit with the
+    /// graceful status.
+    fn graceful_stop(&mut self) -> ! {
+        let _ = self.flush_delta();
+        if let Err(e) = self.io.durable_commit() {
+            eprintln!("navp-pe: final durable flush failed: {e}");
+        }
+        let _ = self.io.driver.send(&Frame::Fatal {
+            err: RunError::PeStopped { pe: self.io.pe },
+        });
+        // The frame is queued on the event loop; give it time to reach
+        // the wire — exiting immediately would race the flush.
+        let _ = self.io.driver.drain(Duration::from_secs(2));
+        std::process::exit(GRACEFUL_EXIT);
+    }
+
+    fn flush_delta(&mut self) -> Result<(), RunError> {
+        let (t, f) = (self.core.tally, self.flushed);
+        if t == f && self.io.d_wire == 0 {
+            return Ok(());
+        }
+        let frame = Frame::Delta {
+            spawned: t.spawned - f.spawned,
+            finished: t.finished - f.finished,
+            steps: t.steps - f.steps,
+            hops: t.hops - f.hops,
+            hop_payload: t.hop_payload - f.hop_payload,
+            wire_bytes: self.io.d_wire,
+        };
+        self.flushed = t;
+        self.io.d_wire = 0;
+        self.io
+            .driver
+            .send(&frame)
+            .map_err(|e| RunError::Transport {
+                detail: format!("PE {} lost the driver: {e}", self.io.pe),
+            })
+            .map(|_| ())
+    }
+
+    /// Drain the runnable queue through the core, committing each run
+    /// (and its frames) durably before the next one begins.
+    fn drain_runnable(&mut self) -> Result<(), RunError> {
+        while let Some((id, m, via)) = self.io.queue.pop_front() {
+            self.core.note_queue_depth(self.io.queue.len());
+            self.core.arrived(id, &via, m.as_ref());
+            match self.core.run(&mut self.io, id, m) {
+                // Crash = process exit when the plan does not checkpoint:
+                // the abrupt death the driver must surface as
+                // PeerDisconnected within its watchdog. (Durable mode
+                // keeps the recovery machinery alive for its spills but
+                // does not change these semantics — the spilled cut is
+                // what a later restore resumes from.)
+                Err(RunError::PeCrashed { .. }) => std::process::exit(CRASH_EXIT),
+                ran => ran?,
+            };
+            self.io.durable_commit()?;
+            if stop_requested() {
+                self.graceful_stop();
+            }
+        }
+        Ok(())
+    }
+
+    fn send_driver(&self, frame: &Frame, what: &str) -> Result<(), RunError> {
+        self.io
+            .driver
+            .send(frame)
+            .map(|_| ())
+            .map_err(|e| RunError::Transport {
+                detail: format!("PE {} cannot {what}: {e}", self.io.pe),
+            })
+    }
 
     /// The post-`Start` event loop: drain runnables, then block on the
     /// next frame. Returns when the driver says `Shutdown`.
@@ -1013,26 +691,16 @@ impl Daemon {
             if stop_requested() {
                 self.graceful_stop();
             }
-            while let Some((id, m)) = self.queue.pop_front() {
-                self.run_messenger(id, m)?;
-                // A run is an atomic unit: commit it (and its frames)
-                // durably before the next one begins.
-                self.durable_commit()?;
-                if stop_requested() {
-                    self.graceful_stop();
-                }
-            }
-            if let Some(p) = self.metrics.as_ref().and_then(|met| met.pe(self.pe)) {
-                p.queue_depth.set(self.queue.len() as i64);
-            }
-            if let Some(h) = &self.health {
+            self.drain_runnable()?;
+            self.core.note_queue_depth(self.io.queue.len());
+            if let Some(h) = &self.io.health {
                 h.queue_depth
-                    .store(self.queue.len() as u64, Ordering::Relaxed);
+                    .store(self.io.queue.len() as u64, Ordering::Relaxed);
             }
             self.flush_delta()?;
             let got_event = {
                 let r = rx.recv_timeout(Duration::from_millis(100));
-                if let (Ok(_), Some(h)) = (&r, &self.health) {
+                if let (Ok(_), Some(h)) = (&r, &self.io.health) {
                     h.touch();
                 }
                 r
@@ -1042,78 +710,76 @@ impl Daemon {
                     // The queue is empty here (drained above), so the
                     // lifetime counters are a consistent local snapshot.
                     self.flush_delta()?;
-                    self.driver
-                        .send(&Frame::ProbeAck {
-                            round,
-                            spawned: self.t_spawned,
-                            finished: self.t_finished,
-                            peer_sent: self.t_peer_sent,
-                            peer_recv: self.t_peer_recv,
-                        })
-                        .map_err(|e| RunError::Transport {
-                            detail: format!("PE {} cannot ack probe: {e}", self.pe),
-                        })?;
+                    let ack = Frame::ProbeAck {
+                        round,
+                        spawned: self.core.tally.spawned,
+                        finished: self.core.tally.finished,
+                        peer_sent: self.io.t_peer_sent,
+                        peer_recv: self.io.t_peer_recv,
+                    };
+                    self.send_driver(&ack, "ack probe")?;
                 }
                 Ok(PeEvent::Driver(Ok(Frame::Collect))) => {
                     self.flush_delta()?;
-                    let store = encode_store(&self.store)?;
-                    self.driver
-                        .send(&Frame::StoreDump {
-                            store,
-                            stats: self.stats,
-                        })
-                        .map_err(|e| RunError::Transport {
-                            detail: format!("PE {} cannot return its store: {e}", self.pe),
-                        })?;
+                    let dump = Frame::StoreDump {
+                        store: encode_store(&self.core.store)?,
+                        stats: self
+                            .io
+                            .recovery
+                            .as_ref()
+                            .map(|r| r.stats())
+                            .unwrap_or_default(),
+                    };
+                    self.send_driver(&dump, "return its store")?;
                 }
                 Ok(PeEvent::Driver(Ok(Frame::TraceCollect))) => {
                     self.flush_delta()?;
-                    let pe_ns = self.recorder.now_ns();
-                    let (events, dropped) = self.recorder.take();
-                    if let Some(met) = &self.metrics {
+                    let recorder = self.core.recorder();
+                    let pe_ns = recorder.now_ns();
+                    let (events, dropped) = recorder.take();
+                    if let Some(met) = &self.io.metrics {
                         met.trace_dropped.add(dropped);
                     }
-                    self.driver
-                        .send(&Frame::TraceDump {
-                            pe_ns,
-                            dropped,
-                            events,
-                        })
-                        .map_err(|e| RunError::Transport {
-                            detail: format!("PE {} cannot return its trace: {e}", self.pe),
-                        })?;
+                    let dump = Frame::TraceDump {
+                        pe_ns,
+                        dropped,
+                        events,
+                    };
+                    self.send_driver(&dump, "return its trace")?;
                 }
                 Ok(PeEvent::Driver(Ok(Frame::MetricsCollect))) => {
                     self.flush_delta()?;
                     let samples = self
+                        .io
                         .metrics
                         .as_ref()
                         .map(|met| met.snapshot().samples)
                         .unwrap_or_default();
-                    self.driver
-                        .send(&Frame::MetricsDump { samples })
-                        .map_err(|e| RunError::Transport {
-                            detail: format!("PE {} cannot return its metrics: {e}", self.pe),
-                        })?;
+                    self.send_driver(&Frame::MetricsDump { samples }, "return its metrics")?;
                 }
                 Ok(PeEvent::Driver(Ok(Frame::Shutdown))) => return Ok(()),
                 Ok(PeEvent::Driver(Ok(other))) => {
                     return Err(RunError::Transport {
-                        detail: format!("PE {} got unexpected driver frame {other:?}", self.pe),
+                        detail: format!("PE {} got unexpected driver frame {other:?}", self.io.pe),
                     })
                 }
                 // Driver gone: the run is over one way or the other;
                 // exit quietly rather than lingering.
                 Ok(PeEvent::Driver(Err(_))) => return Ok(()),
                 Ok(PeEvent::Peer(q, Ok(frame), recv_ns)) => {
-                    self.handle_peer_frame(q, frame, recv_ns)?;
+                    self.io.handle_peer_frame(q, frame, recv_ns)?;
                     // Frame handling that produced sends (a Deliver for
                     // a woken waiter) is its own atomic unit. Handling
                     // that only mutated local state needs no spill: the
                     // in-memory advance rides in the next cut, and until
                     // then the sender's outbox replays the frame.
-                    if self.durable.as_ref().is_some_and(|d| !d.pending.is_empty()) {
-                        self.durable_commit()?;
+                    if self
+                        .io
+                        .durable
+                        .as_ref()
+                        .is_some_and(|d| !d.pending.is_empty())
+                    {
+                        self.io.durable_commit()?;
                     }
                 }
                 // A dead peer only matters if we later need to send to
@@ -1616,19 +1282,19 @@ fn pe_run(
 
     let mut store = decode_store(&store_img)
         .map_err(|e| transport(format!("PE {pe} cannot decode its store: {e}")))?;
-    // Recovery machinery (journal + checkpoint table) runs for a
-    // checkpointing fault plan *or* durable mode — the durable cut is
-    // that machinery serialized. Crash-restart semantics follow the
-    // plan alone.
-    let crash_restarts = plan.as_ref().is_some_and(|p| p.checkpointing);
-    let recovery = crash_restarts || opts.durable_dir.is_some();
-    let initial_store = recovery.then(|| {
-        store.enable_tracking();
-        // Copy-on-write store: the pristine image is a reference bump
-        // per entry, not a deep copy of every resident block.
-        store.clone()
+    // Recovery machinery (fault tracker, journal, checkpoint table) runs
+    // for a fault plan *or* durable mode — the durable cut is that
+    // machinery serialized. Crash-restart semantics follow the plan.
+    let recovery = (plan.is_some() || opts.durable_dir.is_some()).then(|| {
+        let plan = plan.unwrap_or_default();
+        Recovery::new(
+            plan,
+            pes,
+            pe,
+            std::slice::from_mut(&mut store),
+            run_metrics.clone(),
+        )
     });
-    let tracker = plan.map(|p| FaultTracker::new(p, pes));
     let durable = match &opts.durable_dir {
         Some(base) => {
             register_durable();
@@ -1646,9 +1312,12 @@ fn pe_run(
                 )));
             }
             Some(NetDurable {
-                dir,
-                nonce: m.nonce,
-                boundary: 0,
+                spill: Spill {
+                    dir,
+                    codec: Arc::new(RegistryCodec),
+                    nonce: m.nonce,
+                    boundary: 0,
+                },
                 sent_to: vec![0; pes],
                 recv_from: vec![0; pes],
                 outbox: Vec::new(),
@@ -1658,59 +1327,53 @@ fn pe_run(
         None => None,
     };
 
+    let lane = flight().lane(&format!("pe{pe}"));
+    // The recorder shares the session anchor with the I/O callbacks, so
+    // loop-stamped arrival times and daemon-stamped span times live on
+    // one clock.
+    let core = PeCore::new(pe, pes, store, Arc::clone(&lane), run_metrics.clone())
+        .with_trace(anchor, trace)
+        .with_run(run);
     let mut daemon = Daemon {
-        pe,
-        pes,
-        run,
-        flight: flight().lane(&format!("pe{pe}")),
-        store,
-        initial_store,
-        crash_restarts,
-        durable,
-        journal: WriteJournal::new(),
-        ckpt: CheckpointTable::new(),
-        events: HashMap::new(),
-        queue: VecDeque::new(),
-        tracker,
-        stats: FaultStats::default(),
-        next_inject: 0,
-        initial_live,
-        peers,
-        driver,
-        // The recorder shares the session anchor with the I/O
-        // callbacks, so loop-stamped arrival times and daemon-stamped
-        // span times live on one clock.
-        recorder: PeRecorder::with_anchor(anchor, trace, DEFAULT_CAPACITY),
-        metrics: run_metrics,
-        anchor,
-        health: opts.metrics_addr.is_some().then(|| Arc::clone(&obs.health)),
-        d_spawned: 0,
-        d_finished: 0,
-        d_steps: 0,
-        d_hops: 0,
-        d_hop_payload: 0,
-        d_wire: 0,
-        t_spawned: 0,
-        t_finished: 0,
-        t_peer_sent: 0,
-        t_peer_recv: 0,
+        core,
+        io: NetIo {
+            pe,
+            pes,
+            run,
+            lane,
+            recovery,
+            durable,
+            events: EventTable::default(),
+            queue: VecDeque::new(),
+            next_inject: 0,
+            initial_live,
+            peers,
+            driver,
+            metrics: run_metrics,
+            health: opts.metrics_addr.is_some().then(|| Arc::clone(&obs.health)),
+            d_wire: 0,
+            t_peer_sent: 0,
+            t_peer_recv: 0,
+        },
+        flushed: Tally::default(),
     };
     for key in events {
-        daemon.events.entry(key).or_default().count += 1;
+        daemon.io.events.bank(key);
     }
     for (id, snap) in injections {
         let m = decode_messenger(&snap)
             .map_err(|e| transport(format!("PE {pe} cannot decode injection {id}: {e}")))?;
-        if let Some(p) = daemon.metrics.as_ref().and_then(|met| met.pe(pe)) {
-            p.injections.inc();
-        }
-        daemon.deliver(id, m);
+        daemon
+            .core
+            .admit(daemon.io.recovery.as_mut(), id, m.as_ref());
+        daemon.io.queue.push_back((id, m, Arrival::Fresh));
     }
     // Boundary 0: spill the delivered-but-unrun state, so even a kill
     // before the first run restores cleanly.
-    daemon.durable_commit()?;
+    daemon.io.durable_commit()?;
     daemon
-        .flight
+        .io
+        .lane
         .record(ObsKind::RunStart, pe as u32, run, pes as u64, 0);
 
     // 6. Run. A panic inside a messenger becomes a structured
@@ -1729,7 +1392,7 @@ fn pe_run(
             Err(RunError::WorkerPanic(format!("PE {pe}: {msg}")))
         }
     };
-    daemon.flight.record(
+    daemon.io.lane.record(
         ObsKind::RunEnd,
         pe as u32,
         run,
@@ -1737,7 +1400,7 @@ fn pe_run(
         0,
     );
     if let Err(err) = &result {
-        let _ = daemon.driver.send(&Frame::Fatal { err: err.clone() });
+        let _ = daemon.io.driver.send(&Frame::Fatal { err: err.clone() });
         // Leave the black box next to the durable state (or wherever
         // NAVP_FLIGHT_DIR points). Without either there is no home for
         // postmortems — ephemeral in-process meshes skip the dump.
@@ -1758,8 +1421,8 @@ fn pe_run(
     // (the Fatal above included) before the loop drops the sockets. A
     // --listen daemon serves many sessions per process; anything not
     // closed here would sit in the loop forever.
-    daemon.driver.shutdown();
-    for handle in daemon.peers.iter().flatten() {
+    daemon.io.driver.shutdown();
+    for handle in daemon.io.peers.iter().flatten() {
         handle.shutdown();
     }
     result

@@ -548,12 +548,7 @@ fn corrupt_tails_fail_structurally_after_clean_prefix_frames() {
                 // The corrupted tail: any structured outcome is fine —
                 // decoded (payload-bit flip), pending (length shifted),
                 // or DecodeError — but never a panic.
-                loop {
-                    match dec.next_frame() {
-                        Ok(Some(_)) => continue,
-                        Ok(None) | Err(_) => break,
-                    }
-                }
+                while let Ok(Some(_)) = dec.next_frame() {}
             }
         }
     }

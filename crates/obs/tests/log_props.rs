@@ -162,7 +162,7 @@ fn corrupt_tags_are_rejected() {
 #[test]
 fn length_tampering_is_caught() {
     for case in 0..100u64 {
-        let mut rng = Rng(0x1E46 ^ case.wrapping_mul(0xFEED_FACE_0DDB_A11));
+        let mut rng = Rng(0x1E46 ^ case.wrapping_mul(0x0FEE_DFAC_E0DD_BA11));
         let rec = Record::Event(arb_event(&mut rng));
         let mut payload = Vec::new();
         rec.encode_into(&mut payload);

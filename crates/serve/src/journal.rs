@@ -217,7 +217,7 @@ mod tests {
                     String::new()
                 },
             },
-            outcome: (state == JobState::Done).then(|| JobOutcome {
+            outcome: (state == JobState::Done).then_some(JobOutcome {
                 checksum: 0xFEED ^ id,
                 verified: true,
                 wall_ms: 3,

@@ -660,9 +660,12 @@ mod tests {
         s.shutdown();
     }
 
+    /// `(finished job, live set the hook saw)` per finish.
+    type Seen = Arc<StdMutex<Vec<(u64, HashSet<u64>)>>>;
+
     #[test]
     fn finish_hook_sees_live_set_without_finished_job() {
-        let seen: Arc<StdMutex<Vec<(u64, HashSet<u64>)>>> = Arc::new(StdMutex::new(Vec::new()));
+        let seen: Seen = Arc::new(StdMutex::new(Vec::new()));
         let hook_seen = Arc::clone(&seen);
         let gate = Arc::new(AtomicBool::new(false));
         let log = Arc::new(StdMutex::new(Vec::new()));

@@ -168,7 +168,7 @@ fn old_format_submit(spec: &JobSpec) -> Vec<u8> {
 
 #[test]
 fn arbitrary_requests_of_both_kinds_roundtrip_bitwise() {
-    let mut rng = SplitMix64(0x5E61E_0001);
+    let mut rng = SplitMix64(0x0005_E61E_0001);
     let mut kv_seen = 0u32;
     for case in 0..400 {
         let req = arb_request(&mut rng);
@@ -189,7 +189,7 @@ fn arbitrary_requests_of_both_kinds_roundtrip_bitwise() {
 
 #[test]
 fn arbitrary_responses_roundtrip_bitwise() {
-    let mut rng = SplitMix64(0x5E61E_0002);
+    let mut rng = SplitMix64(0x0005_E61E_0002);
     for case in 0..400 {
         let resp = arb_response(&mut rng);
         let bytes = resp.encode();
@@ -202,7 +202,7 @@ fn arbitrary_responses_roundtrip_bitwise() {
 
 #[test]
 fn old_format_submit_frames_decode_as_gemm_with_fields_intact() {
-    let mut rng = SplitMix64(0x5E61E_0003);
+    let mut rng = SplitMix64(0x0005_E61E_0003);
     for case in 0..200 {
         let mut spec = arb_spec(&mut rng);
         let bytes = old_format_submit(&spec);
@@ -223,7 +223,7 @@ fn old_format_submit_frames_decode_as_gemm_with_fields_intact() {
 /// re-encode to exactly the bytes it was decoded from.
 #[test]
 fn request_truncation_never_panics_and_ok_prefixes_are_canonical() {
-    let mut rng = SplitMix64(0x5E61E_0004);
+    let mut rng = SplitMix64(0x0005_E61E_0004);
     for _ in 0..60 {
         let req = arb_request(&mut rng);
         let bytes = req.encode();
@@ -241,7 +241,7 @@ fn request_truncation_never_panics_and_ok_prefixes_are_canonical() {
 
 #[test]
 fn response_truncation_never_panics_and_ok_prefixes_are_canonical() {
-    let mut rng = SplitMix64(0x5E61E_0005);
+    let mut rng = SplitMix64(0x0005_E61E_0005);
     for _ in 0..60 {
         let resp = arb_response(&mut rng);
         let bytes = resp.encode();
@@ -259,7 +259,7 @@ fn response_truncation_never_panics_and_ok_prefixes_are_canonical() {
 
 #[test]
 fn single_byte_corruption_never_panics_either_direction() {
-    let mut rng = SplitMix64(0x5E61E_0006);
+    let mut rng = SplitMix64(0x0005_E61E_0006);
     for _ in 0..40 {
         let req_bytes = arb_request(&mut rng).encode();
         let resp_bytes = arb_response(&mut rng).encode();

@@ -4,6 +4,7 @@
 //! regenerated tables reproducible artifacts rather than measurements.
 
 use navp_repro::navp::SimExecutor;
+use navp_repro::navp_kv::{run_kv_sim, KvConfig, KvStage};
 use navp_repro::navp_matrix::Grid2D;
 use navp_repro::navp_mm::config::MmConfig;
 use navp_repro::navp_mm::gentleman::GentlemanOpts;
@@ -11,10 +12,31 @@ use navp_repro::navp_mm::runner::{run_mp_sim, run_navp_sim, MpAlg, NavpStage};
 use navp_repro::navp_mm::{dpc2d, util::Topo2D};
 use navp_repro::navp_sim::CostModel;
 
+/// Virtual makespan and trace fingerprint of every GEMM stage at
+/// `MmConfig::phantom(256, 32)`, pinned to recorded values. Comparing
+/// two runs of one binary cannot catch a change that reorders
+/// simulated events; these constants can.
+const GEMM_GOLDEN: [(NavpStage, f64, u64); 6] = [
+    (NavpStage::Dsc1D, 0.360936347, 0x1586_f514_11f9_06d3),
+    (NavpStage::Pipe1D, 0.177100392, 0xdcb1_2fc6_90fc_4a18),
+    (NavpStage::Phase1D, 0.160057121, 0xdb09_63f7_5eb3_2009),
+    (NavpStage::Dsc2D, 0.125863776, 0xde14_76cc_613c_c645),
+    (NavpStage::Pipe2D, 0.101046541, 0xfa45_514b_983e_577a),
+    (NavpStage::Dpc2D, 0.095071207, 0xa27b_92f9_f991_b540),
+];
+
+/// The same pin for the three distributed kv steps (4 PEs, 400 ops in
+/// 8 batches).
+const KV_GOLDEN: [(KvStage, f64, u64); 3] = [
+    (KvStage::Dsc, 0.39767717, 0x6b73_f3f5_a079_b46c),
+    (KvStage::Pipe, 0.062302182, 0x817d_9405_6b17_c15a),
+    (KvStage::Phase, 0.062473461, 0x498b_4cf7_4a00_1d37),
+];
+
 #[test]
 fn navp_sim_runs_are_bit_identical() {
     let cfg = MmConfig::phantom(256, 32);
-    for stage in NavpStage::ALL {
+    for (stage, secs, fp) in GEMM_GOLDEN {
         let grid = if stage.is_1d() {
             Grid2D::line(2).expect("grid")
         } else {
@@ -30,12 +52,20 @@ fn navp_sim_runs_are_bit_identical() {
             "{} nondeterministic makespan",
             stage.name()
         );
-        assert_eq!(
+        let (fa, fb) = (
             a.trace.expect("trace").fingerprint(),
             b.trace.expect("trace").fingerprint(),
-            "{} nondeterministic trace",
-            stage.name()
         );
+        assert_eq!(fa, fb, "{} nondeterministic trace", stage.name());
+        assert_eq!(a.virt_seconds, Some(secs), "{} makespan moved", stage.name());
+        assert_eq!(fa, fp, "{} trace fingerprint moved", stage.name());
+    }
+    let cfg = KvConfig::new(400, 8);
+    for (stage, secs, fp) in KV_GOLDEN {
+        let out = run_kv_sim(stage, &cfg, 4, &CostModel::paper_cluster(), true).expect("kv sim");
+        let f = out.trace.expect("trace").fingerprint();
+        assert_eq!(out.virt_seconds, Some(secs), "{stage} makespan moved");
+        assert_eq!(f, fp, "{stage} trace fingerprint moved");
     }
 }
 
