@@ -1,8 +1,7 @@
-//! A minimal wall-clock timing harness for the `[[bench]]` targets and
-//! the `perf` binary.
+//! A minimal wall-clock timing harness for the `perf` binary.
 //!
-//! The container this repo builds in has no external crates, so the
-//! benches use this dependency-free stand-in: a *fixed* number of
+//! The repo builds with no external crates, so the benches use this
+//! dependency-free stand-in: a *fixed* number of
 //! warmup iterations (deterministic, unlike a time-boxed warmup),
 //! a fixed number of timed samples, and min/median/p90 per iteration —
 //! order statistics, because wall-clock samples on a shared machine are

@@ -14,6 +14,7 @@
 //! granularity at which `recovery` journals node-variable writes — so
 //! boundary crashes lose whole runs, never half of one.
 
+use crate::error::RunError;
 use std::time::Duration;
 
 /// What happens to a hop's delivery at the destination PE.
@@ -333,6 +334,28 @@ impl FaultPlan {
             Ok(text) => FaultPlan::parse_spec(&text).map(Some),
             Err(_) => Ok(None),
         }
+    }
+
+    /// The plan a run injects, the same rule on every executor: the
+    /// cluster's `explicit` plan, or else the one `env` reads (normally
+    /// [`FaultPlan::from_env`]; repro files paste in verbatim, and a
+    /// malformed spec is a loud error, not a silently clean run). A plan
+    /// that injects nothing resolves to `None` — unless the run is
+    /// `durable`: the cut it spills *is* the recovery state, so it runs
+    /// under an empty plan.
+    pub fn resolve(
+        explicit: Option<FaultPlan>,
+        env: impl FnOnce() -> Result<Option<FaultPlan>, String>,
+        durable: bool,
+    ) -> Result<Option<FaultPlan>, RunError> {
+        let plan = match explicit {
+            Some(p) => Some(p),
+            None => env().map_err(|detail| RunError::Transport { detail })?,
+        };
+        Ok(match plan.filter(|p| !p.is_empty()) {
+            None if durable => Some(FaultPlan::new()),
+            other => other,
+        })
     }
 }
 
@@ -660,6 +683,37 @@ mod tests {
             let mut b3 = SplitMix64::new(9).split();
             b3.next_u64()
         });
+    }
+
+    #[test]
+    fn plan_resolution_order() {
+        let crash = FaultPlan::new().crash_pe(1, 2);
+        let delay = FaultPlan::new().delay_hop(0, 1, 0.5);
+        let empty = FaultPlan::new();
+        // `env` stands in for what `NAVP_FAULT_SPEC` holds.
+        let resolve = |explicit: Option<FaultPlan>, env: Option<FaultPlan>, durable| {
+            FaultPlan::resolve(explicit, move || Ok(env), durable).unwrap()
+        };
+        // An explicit plan beats the environment, which is never read.
+        let got = FaultPlan::resolve(Some(crash.clone()), || panic!("env read"), false);
+        assert_eq!(got.unwrap(), Some(crash.clone()));
+        // The environment beats no plan.
+        let from_env = resolve(None, Some(delay.clone()), false);
+        assert_eq!(from_env, Some(delay.clone()));
+        assert_eq!(resolve(None, None, false), None);
+        // A durable run always gets a plan, empty if nothing else.
+        assert_eq!(resolve(None, None, true), Some(empty.clone()));
+        assert_eq!(resolve(Some(crash.clone()), None, true), Some(crash));
+        // An explicit empty plan injects nothing: it resolves to no plan
+        // (and still shadows the environment).
+        assert_eq!(resolve(Some(empty.clone()), Some(delay), false), None);
+        assert_eq!(resolve(Some(empty.clone()), None, true), Some(empty));
+        // A malformed spec is an error, not a clean run.
+        let bad = || Err("line 1: unknown fault verb".to_string());
+        assert!(matches!(
+            FaultPlan::resolve(None, bad, false),
+            Err(RunError::Transport { .. })
+        ));
     }
 
     #[test]

@@ -155,24 +155,14 @@ impl Recovery {
     }
 
     /// The recovery state an in-process run over `stores` needs, if
-    /// any: the cluster's plan, or else one from the `NAVP_FAULT_SPEC`
-    /// environment (repro files paste in verbatim; a malformed spec is a
-    /// loud error, not a silently clean run). An empty plan needs none —
-    /// unless the run is `durable`: the cut it spills *is* this state.
+    /// any: one exactly when [`FaultPlan::resolve`] yields a plan.
     pub fn for_run(
         plan: Option<FaultPlan>,
         durable: bool,
         stores: &mut [NodeStore],
         metrics: &Option<Arc<RunMetrics>>,
     ) -> Result<Option<Recovery>, RunError> {
-        let plan = match plan {
-            Some(p) => Some(p),
-            None => FaultPlan::from_env().map_err(|detail| RunError::Transport { detail })?,
-        };
-        let plan = match plan.filter(|p| !p.is_empty()) {
-            None if durable => Some(FaultPlan::new()),
-            other => other,
-        };
+        let plan = FaultPlan::resolve(plan, FaultPlan::from_env, durable)?;
         let pes = stores.len();
         Ok(plan.map(|plan| Recovery::new(plan, pes, 0, stores, metrics.clone())))
     }
@@ -563,7 +553,11 @@ pub trait PeIo {
 
     /// Messenger `id` waits on `key`: consume a banked count and hand
     /// the messenger back (the run continues), or park it, stamped
-    /// `parked_ns`, and return `None`.
+    /// `parked_ns`, and return `None`. Parking also drops the
+    /// messenger's checkpoint — parked state is held by the event
+    /// service, which survives PE crashes — atomically with the park: a
+    /// signal that wakes and re-checkpoints the waiter must not be able
+    /// to run in between.
     fn wait(
         &mut self,
         id: u64,
@@ -907,11 +901,6 @@ impl PeCore {
                     if let Some(p) = pm {
                         p.waits.inc();
                     }
-                    // Parked state is held by the event service, which
-                    // survives PE crashes: drop the checkpoint.
-                    if let Some(mut r) = io.recovery() {
-                        r.forget(id);
-                    }
                     break;
                 }
                 Effect::Done => {
@@ -929,5 +918,98 @@ impl PeCore {
             r.commit(pe, &mut self.store);
         }
         Ok(true)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use navp_sim::Key;
+
+    /// Parks on its first step.
+    #[derive(Clone)]
+    struct Waiter;
+    impl Messenger for Waiter {
+        fn step(&mut self, _ctx: &mut MsgrCtx<'_>) -> Effect {
+            Effect::WaitEvent(Key::plain("go"))
+        }
+        fn label(&self) -> String {
+            "waiter".to_string()
+        }
+        fn snapshot(&self) -> Option<Box<dyn Messenger>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    /// A transport whose `wait` parks the messenger (dropping its
+    /// checkpoint, as the contract says) and is then overtaken by a
+    /// signal from another daemon, which wakes the waiter and
+    /// re-checkpoints it before `wait` even returns.
+    struct RacingSignal {
+        rec: Recovery,
+        woken: Vec<(u64, Box<dyn Messenger>)>,
+    }
+
+    impl PeIo for RacingSignal {
+        fn recovery(&mut self) -> Option<impl DerefMut<Target = Recovery> + '_> {
+            Some(&mut self.rec)
+        }
+        fn next_id(&mut self) -> u64 {
+            unreachable!("no injections")
+        }
+        fn inject(&mut self, _id: u64, _msgr: Box<dyn Messenger>) {
+            unreachable!("no injections")
+        }
+        fn signal(&mut self, _id: u64, _key: EventKey) -> Result<(), RunError> {
+            unreachable!("no signals")
+        }
+        fn wait(
+            &mut self,
+            id: u64,
+            _key: EventKey,
+            msgr: Box<dyn Messenger>,
+            _parked_ns: u64,
+        ) -> Result<Option<Box<dyn Messenger>>, RunError> {
+            self.rec.forget(id);
+            // The racing signal: waking is a delivery point.
+            self.rec.checkpoint(id, 0, msgr.as_ref());
+            self.woken.push((id, msgr));
+            Ok(None)
+        }
+        fn hop(
+            &mut self,
+            _id: u64,
+            _dst: NodeId,
+            _bytes: u64,
+            _sent_ns: u64,
+            _msgr: Box<dyn Messenger>,
+        ) -> Result<(), RunError> {
+            unreachable!("no hops")
+        }
+        fn restarted(&mut self, _redelivered: Vec<(u64, Box<dyn Messenger>)>) {
+            unreachable!("no crashes")
+        }
+    }
+
+    #[test]
+    fn woken_waiters_checkpoint_survives_the_park() {
+        let mut stores = vec![NodeStore::new()];
+        let rec = Recovery::new(FaultPlan::new(), 1, 0, &mut stores, None);
+        let lane = navp_obs::flight().lane("pe-core-test");
+        let mut core = PeCore::new(0, 1, stores.pop().unwrap(), lane, None);
+        let mut io = RacingSignal {
+            rec,
+            woken: Vec::new(),
+        };
+        core.admit(Some(&mut io.rec), 7, &Waiter);
+        assert!(core.run(&mut io, 7, Box::new(Waiter)).unwrap());
+        assert_eq!(io.woken.len(), 1, "the waiter parked and was woken");
+        let ids: Vec<u64> = io.rec.ckpt.iter_ordered().map(|(id, ..)| id).collect();
+        assert_eq!(
+            ids,
+            vec![7],
+            "the woken waiter's fresh checkpoint must survive the park, \
+             or a crash of its PE loses it"
+        );
     }
 }

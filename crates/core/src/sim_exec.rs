@@ -216,6 +216,9 @@ impl PeIo for Sim<'_> {
                 msgr,
             },
         );
+        if let Some(r) = self.rec.as_mut() {
+            r.forget(id);
+        }
         Ok(None)
     }
 

@@ -208,6 +208,10 @@ impl PeIo for ThreadIo<'_> {
         msgr: Box<dyn Messenger>,
         parked_ns: u64,
     ) -> Result<Option<Box<dyn Messenger>>, RunError> {
+        // Park and forget under both locks (recovery → events): a
+        // daemon that signals `key` can only wake the waiter, and
+        // re-checkpoint it, once its checkpoint is already gone.
+        let mut rec = self.shared.recovery();
         let mut ev = self.shared.events.lock().unwrap();
         if ev.take_banked(key) {
             return Ok(Some(msgr));
@@ -222,6 +226,9 @@ impl PeIo for ThreadIo<'_> {
                 msgr,
             },
         );
+        if let Some(r) = rec.as_mut() {
+            r.forget(id);
+        }
         Ok(None)
     }
 

@@ -18,11 +18,14 @@
 //!   ([`Compactor`](carrier::Compactor)) that overlaps with serving in
 //!   the final journey step.
 //!
-//! The four steps — [`run_kv_seq`], [`run_kv_dsc`], [`run_kv_pipe`],
-//! [`run_kv_phase`] — produce bitwise-identical products across the
-//! sim, thread, and networked executors *and across each other*,
-//! because batches own disjoint key regions and compaction is
-//! observation-neutral. The workload integrates with the rest of the
+//! The four steps — [`KvStage::Seq`], [`KvStage::Dsc`],
+//! [`KvStage::Pipe`], [`KvStage::Phase`] — run through the [`runner`]
+//! entry points ([`run_kv_sim`], [`run_kv_threads`], [`run_kv_net`] and
+//! their faulted, durable and restored variants), which share the
+//! matrix runner's one dispatch. They produce bitwise-identical
+//! products across the sim, thread, and networked executors *and across
+//! each other*, because batches own disjoint key regions and compaction
+//! is observation-neutral. The workload integrates with the rest of the
 //! repo end to end: wire codecs ([`net::register_net`]) make it run on
 //! real `navp-pe` daemons and inside durable checkpoints, the fault
 //! fuzzer drives it via [`fuzz`], and the `navp-serve` job service
@@ -44,10 +47,9 @@ pub use config::KvConfig;
 pub use fuzz::{fuzz_kv_stage, replay_kv_repro};
 pub use net::register_net;
 pub use runner::{
-    run_kv_dsc, run_kv_net, run_kv_net_faulted, run_kv_phase, run_kv_pipe,
-    run_kv_restored_threads, run_kv_seq, run_kv_sim, run_kv_sim_faulted, run_kv_threads,
-    run_kv_threads_durable, run_kv_threads_faulted, run_kv_threads_unverified, KvError,
-    KvRunOutput, KvStage,
+    run_kv_net, run_kv_net_faulted, run_kv_restored_threads, run_kv_sim, run_kv_sim_faulted,
+    run_kv_threads, run_kv_threads_durable, run_kv_threads_faulted, run_kv_threads_unverified,
+    KvError, KvRunOutput, KvStage,
 };
 pub use shard::Shard;
 pub use stages::KvRunStats;

@@ -1,20 +1,20 @@
 //! Uniform entry points over the kv journey steps.
 //!
-//! Same shape as the matrix runner: "run step X at mesh width P on
-//! executor E" is written exactly once, so the tests, the bench
-//! harness, the fuzzer, the job service, and the examples all drive the
-//! workload through the same functions and therefore measure the same
-//! code.
+//! Every `run_kv_*` function names a [`Run`] and hands the step's
+//! cluster to [`run_cluster`], the one dispatch both workloads share,
+//! so the tests, the bench harness, the fuzzer, the job service and the
+//! examples all measure the same code. What stays here is the kv work:
+//! building each step's cluster, collecting the product and verifying
+//! it against the sequential reference model.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
-use navp::{Cluster, FaultPlan, FaultStats, SimExecutor, ThreadExecutor};
-use navp_metrics::{MetricsSnapshot, RunMetrics};
-use navp_mm::runner::NetOpts;
-use navp_net::{restore_from_dir, NetExecutor, NetPeStats, RegistryCodec};
+use navp::{Cluster, FaultPlan, FaultStats};
+use navp_metrics::MetricsSnapshot;
+use navp_mm::runner::{run_cluster, NetOpts, On, Run, RunCfg};
+use navp_net::NetPeStats;
 use navp_sim::{CostModel, Trace};
 use navp_trace::TraceReport;
 
@@ -133,7 +133,7 @@ pub struct KvRunOutput {
     pub bytes: u64,
     /// Recorded trace, when requested.
     pub trace: Option<Trace>,
-    /// Derived trace metrics, when a wall-clock trace was recorded.
+    /// Derived trace metrics, whenever a trace was recorded.
     pub trace_report: Option<TraceReport>,
     /// Fault-machinery counters.
     pub faults: Option<FaultStats>,
@@ -161,95 +161,48 @@ fn build_cluster(stage: KvStage, cfg: &KvConfig, pes: usize) -> Result<Cluster, 
     if pes == 0 {
         return Err(KvError::Shape("mesh width must be at least 1".into()));
     }
-    let cl = match stage {
+    Ok(match stage {
         KvStage::Seq => stages::seq_cluster(cfg)?,
         KvStage::Dsc => stages::dsc_cluster(cfg, pes)?,
         KvStage::Pipe => stages::pipe_cluster(cfg, pes)?,
         KvStage::Phase => stages::phase_cluster(cfg, pes)?,
-    };
-    Ok(cl)
+    })
 }
 
-fn collect(
+/// Run a kv step: build its cluster (unless the run restores one from
+/// disk), then collect the product from each batch's result home and
+/// verify it.
+fn run_kv(
     stage: KvStage,
     cfg: &KvConfig,
     pes: usize,
-    stores: &[navp::NodeStore],
-) -> Result<(KvProduct, KvRunStats), KvError> {
-    let pes = stage.effective_pes(pes);
-    stages::collect(stores, cfg, |b| stage.res_home(pes, b)).map_err(KvError::Incomplete)
-}
-
-fn verify(cfg: &KvConfig, product: &KvProduct, check: bool) -> Option<bool> {
-    check.then(|| *product == expected(cfg))
-}
-
-/// The registry-backed durable codec for in-process durable kv runs;
-/// registers every kv (and launcher) wire codec first.
-fn durable_codec() -> Arc<dyn navp::durable::DurableCodec> {
-    crate::net::register_net();
-    Arc::new(RegistryCodec::new())
-}
-
-/// The thread executor a config asks for: explicit `cfg.watchdog`, else
-/// `NAVP_WATCHDOG_MS`, else the executor's built-in default.
-fn thread_executor(cfg: &KvConfig) -> ThreadExecutor {
-    let exec = ThreadExecutor::new().with_trace(cfg.trace);
-    if let Some(wd) = cfg.watchdog {
-        return exec.with_watchdog(wd);
-    }
-    if let Some(ms) = std::env::var("NAVP_WATCHDOG_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        return exec.with_watchdog(Duration::from_millis(ms));
-    }
-    exec
-}
-
-/// The networked executor a config asks for, with the same watchdog
-/// resolution as [`thread_executor`].
-fn net_executor(cfg: &KvConfig, opts: &NetOpts) -> NetExecutor {
-    let mut exec = NetExecutor::new()
-        .with_trace(cfg.trace)
-        .with_metrics(cfg.metrics);
-    if let Some(bin) = &opts.pe_bin {
-        exec = exec.with_pe_bin(bin.clone());
-    }
-    if !opts.join.is_empty() {
-        exec = exec.join_addrs(opts.join.clone());
-    }
-    if let Some(grace) = opts.grace {
-        exec = exec.with_grace(grace);
-    }
-    if let Some(dir) = &opts.durable_dir {
-        exec = exec.with_durable_dir(dir.clone());
-    }
-    if opts.run_id != 0 {
-        exec = exec.with_run_id(opts.run_id);
-    }
-    if let Some(deadline) = opts.deadline {
-        exec = exec.with_deadline(deadline);
-    }
-    if let Some(wd) = cfg.watchdog {
-        return exec.with_watchdog(wd);
-    }
-    if let Some(ms) = std::env::var("NAVP_WATCHDOG_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        return exec.with_watchdog(Duration::from_millis(ms));
-    }
-    exec
-}
-
-fn warn_trace_dropped(dropped: u64) {
-    if dropped > 0 {
-        eprintln!(
-            "warning: trace buffer overflowed — {dropped} events dropped; \
-             the trace and its report are partial"
-        );
-    }
+    run: Run<'_>,
+) -> Result<KvRunOutput, KvError> {
+    let check = run.verifies();
+    let run_cfg = RunCfg {
+        trace: cfg.trace,
+        metrics: cfg.metrics,
+        watchdog: cfg.watchdog,
+    };
+    let build = || build_cluster(stage, cfg, pes);
+    let ran = run_cluster(run, run_cfg, crate::net::register_net, build)?;
+    let home = |b| stage.res_home(stage.effective_pes(pes), b);
+    let (product, stats) = stages::collect(&ran.stores, cfg, home).map_err(KvError::Incomplete)?;
+    let verified = check.then(|| product == expected(cfg));
+    Ok(KvRunOutput {
+        virt_seconds: ran.virt_seconds,
+        wall: ran.wall,
+        product,
+        verified,
+        stats,
+        transfers: ran.transfers,
+        bytes: ran.bytes,
+        trace: ran.trace,
+        trace_report: ran.trace_report,
+        faults: ran.faults,
+        per_pe_net: ran.per_pe_net,
+        metrics: ran.metrics,
+    })
 }
 
 /// Run a kv step under the virtual cost model.
@@ -260,7 +213,7 @@ pub fn run_kv_sim(
     cost: &CostModel,
     with_trace: bool,
 ) -> Result<KvRunOutput, KvError> {
-    run_kv_sim_inner(stage, cfg, pes, cost, with_trace, None)
+    run_kv(stage, cfg, pes, Run::on(On::Sim(cost)).traced(with_trace))
 }
 
 /// As [`run_kv_sim`], with `plan`'s faults injected during the run.
@@ -271,52 +224,13 @@ pub fn run_kv_sim_faulted(
     cost: &CostModel,
     plan: FaultPlan,
 ) -> Result<KvRunOutput, KvError> {
-    run_kv_sim_inner(stage, cfg, pes, cost, false, Some(plan))
-}
-
-fn run_kv_sim_inner(
-    stage: KvStage,
-    cfg: &KvConfig,
-    pes: usize,
-    cost: &CostModel,
-    with_trace: bool,
-    plan: Option<FaultPlan>,
-) -> Result<KvRunOutput, KvError> {
-    let mut cl = build_cluster(stage, cfg, pes)?;
-    if let Some(plan) = plan {
-        cl.set_fault_plan(plan);
-    }
-    let mut exec = SimExecutor::new(*cost);
-    if with_trace {
-        exec = exec.with_trace();
-    }
-    let met = cfg.metrics.then(|| RunMetrics::new(stage.effective_pes(pes)));
-    if let Some(m) = &met {
-        exec = exec.with_metrics(Arc::clone(m));
-    }
-    let rep = exec.run(cl)?;
-    let (product, stats) = collect(stage, cfg, pes, &rep.stores)?;
-    let verified = verify(cfg, &product, true);
-    Ok(KvRunOutput {
-        virt_seconds: Some(rep.makespan.as_secs_f64()),
-        wall: None,
-        product,
-        verified,
-        stats,
-        transfers: rep.hops,
-        bytes: rep.hop_bytes,
-        trace: with_trace.then_some(rep.trace),
-        trace_report: None,
-        faults: Some(rep.faults),
-        per_pe_net: None,
-        metrics: met.map(|m| m.snapshot()),
-    })
+    run_kv(stage, cfg, pes, Run::on(On::Sim(cost)).plan(Some(plan)))
 }
 
 /// Run a kv step on real threads (wall-clock), verifying the product
 /// against the sequential reference model.
 pub fn run_kv_threads(stage: KvStage, cfg: &KvConfig, pes: usize) -> Result<KvRunOutput, KvError> {
-    run_kv_threads_inner(stage, cfg, pes, true, None)
+    run_kv(stage, cfg, pes, Run::on(On::Threads))
 }
 
 /// As [`run_kv_threads`] without verification — for benchmarks, where
@@ -326,7 +240,7 @@ pub fn run_kv_threads_unverified(
     cfg: &KvConfig,
     pes: usize,
 ) -> Result<KvRunOutput, KvError> {
-    run_kv_threads_inner(stage, cfg, pes, false, None)
+    run_kv(stage, cfg, pes, Run::on(On::Threads).unverified())
 }
 
 /// As [`run_kv_threads`], with `plan`'s faults injected during the run.
@@ -336,47 +250,7 @@ pub fn run_kv_threads_faulted(
     pes: usize,
     plan: FaultPlan,
 ) -> Result<KvRunOutput, KvError> {
-    run_kv_threads_inner(stage, cfg, pes, true, Some(plan))
-}
-
-fn run_kv_threads_inner(
-    stage: KvStage,
-    cfg: &KvConfig,
-    pes: usize,
-    check: bool,
-    plan: Option<FaultPlan>,
-) -> Result<KvRunOutput, KvError> {
-    let mut cl = build_cluster(stage, cfg, pes)?;
-    if let Some(plan) = plan {
-        cl.set_fault_plan(plan);
-    }
-    let met = cfg.metrics.then(|| RunMetrics::new(stage.effective_pes(pes)));
-    let mut exec = thread_executor(cfg);
-    if let Some(m) = &met {
-        exec = exec.with_metrics(Arc::clone(m));
-    }
-    let mut rep = exec.run(cl)?;
-    let (product, stats) = collect(stage, cfg, pes, &rep.stores)?;
-    let verified = verify(cfg, &product, check);
-    let trace = rep.trace.take();
-    warn_trace_dropped(rep.trace_dropped);
-    let trace_report = trace
-        .as_ref()
-        .map(|t| TraceReport::from_trace(t, stage.effective_pes(pes), rep.trace_dropped));
-    Ok(KvRunOutput {
-        virt_seconds: None,
-        wall: Some(rep.wall),
-        product,
-        verified,
-        stats,
-        transfers: rep.hops,
-        bytes: rep.hop_bytes,
-        trace,
-        trace_report,
-        faults: Some(rep.faults),
-        per_pe_net: None,
-        metrics: met.map(|m| m.snapshot()),
-    })
+    run_kv(stage, cfg, pes, Run::on(On::Threads).plan(Some(plan)))
 }
 
 /// Run a kv step across real OS processes over TCP. The cluster is
@@ -388,7 +262,7 @@ pub fn run_kv_net(
     pes: usize,
     opts: &NetOpts,
 ) -> Result<KvRunOutput, KvError> {
-    run_kv_net_inner(stage, cfg, pes, opts, None)
+    run_kv(stage, cfg, pes, Run::on(On::Net(opts)))
 }
 
 /// As [`run_kv_net`], with `plan`'s faults mapped onto the real
@@ -400,43 +274,7 @@ pub fn run_kv_net_faulted(
     opts: &NetOpts,
     plan: FaultPlan,
 ) -> Result<KvRunOutput, KvError> {
-    run_kv_net_inner(stage, cfg, pes, opts, Some(plan))
-}
-
-fn run_kv_net_inner(
-    stage: KvStage,
-    cfg: &KvConfig,
-    pes: usize,
-    opts: &NetOpts,
-    plan: Option<FaultPlan>,
-) -> Result<KvRunOutput, KvError> {
-    crate::net::register_net();
-    let mut cl = build_cluster(stage, cfg, pes)?;
-    if let Some(plan) = plan {
-        cl.set_fault_plan(plan);
-    }
-    let mut rep = net_executor(cfg, opts).run(cl)?;
-    let (product, stats) = collect(stage, cfg, pes, &rep.stores)?;
-    let verified = verify(cfg, &product, true);
-    let trace = rep.trace.take();
-    warn_trace_dropped(rep.trace_dropped);
-    let trace_report = trace
-        .as_ref()
-        .map(|t| TraceReport::from_trace(t, stage.effective_pes(pes), rep.trace_dropped));
-    Ok(KvRunOutput {
-        virt_seconds: None,
-        wall: Some(rep.wall),
-        product,
-        verified,
-        stats,
-        transfers: rep.hops,
-        bytes: rep.wire_bytes,
-        trace,
-        trace_report,
-        faults: Some(rep.faults),
-        per_pe_net: Some(rep.per_pe),
-        metrics: rep.metrics.take(),
-    })
+    run_kv(stage, cfg, pes, Run::on(On::Net(opts)).plan(Some(plan)))
 }
 
 /// As [`run_kv_threads`], spilling a durable checkpoint of the whole
@@ -451,31 +289,8 @@ pub fn run_kv_threads_durable(
     dir: impl Into<PathBuf>,
     plan: Option<FaultPlan>,
 ) -> Result<KvRunOutput, KvError> {
-    let mut cl = build_cluster(stage, cfg, pes)?;
-    if let Some(plan) = plan {
-        cl.set_fault_plan(plan);
-    }
-    let mut rep = thread_executor(cfg)
-        .with_durable(dir, durable_codec())
-        .run(cl)?;
-    let (product, stats) = collect(stage, cfg, pes, &rep.stores)?;
-    let verified = verify(cfg, &product, true);
-    let trace = rep.trace.take();
-    warn_trace_dropped(rep.trace_dropped);
-    Ok(KvRunOutput {
-        virt_seconds: None,
-        wall: Some(rep.wall),
-        product,
-        verified,
-        stats,
-        transfers: rep.hops,
-        bytes: rep.hop_bytes,
-        trace,
-        trace_report: None,
-        faults: Some(rep.faults),
-        per_pe_net: None,
-        metrics: None,
-    })
+    let run = Run::on(On::Threads).durable(dir.into()).plan(plan);
+    run_kv(stage, cfg, pes, run)
 }
 
 /// Restore an interrupted durable kv run from its checkpoint directory
@@ -487,49 +302,7 @@ pub fn run_kv_restored_threads(
     pes: usize,
     dir: &Path,
 ) -> Result<KvRunOutput, KvError> {
-    crate::net::register_net();
-    let cl = restore_from_dir(dir)?;
-    let rep = thread_executor(cfg).run(cl)?;
-    let (product, stats) = collect(stage, cfg, pes, &rep.stores)?;
-    let verified = verify(cfg, &product, true);
-    Ok(KvRunOutput {
-        virt_seconds: None,
-        wall: Some(rep.wall),
-        product,
-        verified,
-        stats,
-        transfers: rep.hops,
-        bytes: rep.hop_bytes,
-        trace: None,
-        trace_report: None,
-        faults: Some(rep.faults),
-        per_pe_net: None,
-        metrics: None,
-    })
-}
-
-/// The paper's starting point: the whole workload served sequentially
-/// on one PE (wall-clock).
-pub fn run_kv_seq(cfg: &KvConfig) -> Result<KvRunOutput, KvError> {
-    run_kv_threads(KvStage::Seq, cfg, 1)
-}
-
-/// The first transformation: distributed shards, one migrating
-/// messenger (wall-clock).
-pub fn run_kv_dsc(cfg: &KvConfig, pes: usize) -> Result<KvRunOutput, KvError> {
-    run_kv_threads(KvStage::Dsc, cfg, pes)
-}
-
-/// The second transformation: per-batch pipelined messengers
-/// (wall-clock).
-pub fn run_kv_pipe(cfg: &KvConfig, pes: usize) -> Result<KvRunOutput, KvError> {
-    run_kv_threads(KvStage::Pipe, cfg, pes)
-}
-
-/// The final step: phase-shifted entry plus background compaction
-/// overlapped with serving (wall-clock).
-pub fn run_kv_phase(cfg: &KvConfig, pes: usize) -> Result<KvRunOutput, KvError> {
-    run_kv_threads(KvStage::Phase, cfg, pes)
+    run_kv(stage, cfg, pes, Run::on(On::Threads).restore(dir))
 }
 
 #[cfg(test)]
@@ -539,10 +312,10 @@ mod tests {
     #[test]
     fn journey_entry_points_agree() {
         let cfg = KvConfig::new(160, 4);
-        let seq = run_kv_seq(&cfg).expect("seq");
-        let dsc = run_kv_dsc(&cfg, 3).expect("dsc");
-        let pipe = run_kv_pipe(&cfg, 3).expect("pipe");
-        let phase = run_kv_phase(&cfg, 3).expect("phase");
+        let seq = run_kv_threads(KvStage::Seq, &cfg, 1).expect("seq");
+        let dsc = run_kv_threads(KvStage::Dsc, &cfg, 3).expect("dsc");
+        let pipe = run_kv_threads(KvStage::Pipe, &cfg, 3).expect("pipe");
+        let phase = run_kv_threads(KvStage::Phase, &cfg, 3).expect("phase");
         for out in [&seq, &dsc, &pipe, &phase] {
             assert_eq!(out.verified, Some(true));
         }

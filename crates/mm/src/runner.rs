@@ -1,14 +1,22 @@
-//! Uniform entry points over every implementation.
+//! Uniform entry points over every implementation, and the one run path
+//! beneath them.
 //!
-//! The bench harness, the integration tests and the examples all drive
-//! the stages through these functions, so "run stage X on topology Y at
-//! size Z under cost model M" is written exactly once.
+//! The bench harness, the integration tests, the fuzzer, the job
+//! service and the examples all drive the stages through the `run_*`
+//! functions here. Each only names a [`Run`]: the executor ([`On`]) plus
+//! what the variant adds — a fault plan, a durable or restore directory,
+//! a live metrics handle. [`run_cluster`], the one dispatch under them
+//! and under the kv runner, runs a built or restored cluster on any
+//! executor and returns the executor-neutral [`Ran`], honouring the
+//! config's trace, metrics and watchdog settings the same way on every
+//! path. What stays here is the matrix work: each stage's cluster and
+//! C-ownership map, collecting C and verifying it.
 
 use crate::config::{MmConfig, Payload};
 use crate::gentleman::GentlemanOpts;
 use crate::util::{collect_c, Topo1D, Topo2D};
 use crate::{dpc2d, dsc1d, dsc2d, gentleman, phase1d, pipe1d, pipe2d, seq, summa};
-use navp::{Cluster, FaultPlan, FaultStats, SimExecutor, ThreadExecutor};
+use navp::{Cluster, FaultPlan, FaultStats, NodeStore, RunError, SimExecutor, ThreadExecutor};
 use navp_matrix::{Grid2D, Matrix};
 use navp_metrics::{MetricsSnapshot, RunMetrics};
 use navp_mp::{MpSimExecutor, MpThreadExecutor};
@@ -149,8 +157,8 @@ pub struct RunOutput {
     /// executor, wall-clock from the threads/net executors (when
     /// [`MmConfig::trace`] is set).
     pub trace: Option<Trace>,
-    /// Derived wall-clock metrics (utilization, hop latency, waits)
-    /// for traced threads/net runs.
+    /// Metrics derived from the trace (utilization, hop latency,
+    /// waits), whenever one was recorded.
     pub trace_report: Option<TraceReport>,
     /// Fault-injection and recovery counters (NavP executors only;
     /// zeroed stats when the run had no fault plan).
@@ -181,126 +189,377 @@ impl fmt::Debug for RunOutput {
     }
 }
 
-fn verify(cfg: &MmConfig, c: &Option<Matrix>) -> Result<Option<bool>, RunnerError> {
-    match (cfg.payload, c) {
-        (Payload::Phantom, _) => Ok(None),
-        (Payload::Real { .. }, Some(got)) => {
-            let want = cfg.expected()?.expect("real payload has a reference");
-            Ok(Some(want.max_abs_diff(got) < 1e-9))
-        }
-        (Payload::Real { .. }, None) => Ok(Some(false)),
-    }
-}
-
 /// Owner map: C-block coordinates to the PE holding the block after a run.
 type OwnerFn = Box<dyn Fn(usize, usize) -> usize>;
 
-/// The C-ownership map of a stage, computable without (re)building the
-/// cluster — restores need it to collect the product out of a cluster
-/// that was reassembled from disk rather than constructed here.
-fn navp_owner(stage: NavpStage, cfg: &MmConfig, grid: Grid2D) -> Result<OwnerFn, RunnerError> {
-    if stage.is_1d() {
-        if grid.rows != 1 {
-            return Err(RunnerError::Topology(format!(
-                "{} needs a 1-D line, got {}x{}",
-                stage.name(),
-                grid.rows,
-                grid.cols
-            )));
-        }
-        let topo = Topo1D::new(cfg.nb(), grid.cols)?;
-        Ok(Box::new(move |_bi, bj| topo.pe_of_col(bj)))
-    } else {
-        let topo = Topo2D::new(cfg.nb(), grid)?;
-        Ok(Box::new(move |bi, bj| topo.node_of_block(bi, bj)))
-    }
-}
-
-/// The registry-backed durable codec for in-process (sim/threads)
-/// durable runs of the case study. Registers every wire codec first so
-/// matrix blocks and carriers encode into the checkpoint exactly as
-/// they would onto the wire.
-fn durable_codec() -> Arc<dyn navp::durable::DurableCodec> {
-    crate::net::register_net();
-    Arc::new(RegistryCodec::new())
-}
-
-/// Build the NavP cluster plus its C-ownership map for a stage.
-fn navp_cluster(
+/// Run a NavP stage: build its cluster (unless the run restores one from
+/// disk) and collect C by the stage's ownership map.
+fn run_navp(
     stage: NavpStage,
     cfg: &MmConfig,
     grid: Grid2D,
-) -> Result<(Cluster, OwnerFn), RunnerError> {
-    let (a, b) = cfg.operands()?;
-    if stage.is_1d() {
-        if grid.rows != 1 {
-            return Err(RunnerError::Topology(format!(
-                "{} needs a 1-D line, got {}x{}",
-                stage.name(),
-                grid.rows,
-                grid.cols
-            )));
-        }
-        let topo = Topo1D::new(cfg.nb(), grid.cols)?;
-        let cl = match stage {
+    run: Run<'_>,
+) -> Result<RunOutput, RunnerError> {
+    if !stage.is_1d() {
+        let topo = Topo2D::new(cfg.nb(), grid)?;
+        let build = move || {
+            let (a, b) = cfg.operands()?;
+            Ok(match stage {
+                NavpStage::Dsc2D => dsc2d::cluster(cfg, &topo, &a, &b)?,
+                NavpStage::Pipe2D => pipe2d::cluster(cfg, &topo, &a, &b)?,
+                _ => dpc2d::cluster(cfg, &topo, &a, &b)?,
+            })
+        };
+        return run_mm(cfg, move |bi, bj| topo.node_of_block(bi, bj), run, build);
+    }
+    if grid.rows != 1 {
+        return Err(RunnerError::Topology(format!(
+            "{} needs a 1-D line, got {}x{}",
+            stage.name(),
+            grid.rows,
+            grid.cols
+        )));
+    }
+    let topo = Topo1D::new(cfg.nb(), grid.cols)?;
+    let build = move || {
+        let (a, b) = cfg.operands()?;
+        Ok(match stage {
             NavpStage::Dsc1D => dsc1d::cluster(cfg, &topo, &a, &b)?,
             NavpStage::Pipe1D => pipe1d::cluster(cfg, &topo, &a, &b)?,
-            NavpStage::Phase1D => phase1d::cluster(cfg, &topo, &a, &b)?,
-            _ => unreachable!(),
-        };
-        let own = move |_bi: usize, bj: usize| topo.pe_of_col(bj);
-        Ok((cl, Box::new(own)))
-    } else {
-        let topo = Topo2D::new(cfg.nb(), grid)?;
-        let cl = match stage {
-            NavpStage::Dsc2D => dsc2d::cluster(cfg, &topo, &a, &b)?,
-            NavpStage::Pipe2D => pipe2d::cluster(cfg, &topo, &a, &b)?,
-            NavpStage::Dpc2D => dpc2d::cluster(cfg, &topo, &a, &b)?,
-            _ => unreachable!(),
-        };
-        let own = move |bi: usize, bj: usize| topo.node_of_block(bi, bj);
-        Ok((cl, Box::new(own)))
+            _ => phase1d::cluster(cfg, &topo, &a, &b)?,
+        })
+    };
+    run_mm(cfg, move |_, bj| topo.pe_of_col(bj), run, build)
+}
+
+/// Run the cluster `build` makes through [`run_cluster`], then collect
+/// C by `own`.
+fn run_mm(
+    cfg: &MmConfig,
+    own: impl Fn(usize, usize) -> usize,
+    run: Run<'_>,
+    build: impl FnOnce() -> Result<Cluster, RunnerError>,
+) -> Result<RunOutput, RunnerError> {
+    let check = run.verifies();
+    let run_cfg = RunCfg {
+        trace: cfg.trace,
+        metrics: cfg.metrics,
+        watchdog: cfg.watchdog,
+    };
+    let ran = run_cluster(run, run_cfg, crate::net::register_net, build)?;
+    output(cfg, ran, own, check)
+}
+
+/// The output of a finished run: C collected by `own` and, when
+/// `check`ed, verified against the sequential reference.
+fn output(
+    cfg: &MmConfig,
+    mut ran: Ran,
+    own: impl Fn(usize, usize) -> usize,
+    check: bool,
+) -> Result<RunOutput, RunnerError> {
+    let c = collect_c(&mut ran.stores, cfg, own)?;
+    let verified = match (cfg.payload, &c) {
+        _ if !check => None,
+        (Payload::Phantom, _) => None,
+        (Payload::Real { .. }, Some(got)) => {
+            let want = cfg.expected()?.expect("real payload has a reference");
+            Some(want.max_abs_diff(got) < 1e-9)
+        }
+        (Payload::Real { .. }, None) => Some(false),
+    };
+    Ok(RunOutput {
+        virt_seconds: ran.virt_seconds,
+        wall: ran.wall,
+        c,
+        verified,
+        transfers: ran.transfers,
+        bytes: ran.bytes,
+        trace: ran.trace,
+        trace_report: ran.trace_report,
+        faults: ran.faults,
+        per_pe_net: ran.per_pe_net,
+        metrics: ran.metrics,
+    })
+}
+
+/// Which executor a [`Run`] goes on.
+#[derive(Clone, Copy, Debug, Default)]
+pub enum On<'a> {
+    /// [`SimExecutor`] under this cost model (virtual time).
+    Sim(&'a CostModel),
+    /// [`ThreadExecutor`]: one OS thread per PE (wall-clock).
+    #[default]
+    Threads,
+    /// [`NetExecutor`]: one `navp-pe` process per PE (wall-clock).
+    Net(&'a NetOpts),
+}
+
+/// One run of a workload's cluster: the executor, and what a `run_*`
+/// entry point adds to its config. [`Run::on`] alone is a plain run of
+/// a freshly built cluster, verified.
+#[derive(Default)]
+pub struct Run<'a> {
+    on: On<'a>,
+    restore: Option<&'a Path>,
+    plan: Option<FaultPlan>,
+    durable: Option<PathBuf>,
+    trace: bool,
+    live_metrics: Option<Arc<RunMetrics>>,
+    unverified: bool,
+}
+
+impl<'a> Run<'a> {
+    /// A plain run on `on`.
+    pub fn on(on: On<'a>) -> Run<'a> {
+        Run {
+            on,
+            ..Run::default()
+        }
+    }
+
+    /// Finish the durable run checkpointed in `dir` instead of building
+    /// a fresh cluster.
+    pub fn restore(mut self, dir: &'a Path) -> Run<'a> {
+        self.restore = Some(dir);
+        self
+    }
+
+    /// Inject `plan`'s faults.
+    pub fn plan(mut self, plan: Option<FaultPlan>) -> Run<'a> {
+        self.plan = plan;
+        self
+    }
+
+    /// Spill a durable checkpoint to `dir` at every run boundary
+    /// (in-process executors; the net executor takes
+    /// [`NetOpts::durable_dir`]).
+    pub fn durable(mut self, dir: PathBuf) -> Run<'a> {
+        self.durable = Some(dir);
+        self
+    }
+
+    /// Record a trace even when the config does not ask for one.
+    pub fn traced(mut self, trace: bool) -> Run<'a> {
+        self.trace = trace;
+        self
+    }
+
+    /// Record metrics into this caller-owned handle, which a concurrent
+    /// observer may poll mid-run (in-process executors).
+    pub fn metered(mut self, metrics: Arc<RunMetrics>) -> Run<'a> {
+        self.live_metrics = Some(metrics);
+        self
+    }
+
+    /// Skip checking the product against the sequential reference.
+    pub fn unverified(mut self) -> Run<'a> {
+        self.unverified = true;
+        self
+    }
+
+    /// Whether the workload runner should verify the product.
+    pub fn verifies(&self) -> bool {
+        !self.unverified
     }
 }
 
-/// The thread executor a config asks for: an explicit
-/// `cfg.watchdog` wins, else the `NAVP_WATCHDOG_MS` environment
-/// variable, else the executor's built-in 10 s default.
-fn thread_executor(cfg: &MmConfig) -> ThreadExecutor {
-    let exec = ThreadExecutor::new().with_trace(cfg.trace);
-    if let Some(wd) = cfg.watchdog {
-        return exec.with_watchdog(wd);
+/// The run settings every workload config carries.
+#[derive(Clone, Copy, Debug)]
+pub struct RunCfg {
+    /// Record a trace (and derive its [`TraceReport`]).
+    pub trace: bool,
+    /// Record runtime metrics and return their snapshot.
+    pub metrics: bool,
+    /// No-progress watchdog of the wall-clock executors; `None` falls
+    /// back to `NAVP_WATCHDOG_MS`, then the executor default.
+    pub watchdog: Option<Duration>,
+}
+
+/// What [`run_cluster`] hands back, whatever the executor.
+#[derive(Default)]
+pub struct Ran {
+    /// Post-run node stores (index = PE).
+    pub stores: Vec<NodeStore>,
+    /// Modeled makespan in seconds (sim only).
+    pub virt_seconds: Option<f64>,
+    /// Wall-clock duration (threads and net).
+    pub wall: Option<Duration>,
+    /// Inter-PE hops.
+    pub transfers: u64,
+    /// Bytes those hops carried (wire bytes on the net).
+    pub bytes: u64,
+    /// The recorded trace, when one was asked for.
+    pub trace: Option<Trace>,
+    /// Metrics derived from that trace.
+    pub trace_report: Option<TraceReport>,
+    /// Fault-injection and recovery counters (NavP executors).
+    pub faults: Option<FaultStats>,
+    /// Per-PE network accounting (net only).
+    pub per_pe_net: Option<Vec<NetPeStats>>,
+    /// Metrics snapshot, when metrics were recorded.
+    pub metrics: Option<MetricsSnapshot>,
+}
+
+/// The one run path of every workload: take the cluster `build` makes
+/// (or, for [`Run::restore`], the one reassembled from disk), run it as
+/// `run` and `cfg` say, and return the executor-neutral results.
+/// `register` loads the workload's wire codecs, which restores, durable
+/// spills and the net executor need.
+pub fn run_cluster<E: From<RunError>>(
+    run: Run<'_>,
+    cfg: RunCfg,
+    register: fn(),
+    build: impl FnOnce() -> Result<Cluster, E>,
+) -> Result<Ran, E> {
+    if run.restore.is_some() || run.durable.is_some() || matches!(run.on, On::Net(_)) {
+        register();
     }
-    if let Some(ms) = std::env::var("NAVP_WATCHDOG_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        return exec.with_watchdog(Duration::from_millis(ms));
+    let mut cl = match run.restore {
+        Some(dir) => restore_from_dir(dir)?,
+        None => build()?,
+    };
+    if let Some(plan) = run.plan {
+        cl.set_fault_plan(plan);
     }
-    exec
+    let pes = cl.pes();
+    let trace = cfg.trace || run.trace;
+    let meter = || {
+        let live = run.live_metrics.clone();
+        live.or_else(|| cfg.metrics.then(|| RunMetrics::new(pes)))
+    };
+    let (mut ran, dropped) = match run.on {
+        On::Sim(cost) => {
+            let mut exec = SimExecutor::new(*cost);
+            if trace {
+                exec = exec.with_trace();
+            }
+            let met = meter();
+            if let Some(m) = &met {
+                exec = exec.with_metrics(Arc::clone(m));
+            }
+            if let Some(dir) = run.durable {
+                exec = exec.with_durable(dir, Arc::new(RegistryCodec::new()));
+            }
+            let rep = exec.run(cl)?;
+            let ran = Ran {
+                stores: rep.stores,
+                virt_seconds: Some(rep.makespan.as_secs_f64()),
+                transfers: rep.hops,
+                bytes: rep.hop_bytes,
+                trace: trace.then_some(rep.trace),
+                faults: Some(rep.faults),
+                metrics: met.map(|m| m.snapshot()),
+                ..Ran::default()
+            };
+            (ran, 0)
+        }
+        On::Threads => {
+            let mut exec = thread_executor(trace, cfg.watchdog);
+            let met = meter();
+            if let Some(m) = &met {
+                exec = exec.with_metrics(Arc::clone(m));
+            }
+            if let Some(dir) = run.durable {
+                exec = exec.with_durable(dir, Arc::new(RegistryCodec::new()));
+            }
+            let rep = exec.run(cl)?;
+            let ran = Ran {
+                stores: rep.stores,
+                wall: Some(rep.wall),
+                transfers: rep.hops,
+                bytes: rep.hop_bytes,
+                trace: rep.trace,
+                faults: Some(rep.faults),
+                metrics: met.map(|m| m.snapshot()),
+                ..Ran::default()
+            };
+            (ran, rep.trace_dropped)
+        }
+        On::Net(opts) => {
+            let rep = net_executor(opts, trace, cfg.metrics, cfg.watchdog).run(cl)?;
+            let ran = Ran {
+                stores: rep.stores,
+                wall: Some(rep.wall),
+                transfers: rep.hops,
+                bytes: rep.wire_bytes,
+                trace: rep.trace,
+                faults: Some(rep.faults),
+                per_pe_net: Some(rep.per_pe),
+                metrics: rep.metrics,
+                ..Ran::default()
+            };
+            (ran, rep.trace_dropped)
+        }
+    };
+    // A trace that dropped events is silently partial unless someone
+    // says so. (The count also lands in the report's summary line and
+    // the `navp_trace_dropped_events_total` counter.)
+    if dropped > 0 {
+        eprintln!(
+            "warning: trace buffer overflowed — {dropped} events dropped; \
+             the trace and its report are partial"
+        );
+    }
+    ran.trace_report = ran
+        .trace
+        .as_ref()
+        .map(|t| TraceReport::from_trace(t, pes, dropped));
+    Ok(ran)
+}
+
+/// The watchdog a run is under: the config's, else the
+/// `NAVP_WATCHDOG_MS` environment variable, else the executor's
+/// `default`. Garbage in the variable is ignored.
+fn resolve_watchdog(watchdog: Option<Duration>, default: Duration) -> Duration {
+    let env = || std::env::var("NAVP_WATCHDOG_MS").ok()?.trim().parse().ok();
+    let wd = watchdog.or_else(|| env().map(Duration::from_millis));
+    wd.unwrap_or(default)
+}
+
+/// The thread executor a run asks for.
+fn thread_executor(trace: bool, watchdog: Option<Duration>) -> ThreadExecutor {
+    let exec = ThreadExecutor::new().with_trace(trace);
+    let wd = resolve_watchdog(watchdog, exec.watchdog());
+    exec.with_watchdog(wd)
+}
+
+/// The networked executor a run asks for.
+fn net_executor(
+    opts: &NetOpts,
+    trace: bool,
+    metrics: bool,
+    watchdog: Option<Duration>,
+) -> NetExecutor {
+    let mut exec = NetExecutor::new()
+        .with_trace(trace)
+        .with_metrics(metrics)
+        .join_addrs(opts.join.clone())
+        .with_run_id(opts.run_id);
+    if let Some(bin) = &opts.pe_bin {
+        exec = exec.with_pe_bin(bin.clone());
+    }
+    if let Some(grace) = opts.grace {
+        exec = exec.with_grace(grace);
+    }
+    if let Some(dir) = &opts.durable_dir {
+        exec = exec.with_durable_dir(dir.clone());
+    }
+    if let Some(deadline) = opts.deadline {
+        exec = exec.with_deadline(deadline);
+    }
+    let wd = resolve_watchdog(watchdog, exec.watchdog());
+    exec.with_watchdog(wd)
 }
 
 /// Run the sequential baseline under the cost model (one virtual PE, so
 /// Table 2's paging behaviour is captured).
 pub fn run_seq_sim(cfg: &MmConfig, cost: &CostModel) -> Result<RunOutput, RunnerError> {
-    let (a, b) = cfg.operands()?;
-    let cl = seq::cluster(cfg, &a, &b)?;
-    let mut rep = SimExecutor::new(*cost).run(cl)?;
-    let c = collect_c(&mut rep.stores, cfg, |_, _| 0)?;
-    let verified = verify(cfg, &c)?;
-    Ok(RunOutput {
-        virt_seconds: Some(rep.makespan.as_secs_f64()),
-        wall: None,
-        c,
-        verified,
-        transfers: rep.hops,
-        bytes: rep.hop_bytes,
-        trace: None,
-        trace_report: None,
-        faults: Some(rep.faults),
-        per_pe_net: None,
-        metrics: None,
-    })
+    let build = || {
+        let (a, b) = cfg.operands()?;
+        Ok(seq::cluster(cfg, &a, &b)?)
+    };
+    run_mm(cfg, |_, _| 0, Run::on(On::Sim(cost)), build)
 }
 
 /// Run a NavP stage under the virtual-time executor.
@@ -311,7 +570,7 @@ pub fn run_navp_sim(
     cost: &CostModel,
     with_trace: bool,
 ) -> Result<RunOutput, RunnerError> {
-    run_navp_sim_inner(stage, cfg, grid, cost, with_trace, None)
+    run_navp(stage, cfg, grid, Run::on(On::Sim(cost)).traced(with_trace))
 }
 
 /// As [`run_navp_sim`], with `plan`'s faults injected during the run.
@@ -324,47 +583,7 @@ pub fn run_navp_sim_faulted(
     cost: &CostModel,
     plan: FaultPlan,
 ) -> Result<RunOutput, RunnerError> {
-    run_navp_sim_inner(stage, cfg, grid, cost, false, Some(plan))
-}
-
-fn run_navp_sim_inner(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    cost: &CostModel,
-    with_trace: bool,
-    plan: Option<FaultPlan>,
-) -> Result<RunOutput, RunnerError> {
-    let (mut cl, own) = navp_cluster(stage, cfg, grid)?;
-    if let Some(plan) = plan {
-        cl.set_fault_plan(plan);
-    }
-    let mut exec = SimExecutor::new(*cost);
-    if with_trace {
-        exec = exec.with_trace();
-    }
-    let met = cfg
-        .metrics
-        .then(|| RunMetrics::new(grid.rows * grid.cols));
-    if let Some(m) = &met {
-        exec = exec.with_metrics(Arc::clone(m));
-    }
-    let mut rep = exec.run(cl)?;
-    let c = collect_c(&mut rep.stores, cfg, own)?;
-    let verified = verify(cfg, &c)?;
-    Ok(RunOutput {
-        virt_seconds: Some(rep.makespan.as_secs_f64()),
-        wall: None,
-        c,
-        verified,
-        transfers: rep.hops,
-        bytes: rep.hop_bytes,
-        trace: with_trace.then_some(rep.trace),
-        trace_report: None,
-        faults: Some(rep.faults),
-        per_pe_net: None,
-        metrics: met.map(|m| m.snapshot()),
-    })
+    run_navp(stage, cfg, grid, Run::on(On::Sim(cost)).plan(Some(plan)))
 }
 
 /// Run a NavP stage on real threads (wall-clock).
@@ -373,7 +592,7 @@ pub fn run_navp_threads(
     cfg: &MmConfig,
     grid: Grid2D,
 ) -> Result<RunOutput, RunnerError> {
-    run_navp_threads_inner(stage, cfg, grid, true, None)
+    run_navp(stage, cfg, grid, Run::on(On::Threads))
 }
 
 /// As [`run_navp_threads`] but without result verification — for
@@ -384,7 +603,7 @@ pub fn run_navp_threads_unverified(
     cfg: &MmConfig,
     grid: Grid2D,
 ) -> Result<RunOutput, RunnerError> {
-    run_navp_threads_inner(stage, cfg, grid, false, None)
+    run_navp(stage, cfg, grid, Run::on(On::Threads).unverified())
 }
 
 /// As [`run_navp_threads`], with `plan`'s faults injected during the
@@ -396,7 +615,7 @@ pub fn run_navp_threads_faulted(
     grid: Grid2D,
     plan: FaultPlan,
 ) -> Result<RunOutput, RunnerError> {
-    run_navp_threads_inner(stage, cfg, grid, true, Some(plan))
+    run_navp(stage, cfg, grid, Run::on(On::Threads).plan(Some(plan)))
 }
 
 /// As [`run_navp_threads`], recording runtime metrics into the
@@ -410,72 +629,7 @@ pub fn run_navp_threads_metered(
     grid: Grid2D,
     metrics: Arc<RunMetrics>,
 ) -> Result<RunOutput, RunnerError> {
-    run_navp_threads_with(stage, cfg, grid, true, None, Some(metrics))
-}
-
-fn run_navp_threads_inner(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    check: bool,
-    plan: Option<FaultPlan>,
-) -> Result<RunOutput, RunnerError> {
-    let met = cfg
-        .metrics
-        .then(|| RunMetrics::new(grid.rows * grid.cols));
-    run_navp_threads_with(stage, cfg, grid, check, plan, met)
-}
-
-fn run_navp_threads_with(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    check: bool,
-    plan: Option<FaultPlan>,
-    met: Option<Arc<RunMetrics>>,
-) -> Result<RunOutput, RunnerError> {
-    let (mut cl, own) = navp_cluster(stage, cfg, grid)?;
-    if let Some(plan) = plan {
-        cl.set_fault_plan(plan);
-    }
-    let mut exec = thread_executor(cfg);
-    if let Some(m) = &met {
-        exec = exec.with_metrics(Arc::clone(m));
-    }
-    let mut rep = exec.run(cl)?;
-    let c = collect_c(&mut rep.stores, cfg, own)?;
-    let verified = if check { verify(cfg, &c)? } else { None };
-    let trace = rep.trace.take();
-    warn_trace_dropped(rep.trace_dropped);
-    let trace_report = trace
-        .as_ref()
-        .map(|t| TraceReport::from_trace(t, grid.rows * grid.cols, rep.trace_dropped));
-    Ok(RunOutput {
-        virt_seconds: None,
-        wall: Some(rep.wall),
-        c,
-        verified,
-        transfers: rep.hops,
-        bytes: rep.hop_bytes,
-        trace,
-        trace_report,
-        faults: Some(rep.faults),
-        per_pe_net: None,
-        metrics: met.map(|m| m.snapshot()),
-    })
-}
-
-/// A trace that dropped events is silently partial unless someone says
-/// so: warn on stderr whenever a wall-clock run overflowed its ring.
-/// (The dropped count also lands in the [`TraceReport`] summary line
-/// and the `navp_trace_dropped_events_total` counter.)
-fn warn_trace_dropped(dropped: u64) {
-    if dropped > 0 {
-        eprintln!(
-            "warning: trace buffer overflowed — {dropped} events dropped; \
-             the trace and its report are partial"
-        );
-    }
+    run_navp(stage, cfg, grid, Run::on(On::Threads).metered(metrics))
 }
 
 /// Options for networked (multi-process) runs.
@@ -504,7 +658,7 @@ pub struct NetOpts {
     /// anonymous single-run namespace.
     pub run_id: u64,
     /// Wall-clock budget for the whole run; exceeded →
-    /// [`RunError`](navp::RunError)`::DeadlineExceeded`. `None`
+    /// [`RunError`]`::DeadlineExceeded`. `None`
     /// (default) = unbounded.
     pub deadline: Option<Duration>,
 }
@@ -529,43 +683,6 @@ impl NetOpts {
     }
 }
 
-/// The networked executor a config asks for, with the same watchdog
-/// resolution as [`run_navp_threads`]: explicit `cfg.watchdog`, else
-/// `NAVP_WATCHDOG_MS`, else the executor default.
-fn net_executor(cfg: &MmConfig, opts: &NetOpts) -> NetExecutor {
-    let mut exec = NetExecutor::new()
-        .with_trace(cfg.trace)
-        .with_metrics(cfg.metrics);
-    if let Some(bin) = &opts.pe_bin {
-        exec = exec.with_pe_bin(bin.clone());
-    }
-    if !opts.join.is_empty() {
-        exec = exec.join_addrs(opts.join.clone());
-    }
-    if let Some(grace) = opts.grace {
-        exec = exec.with_grace(grace);
-    }
-    if let Some(dir) = &opts.durable_dir {
-        exec = exec.with_durable_dir(dir.clone());
-    }
-    if opts.run_id != 0 {
-        exec = exec.with_run_id(opts.run_id);
-    }
-    if let Some(deadline) = opts.deadline {
-        exec = exec.with_deadline(deadline);
-    }
-    if let Some(wd) = cfg.watchdog {
-        return exec.with_watchdog(wd);
-    }
-    if let Some(ms) = std::env::var("NAVP_WATCHDOG_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        return exec.with_watchdog(Duration::from_millis(ms));
-    }
-    exec
-}
-
 /// Run a NavP stage across real OS processes over TCP (wall-clock).
 ///
 /// The cluster is built exactly as for [`run_navp_threads`]; the only
@@ -577,7 +694,7 @@ pub fn run_navp_net(
     grid: Grid2D,
     opts: &NetOpts,
 ) -> Result<RunOutput, RunnerError> {
-    run_navp_net_inner(stage, cfg, grid, opts, None)
+    run_navp(stage, cfg, grid, Run::on(On::Net(opts)))
 }
 
 /// As [`run_navp_net`], with `plan`'s faults mapped onto the real
@@ -590,42 +707,7 @@ pub fn run_navp_net_faulted(
     opts: &NetOpts,
     plan: FaultPlan,
 ) -> Result<RunOutput, RunnerError> {
-    run_navp_net_inner(stage, cfg, grid, opts, Some(plan))
-}
-
-fn run_navp_net_inner(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    opts: &NetOpts,
-    plan: Option<FaultPlan>,
-) -> Result<RunOutput, RunnerError> {
-    crate::net::register_net();
-    let (mut cl, own) = navp_cluster(stage, cfg, grid)?;
-    if let Some(plan) = plan {
-        cl.set_fault_plan(plan);
-    }
-    let mut rep = net_executor(cfg, opts).run(cl)?;
-    let c = collect_c(&mut rep.stores, cfg, own)?;
-    let verified = verify(cfg, &c)?;
-    let trace = rep.trace.take();
-    warn_trace_dropped(rep.trace_dropped);
-    let trace_report = trace
-        .as_ref()
-        .map(|t| TraceReport::from_trace(t, grid.rows * grid.cols, rep.trace_dropped));
-    Ok(RunOutput {
-        virt_seconds: None,
-        wall: Some(rep.wall),
-        c,
-        verified,
-        transfers: rep.hops,
-        bytes: rep.wire_bytes,
-        trace,
-        trace_report,
-        faults: Some(rep.faults),
-        per_pe_net: Some(rep.per_pe),
-        metrics: rep.metrics.take(),
-    })
+    run_navp(stage, cfg, grid, Run::on(On::Net(opts)).plan(Some(plan)))
 }
 
 /// As [`run_navp_sim`], spilling a durable checkpoint of the whole
@@ -641,28 +723,8 @@ pub fn run_navp_sim_durable(
     dir: impl Into<PathBuf>,
     plan: Option<FaultPlan>,
 ) -> Result<RunOutput, RunnerError> {
-    let (mut cl, own) = navp_cluster(stage, cfg, grid)?;
-    if let Some(plan) = plan {
-        cl.set_fault_plan(plan);
-    }
-    let mut rep = SimExecutor::new(*cost)
-        .with_durable(dir, durable_codec())
-        .run(cl)?;
-    let c = collect_c(&mut rep.stores, cfg, own)?;
-    let verified = verify(cfg, &c)?;
-    Ok(RunOutput {
-        virt_seconds: Some(rep.makespan.as_secs_f64()),
-        wall: None,
-        c,
-        verified,
-        transfers: rep.hops,
-        bytes: rep.hop_bytes,
-        trace: None,
-        trace_report: None,
-        faults: Some(rep.faults),
-        per_pe_net: None,
-        metrics: None,
-    })
+    let run = Run::on(On::Sim(cost)).durable(dir.into()).plan(plan);
+    run_navp(stage, cfg, grid, run)
 }
 
 /// As [`run_navp_threads`], with durable checkpoints (see
@@ -674,28 +736,8 @@ pub fn run_navp_threads_durable(
     dir: impl Into<PathBuf>,
     plan: Option<FaultPlan>,
 ) -> Result<RunOutput, RunnerError> {
-    let (mut cl, own) = navp_cluster(stage, cfg, grid)?;
-    if let Some(plan) = plan {
-        cl.set_fault_plan(plan);
-    }
-    let mut rep = thread_executor(cfg)
-        .with_durable(dir, durable_codec())
-        .run(cl)?;
-    let c = collect_c(&mut rep.stores, cfg, own)?;
-    let verified = verify(cfg, &c)?;
-    Ok(RunOutput {
-        virt_seconds: None,
-        wall: Some(rep.wall),
-        c,
-        verified,
-        transfers: rep.hops,
-        bytes: rep.hop_bytes,
-        trace: None,
-        trace_report: None,
-        faults: Some(rep.faults),
-        per_pe_net: None,
-        metrics: None,
-    })
+    let run = Run::on(On::Threads).durable(dir.into()).plan(plan);
+    run_navp(stage, cfg, grid, run)
 }
 
 /// Restore an interrupted durable run of `stage` from its checkpoint
@@ -712,25 +754,7 @@ pub fn run_restored_sim(
     cost: &CostModel,
     dir: &Path,
 ) -> Result<RunOutput, RunnerError> {
-    crate::net::register_net();
-    let own = navp_owner(stage, cfg, grid)?;
-    let cl = restore_from_dir(dir)?;
-    let mut rep = SimExecutor::new(*cost).run(cl)?;
-    let c = collect_c(&mut rep.stores, cfg, own)?;
-    let verified = verify(cfg, &c)?;
-    Ok(RunOutput {
-        virt_seconds: Some(rep.makespan.as_secs_f64()),
-        wall: None,
-        c,
-        verified,
-        transfers: rep.hops,
-        bytes: rep.hop_bytes,
-        trace: None,
-        trace_report: None,
-        faults: Some(rep.faults),
-        per_pe_net: None,
-        metrics: None,
-    })
+    run_navp(stage, cfg, grid, Run::on(On::Sim(cost)).restore(dir))
 }
 
 /// As [`run_restored_sim`], finishing on real threads.
@@ -740,25 +764,7 @@ pub fn run_restored_threads(
     grid: Grid2D,
     dir: &Path,
 ) -> Result<RunOutput, RunnerError> {
-    crate::net::register_net();
-    let own = navp_owner(stage, cfg, grid)?;
-    let cl = restore_from_dir(dir)?;
-    let mut rep = thread_executor(cfg).run(cl)?;
-    let c = collect_c(&mut rep.stores, cfg, own)?;
-    let verified = verify(cfg, &c)?;
-    Ok(RunOutput {
-        virt_seconds: None,
-        wall: Some(rep.wall),
-        c,
-        verified,
-        transfers: rep.hops,
-        bytes: rep.hop_bytes,
-        trace: None,
-        trace_report: None,
-        faults: Some(rep.faults),
-        per_pe_net: None,
-        metrics: None,
-    })
+    run_navp(stage, cfg, grid, Run::on(On::Threads).restore(dir))
 }
 
 /// As [`run_restored_sim`], finishing across real OS processes. Set
@@ -772,30 +778,7 @@ pub fn run_restored_net(
     opts: &NetOpts,
     dir: &Path,
 ) -> Result<RunOutput, RunnerError> {
-    crate::net::register_net();
-    let own = navp_owner(stage, cfg, grid)?;
-    let cl = restore_from_dir(dir)?;
-    let mut rep = net_executor(cfg, opts).run(cl)?;
-    let c = collect_c(&mut rep.stores, cfg, own)?;
-    let verified = verify(cfg, &c)?;
-    let trace = rep.trace.take();
-    warn_trace_dropped(rep.trace_dropped);
-    let trace_report = trace
-        .as_ref()
-        .map(|t| TraceReport::from_trace(t, grid.rows * grid.cols, rep.trace_dropped));
-    Ok(RunOutput {
-        virt_seconds: None,
-        wall: Some(rep.wall),
-        c,
-        verified,
-        transfers: rep.hops,
-        bytes: rep.wire_bytes,
-        trace,
-        trace_report,
-        faults: Some(rep.faults),
-        per_pe_net: Some(rep.per_pe),
-        metrics: rep.metrics.take(),
-    })
+    run_navp(stage, cfg, grid, Run::on(On::Net(opts)).restore(dir))
 }
 
 /// Run a message-passing baseline under the virtual-time executor.
@@ -805,31 +788,7 @@ pub fn run_mp_sim(
     grid: Grid2D,
     cost: &CostModel,
 ) -> Result<RunOutput, RunnerError> {
-    let (a, b) = cfg.operands()?;
-    let cl = match alg {
-        MpAlg::Gentleman(opts) => gentleman::cluster(cfg, grid, opts, &a, &b)?,
-        MpAlg::Summa => summa::cluster(cfg, grid, &a, &b)?,
-    };
-    let mut rep = MpSimExecutor::new(*cost).run(cl)?;
-    let own: Box<dyn Fn(usize, usize) -> usize> = match alg {
-        MpAlg::Gentleman(_) => Box::new(gentleman::owner(cfg, grid)),
-        MpAlg::Summa => Box::new(summa::owner(cfg, grid)),
-    };
-    let c = collect_c(&mut rep.stores, cfg, own)?;
-    let verified = verify(cfg, &c)?;
-    Ok(RunOutput {
-        virt_seconds: Some(rep.makespan.as_secs_f64()),
-        wall: None,
-        c,
-        verified,
-        transfers: rep.messages,
-        bytes: rep.message_bytes,
-        trace: None,
-        trace_report: None,
-        faults: None,
-        per_pe_net: None,
-        metrics: None,
-    })
+    run_mp(alg, cfg, grid, Some(cost))
 }
 
 /// Run a message-passing baseline on real threads (wall-clock).
@@ -838,50 +797,49 @@ pub fn run_mp_threads(
     cfg: &MmConfig,
     grid: Grid2D,
 ) -> Result<RunOutput, RunnerError> {
-    run_mp_threads_inner(alg, cfg, grid, true)
+    run_mp(alg, cfg, grid, None)
 }
 
-/// As [`run_mp_threads`] but without result verification (see
-/// [`run_navp_threads_unverified`]).
-pub fn run_mp_threads_unverified(
+/// A message-passing baseline on the virtual-time executor under
+/// `cost`, or on real threads without one.
+fn run_mp(
     alg: MpAlg,
     cfg: &MmConfig,
     grid: Grid2D,
-) -> Result<RunOutput, RunnerError> {
-    run_mp_threads_inner(alg, cfg, grid, false)
-}
-
-fn run_mp_threads_inner(
-    alg: MpAlg,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    check: bool,
+    cost: Option<&CostModel>,
 ) -> Result<RunOutput, RunnerError> {
     let (a, b) = cfg.operands()?;
-    let cl = match alg {
-        MpAlg::Gentleman(opts) => gentleman::cluster(cfg, grid, opts, &a, &b)?,
-        MpAlg::Summa => summa::cluster(cfg, grid, &a, &b)?,
+    let (cl, own): (_, OwnerFn) = match alg {
+        MpAlg::Gentleman(opts) => (
+            gentleman::cluster(cfg, grid, opts, &a, &b)?,
+            Box::new(gentleman::owner(cfg, grid)),
+        ),
+        MpAlg::Summa => (
+            summa::cluster(cfg, grid, &a, &b)?,
+            Box::new(summa::owner(cfg, grid)),
+        ),
     };
-    let mut rep = MpThreadExecutor::new().run(cl)?;
-    let own: Box<dyn Fn(usize, usize) -> usize> = match alg {
-        MpAlg::Gentleman(_) => Box::new(gentleman::owner(cfg, grid)),
-        MpAlg::Summa => Box::new(summa::owner(cfg, grid)),
+    let ran = match cost {
+        Some(cost) => {
+            let rep = MpSimExecutor::new(*cost).run(cl)?;
+            Ran {
+                stores: rep.stores,
+                virt_seconds: Some(rep.makespan.as_secs_f64()),
+                transfers: rep.messages,
+                bytes: rep.message_bytes,
+                ..Ran::default()
+            }
+        }
+        None => {
+            let rep = MpThreadExecutor::new().run(cl)?;
+            Ran {
+                stores: rep.stores,
+                wall: Some(rep.wall),
+                ..Ran::default()
+            }
+        }
     };
-    let c = collect_c(&mut rep.stores, cfg, own)?;
-    let verified = if check { verify(cfg, &c)? } else { None };
-    Ok(RunOutput {
-        virt_seconds: None,
-        wall: Some(rep.wall),
-        c,
-        verified,
-        transfers: 0,
-        bytes: 0,
-        trace: None,
-        trace_report: None,
-        faults: None,
-        per_pe_net: None,
-        metrics: None,
-    })
+    output(cfg, ran, own, true)
 }
 
 #[cfg(test)]
@@ -939,31 +897,39 @@ mod tests {
 
     #[test]
     fn watchdog_resolution_order_is_config_env_default() {
-        // An explicit config wins unconditionally.
-        let explicit = MmConfig::real(8, 2).with_watchdog(Duration::from_millis(1234));
-        assert_eq!(
-            thread_executor(&explicit).watchdog(),
-            Duration::from_millis(1234)
-        );
-        // The env var fills in when the config is silent. (Runner tests
-        // are the only readers of this variable in this test binary, so
-        // the set/remove pair cannot race another test.)
-        std::env::set_var("NAVP_WATCHDOG_MS", "777");
+        // Both wall-clock executors resolve through the one resolver: an
+        // explicit config wins unconditionally, then the env var, then
+        // the executor default.
+        type Resolve = fn(Option<Duration>) -> Duration;
+        let threads: Resolve = |wd| thread_executor(false, wd).watchdog();
+        let net: Resolve = |wd| net_executor(&NetOpts::default(), false, false, wd).watchdog();
+        let ms = Duration::from_millis;
+        let explicit = MmConfig::real(8, 2).with_watchdog(ms(1234));
         let silent = MmConfig::real(8, 2);
-        assert_eq!(thread_executor(&silent).watchdog(), Duration::from_millis(777));
-        assert_eq!(
-            thread_executor(&explicit).watchdog(),
-            Duration::from_millis(1234),
-            "config still wins over env"
-        );
-        std::env::set_var("NAVP_WATCHDOG_MS", "not-a-number");
-        assert_eq!(
-            thread_executor(&silent).watchdog(),
-            ThreadExecutor::new().watchdog(),
-            "garbage env falls back to the executor default"
-        );
-        std::env::remove_var("NAVP_WATCHDOG_MS");
-        assert_eq!(thread_executor(&silent).watchdog(), ThreadExecutor::new().watchdog());
+        for (name, resolve, default) in [
+            ("threads", threads, ThreadExecutor::new().watchdog()),
+            ("net", net, NetExecutor::new().watchdog()),
+        ] {
+            assert_eq!(resolve(explicit.watchdog), ms(1234), "{name}");
+            // The env var fills in when the config is silent. (Runner
+            // tests are the only readers of this variable in this test
+            // binary, so the set/remove pair cannot race another test.)
+            std::env::set_var("NAVP_WATCHDOG_MS", "777");
+            assert_eq!(resolve(silent.watchdog), ms(777), "{name}");
+            assert_eq!(
+                resolve(explicit.watchdog),
+                ms(1234),
+                "{name}: config still wins over env"
+            );
+            std::env::set_var("NAVP_WATCHDOG_MS", "not-a-number");
+            assert_eq!(
+                resolve(silent.watchdog),
+                default,
+                "{name}: garbage env falls back to the executor default"
+            );
+            std::env::remove_var("NAVP_WATCHDOG_MS");
+            assert_eq!(resolve(silent.watchdog), default, "{name}");
+        }
     }
 
     #[test]

@@ -217,6 +217,11 @@ impl NetExecutor {
         self
     }
 
+    /// The configured no-progress watchdog window.
+    pub fn watchdog(&self) -> Duration {
+        self.watchdog
+    }
+
     /// Record a wall-clock trace on every PE and merge it into
     /// [`NetReport::trace`]. Off by default: untraced runs carry zero
     /// tracing cost beyond a flag test per recording site.
@@ -282,22 +287,13 @@ impl NetExecutor {
             events[event_home(key, pes)].push(*key);
         }
 
-        // A cluster without an explicit plan accepts one from the
-        // `NAVP_FAULT_SPEC` environment (repro files paste in verbatim);
-        // a malformed spec is a loud error, not a silently clean run.
-        let fault_plan = match parts.fault_plan {
-            Some(p) => Some(p),
-            None => {
-                navp::FaultPlan::from_env().map_err(|detail| RunError::Transport { detail })?
-            }
-        };
-        // Durable runs need the recovery machinery on every PE even
-        // without faults, and a fresh session manifest on disk before
-        // any process can spill against it.
-        let fault_plan = match fault_plan {
-            None if self.durable_dir.is_some() => Some(navp::FaultPlan::new()),
-            other => other,
-        };
+        // The same plan rule as in process. Durable runs need the
+        // recovery machinery on every PE even without faults, and a
+        // fresh session manifest on disk before any process can spill
+        // against it.
+        let durable = self.durable_dir.is_some();
+        let fault_plan =
+            navp::FaultPlan::resolve(parts.fault_plan, navp::FaultPlan::from_env, durable)?;
         if let Some(dir) = &self.durable_dir {
             navp::durable::write_manifest(
                 &navp::durable::run_dir(dir, self.run_id),

@@ -562,6 +562,9 @@ impl PeIo for NetIo {
             };
             self.queue_send(home, frame)?;
         }
+        if let Some(r) = self.recovery.as_mut() {
+            r.forget(id);
+        }
         Ok(None)
     }
 

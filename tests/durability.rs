@@ -113,6 +113,30 @@ fn threads_killed_runs_restore_bitwise_from_disk() {
     }
 }
 
+/// A durable run goes down the same path as a plain one, so it honours
+/// `cfg.metrics` the same way: it returns a snapshot, and its hop count
+/// is the plain run's.
+#[test]
+fn durable_threads_run_reports_the_same_metrics_as_a_plain_run() {
+    let cfg = MmConfig::real(12, 2)
+        .with_watchdog(Duration::from_secs(60))
+        .with_metrics(true);
+    let stage = NavpStage::Pipe2D;
+    let grid = grid_for(stage);
+    let plain = run_navp_threads(stage, &cfg, grid).expect("plain run");
+    let dir = tmp("metered");
+    let durable = run_navp_threads_durable(stage, &cfg, grid, &dir, None).expect("durable run");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(durable.verified, Some(true));
+    let hops = |out: &navp_repro::navp_mm::RunOutput| {
+        let snap = out.metrics.as_ref().expect("metrics snapshot");
+        snap.total("navp_hops_total")
+    };
+    assert!(hops(&plain) > 0.0);
+    assert_eq!(hops(&durable), hops(&plain));
+    assert_eq!(hops(&durable), durable.transfers as f64);
+}
+
 /// A sim run interrupted mid-flight restores and finishes on *threads*
 /// (and vice versa): the cut format is executor-agnostic.
 #[test]
