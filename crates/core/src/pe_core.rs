@@ -23,8 +23,18 @@
 //! The fault/checkpoint state lives in [`Recovery`] (one per cluster in
 //! process, one per PE process on the net); the counting event service
 //! is an [`EventTable`]; a durable spill goes through [`Spill`].
+//!
+//! Around the run loop, each executor is set up and torn down the same
+//! way. [`Setup::new`] turns the PEs a process hosts (the whole cluster
+//! in process, one PE on the net) into cores, their recovery state and
+//! event service, admits the time-zero injections and spills the
+//! boundary-0 cut; the executor only decides what to do with each
+//! admitted messenger. `teardown` gives the cores back as stores, one
+//! summed [`Tally`] and the span logs. Every executor is configured by
+//! one [`RunOpts`].
 
 use crate::agent::{Effect, Messenger, MsgrCtx, StepOutputs, WireSnapshot};
+use crate::cluster::Cluster;
 use crate::durable::{self, DurableCodec, DurableCut, Manifest, ParkedWaiter};
 use crate::error::RunError;
 use crate::fault::{FaultPlan, FaultStats, FaultTracker, HopFault};
@@ -35,9 +45,9 @@ use navp_sim::key::{EventKey, NodeId};
 use navp_sim::store::NodeStore;
 use navp_sim::VTime;
 use navp_trace::recorder::DEFAULT_CAPACITY;
-use navp_trace::{PeRecorder, TraceKind};
+use navp_trace::{PeLog, PeRecorder, TraceKind};
 use std::collections::{HashMap, VecDeque};
-use std::ops::DerefMut;
+use std::ops::{DerefMut, Range};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -119,6 +129,8 @@ pub struct Recovery {
     /// Pristine pre-run stores; a crashed PE's store is rebuilt as
     /// `initial + journal replay`. Empty for PEs hosted elsewhere.
     initial: Vec<NodeStore>,
+    /// The PEs this process hosts.
+    hosted: Range<NodeId>,
     /// Per-PE delivery epoch, bumped on each crash of that PE. Executors
     /// whose deliveries can race a crash stamp them with it.
     pub(crate) epochs: Vec<u64>,
@@ -148,23 +160,11 @@ impl Recovery {
             ckpt: CheckpointTable::new(),
             journals: (0..pes).map(|_| WriteJournal::new()).collect(),
             initial,
+            hosted: first..first + stores.len(),
             epochs: vec![0; pes],
             stats: FaultStats::default(),
             metrics,
         }
-    }
-
-    /// The recovery state an in-process run over `stores` needs, if
-    /// any: one exactly when [`FaultPlan::resolve`] yields a plan.
-    pub fn for_run(
-        plan: Option<FaultPlan>,
-        durable: bool,
-        stores: &mut [NodeStore],
-        metrics: &Option<Arc<RunMetrics>>,
-    ) -> Result<Option<Recovery>, RunError> {
-        let plan = FaultPlan::resolve(plan, FaultPlan::from_env, durable)?;
-        let pes = stores.len();
-        Ok(plan.map(|plan| Recovery::new(plan, pes, 0, stores, metrics.clone())))
     }
 
     /// What the fault machinery did so far.
@@ -424,15 +424,27 @@ impl<M: Parkable> EventTable<M> {
     }
 }
 
-/// A durable spill target: directory, codec, session nonce, and the
-/// monotone boundary counter stamped into each cut.
-pub struct Spill {
+/// Where a durable run spills its cuts.
+pub struct Durable {
     /// Directory holding the manifest and the `pe-<k>.ckpt` cuts.
     pub dir: PathBuf,
     /// Store and messenger codec.
     pub codec: Arc<dyn DurableCodec>,
+    /// Start a session by writing a fresh manifest (in process), or
+    /// join the session whose manifest a driver already wrote (a net
+    /// PE).
+    pub create: bool,
+}
+
+/// A durable spill session: directory, codec, session nonce, and the
+/// monotone boundary counter stamped into each cut.
+pub struct Spill {
+    /// Directory holding the manifest and the `pe-<k>.ckpt` cuts.
+    dir: PathBuf,
+    /// Store and messenger codec.
+    codec: Arc<dyn DurableCodec>,
     /// Session nonce (matches the directory's manifest).
-    pub nonce: u64,
+    nonce: u64,
     /// Spills so far.
     pub boundary: u64,
 }
@@ -444,18 +456,30 @@ fn spill_err(pe: NodeId, e: durable::DurableError) -> RunError {
 }
 
 impl Spill {
-    /// A fresh session in `dir` for a `pes`-PE cluster: writes the
-    /// manifest with a new nonce.
-    pub fn create(
-        dir: PathBuf,
-        codec: Arc<dyn DurableCodec>,
-        pes: usize,
-    ) -> Result<Spill, RunError> {
-        let nonce = durable::fresh_nonce();
-        durable::write_manifest(&dir, &Manifest { pes, nonce }).map_err(|e| spill_err(0, e))?;
+    /// The session in `d.dir` for a `pes`-PE cluster: a fresh manifest
+    /// with a new nonce, or the nonce of the manifest already there,
+    /// which must declare `pes` PEs. Errors name PE `pe`.
+    fn open(d: &Durable, pes: usize, pe: NodeId) -> Result<Spill, RunError> {
+        let nonce = if d.create {
+            let nonce = durable::fresh_nonce();
+            durable::write_manifest(&d.dir, &Manifest { pes, nonce })
+                .map_err(|e| spill_err(pe, e))?;
+            nonce
+        } else {
+            let m = durable::read_manifest(&d.dir).map_err(|e| spill_err(pe, e))?;
+            if m.pes != pes {
+                return Err(RunError::Transport {
+                    detail: format!(
+                        "PE {pe}: durable manifest declares {} PEs, cluster has {pes}",
+                        m.pes
+                    ),
+                });
+            }
+            m.nonce
+        };
         Ok(Spill {
-            dir,
-            codec,
+            dir: d.dir.clone(),
+            codec: Arc::clone(&d.codec),
             nonce,
             boundary: 0,
         })
@@ -490,7 +514,8 @@ impl Spill {
         .map_err(|e| spill_err(pe, e))
     }
 
-    /// Write `cut` atomically and count it.
+    /// Write `cut` atomically and count it; flight events go to `lane`
+    /// under run namespace `run`.
     pub fn write(
         &self,
         rec: &Recovery,
@@ -508,22 +533,23 @@ impl Spill {
         Ok(())
     }
 
-    /// Spill the whole in-process cluster's consistent cut at a run
-    /// boundary, where the recovery invariants hold: every committed
-    /// store is `initial + journal`, every live messenger is in the
-    /// checkpoint table, and the event table holds the parked waiters.
-    /// The event section rides in PE 0's cut (restore replays every
-    /// cut's events, and each waiter records its own origin).
+    /// Spill the consistent cut of every hosted PE at a run boundary,
+    /// where the recovery invariants hold: every committed store is
+    /// `initial + journal`, every live messenger is in the checkpoint
+    /// table, and the event table holds the parked waiters. The event
+    /// section rides in the first hosted PE's cut (restore replays
+    /// every cut's events, and each waiter records its own origin).
     pub fn spill_all<M: Parkable>(
         &mut self,
         rec: &Recovery,
         events: &EventTable<M>,
         lane: &Lane,
+        run: u64,
     ) -> Result<(), RunError> {
         self.boundary += 1;
-        for pe in 0..rec.initial.len() {
-            let cut = self.cut(rec, pe, (pe == 0).then_some(events))?;
-            self.write(rec, &cut, lane, 0)?;
+        for pe in rec.hosted.clone() {
+            let cut = self.cut(rec, pe, (pe == rec.hosted.start).then_some(events))?;
+            self.write(rec, &cut, lane, run)?;
         }
         Ok(())
     }
@@ -629,6 +655,19 @@ pub struct Tally {
     pub finished: u64,
 }
 
+impl std::iter::Sum for Tally {
+    fn sum<I: Iterator<Item = Tally>>(iter: I) -> Tally {
+        iter.fold(Tally::default(), |a, b| Tally {
+            steps: a.steps + b.steps,
+            hops: a.hops + b.hops,
+            hop_bytes: a.hop_bytes + b.hop_bytes,
+            hop_payload: a.hop_payload + b.hop_payload,
+            spawned: a.spawned + b.spawned,
+            finished: a.finished + b.finished,
+        })
+    }
+}
+
 /// One PE: its node store, its slice of the metric set, its flight lane
 /// and span recorder, and the run loop.
 pub struct PeCore {
@@ -701,11 +740,6 @@ impl PeCore {
     /// This PE's span recorder.
     pub fn recorder(&mut self) -> &mut PeRecorder {
         &mut self.recorder
-    }
-
-    /// Give up the store and recorder at the end of a run.
-    pub fn into_parts(self) -> (NodeStore, PeRecorder) {
-        (self.store, self.recorder)
     }
 
     /// Record a flight event of this PE's run.
@@ -919,6 +953,167 @@ impl PeCore {
         }
         Ok(true)
     }
+}
+
+/// What every executor runs under: span tracing, live metrics and a
+/// durable spill target.
+#[derive(Default)]
+pub struct RunOpts {
+    /// Record a trace: wall-clock spans on the thread and net
+    /// executors, the virtual-time trace on the simulator.
+    pub trace: bool,
+    /// Export live metrics into this set.
+    pub metrics: Option<Arc<RunMetrics>>,
+    /// Spill a durable cut at every run boundary.
+    pub durable: Option<Durable>,
+}
+
+/// The PEs one process hosts for a run: PEs `first..first +
+/// stores.len()` of a `pes`-PE cluster.
+pub struct Host {
+    /// Cluster width.
+    pub pes: usize,
+    /// The first hosted PE.
+    pub first: NodeId,
+    /// The hosted PEs' stores, in PE order.
+    pub stores: Vec<NodeStore>,
+    /// Time-zero injections `(pe, id, messenger)`, in admission order.
+    pub injections: Vec<(NodeId, u64, Box<dyn Messenger>)>,
+    /// Pre-signalled events to bank in the hosted event service.
+    pub events: Vec<EventKey>,
+    /// Run namespace stamped into flight events (0 in process).
+    pub run: u64,
+    /// The span clock every hosted core shares; `None` records no
+    /// wall-clock spans.
+    pub anchor: Option<Instant>,
+}
+
+/// The flight lane of PE `pe` on the thread and net executors.
+pub fn pe_lane(pe: NodeId) -> Arc<Lane> {
+    navp_obs::flight().lane(&format!("pe{pe}"))
+}
+
+/// The hosted PEs, set up for a run. `M` is how the event service
+/// holds a parked messenger: boxed in process, as its wire snapshot on
+/// the net.
+pub struct Setup<M> {
+    /// One core per hosted PE, in PE order.
+    pub cores: Vec<PeCore>,
+    /// Fault/checkpoint state, present iff the run has a fault plan.
+    pub rec: Option<Recovery>,
+    /// The hosted event service, with the initial events banked.
+    pub events: EventTable<M>,
+    /// The durable session, past its boundary-0 cut.
+    pub spill: Option<Spill>,
+    /// The admitted time-zero injections `(pe, id, messenger)`, for the
+    /// executor to spawn, send or queue.
+    pub admitted: Vec<(NodeId, u64, Box<dyn Messenger>)>,
+}
+
+impl<M: Parkable> Setup<M> {
+    /// Set up `host` under the resolved fault `plan`: its recovery state
+    /// (one exactly when there is a plan), one core per PE with flight
+    /// lane `lane(pe)`, the banked initial events and the admitted
+    /// injections (each a delivery point). A durable run then spills
+    /// boundary 0, the injected-but-unrun state, so even a kill before
+    /// the first run restores cleanly.
+    pub fn new(
+        host: Host,
+        plan: Option<FaultPlan>,
+        opts: &RunOpts,
+        lane: impl Fn(NodeId) -> Arc<Lane>,
+    ) -> Result<Setup<M>, RunError> {
+        let (pes, first, run) = (host.pes, host.first, host.run);
+        let mut stores = host.stores;
+        let mut rec =
+            plan.map(|plan| Recovery::new(plan, pes, first, &mut stores, opts.metrics.clone()));
+        let mut cores: Vec<PeCore> = (first..)
+            .zip(stores)
+            .map(|(pe, store)| {
+                let core =
+                    PeCore::new(pe, pes, store, lane(pe), opts.metrics.clone()).with_run(run);
+                match host.anchor {
+                    Some(anchor) => core.with_trace(anchor, opts.trace),
+                    None => core,
+                }
+            })
+            .collect();
+        let mut events = EventTable::default();
+        for key in host.events {
+            events.bank(key);
+        }
+        for (pe, id, msgr) in &host.injections {
+            cores[pe - first].admit(rec.as_mut(), *id, msgr.as_ref());
+        }
+        let spill = match &opts.durable {
+            Some(d) => {
+                let mut spill = Spill::open(d, pes, first)?;
+                let rec = rec.as_ref().expect("durable mode forces fault machinery");
+                spill.spill_all(rec, &events, cores[0].lane(), run)?;
+                Some(spill)
+            }
+            None => None,
+        };
+        Ok(Setup {
+            cores,
+            rec,
+            events,
+            spill,
+            admitted: host.injections,
+        })
+    }
+}
+
+impl Setup<Box<dyn Messenger>> {
+    /// Set up a whole cluster in this process. Its fault plan is the
+    /// cluster's own, else the environment's; a durable run always
+    /// gets one. Injection ids are their indices.
+    pub(crate) fn cluster(
+        cluster: Cluster,
+        opts: &RunOpts,
+        anchor: Option<Instant>,
+        lane: impl Fn(NodeId) -> Arc<Lane>,
+    ) -> Result<Setup<Box<dyn Messenger>>, RunError> {
+        let parts = cluster.into_parts();
+        let durable = opts.durable.is_some();
+        let plan = FaultPlan::resolve(parts.fault_plan, FaultPlan::from_env, durable)?;
+        let host = Host {
+            pes: parts.stores.len(),
+            first: 0,
+            stores: parts.stores,
+            injections: (0..)
+                .zip(parts.injections)
+                .map(|(id, (pe, msgr))| (pe, id, msgr))
+                .collect(),
+            events: parts.initial_events,
+            run: 0,
+            anchor,
+        };
+        Setup::new(host, plan, opts, lane)
+    }
+}
+
+/// The hosted cores at the end of a run: their stores, their summed
+/// tally and their span logs. The cores shared one anchor, so the logs'
+/// clock offsets are zero.
+pub(crate) fn teardown(cores: Vec<PeCore>) -> (Vec<NodeStore>, Tally, Vec<PeLog>) {
+    let tally = cores.iter().map(|c| c.tally).sum();
+    let (stores, logs) = cores
+        .into_iter()
+        .map(|mut c| {
+            let (events, dropped) = c.recorder.take();
+            (
+                c.store,
+                PeLog {
+                    pe: c.pe,
+                    offset_ns: 0,
+                    events,
+                    dropped,
+                },
+            )
+        })
+        .unzip();
+    (stores, tally, logs)
 }
 
 #[cfg(test)]

@@ -15,19 +15,22 @@
 //!   configuration replays **bit-identically** — the property the
 //!   determinism tests pin down with trace fingerprints.
 //!
-//! Messengers run through the same [`PeCore`] as on the real
-//! executors; this module supplies only the virtual clock, the event
-//! queue and the deadlock report.
+//! Messengers run through the same [`PeCore`](crate::pe_core::PeCore)
+//! as on the real executors, set up and torn down by the same
+//! [`Setup`] and `teardown`; this module supplies only the virtual
+//! clock, the event queue and the deadlock report.
 //!
 //! The result is a [`SimReport`]: virtual makespan, the post-run stores
 //! (to extract the product matrix), and optionally a full [`Trace`].
 
 use crate::agent::{Messenger, StepOutputs};
-use crate::cluster::{Cluster, ClusterParts};
+use crate::cluster::Cluster;
 use crate::durable::DurableCodec;
 use crate::error::RunError;
 use crate::fault::FaultStats;
-use crate::pe_core::{observe_park, Arrival, EventTable, Parked, PeCore, PeIo, Recovery, Spill};
+use crate::pe_core::{
+    observe_park, teardown, Arrival, Durable, EventTable, Parked, PeIo, Recovery, RunOpts, Setup,
+};
 use navp_metrics::RunMetrics;
 use navp_obs::Lane;
 use navp_sim::key::{EventKey, NodeId};
@@ -86,9 +89,7 @@ impl std::fmt::Debug for SimReport {
 /// Deterministic discrete-event executor for NavP programs.
 pub struct SimExecutor {
     cost: CostModel,
-    tracing: bool,
-    metrics: Option<Arc<RunMetrics>>,
-    durable: Option<(PathBuf, Arc<dyn DurableCodec>)>,
+    opts: RunOpts,
 }
 
 /// The simulated cluster's clock and transport: one [`PeIo`] shared by
@@ -287,9 +288,7 @@ impl SimExecutor {
     pub fn new(cost: CostModel) -> SimExecutor {
         SimExecutor {
             cost,
-            tracing: false,
-            metrics: None,
-            durable: None,
+            opts: RunOpts::default(),
         }
     }
 
@@ -307,14 +306,18 @@ impl SimExecutor {
         dir: impl Into<PathBuf>,
         codec: Arc<dyn DurableCodec>,
     ) -> SimExecutor {
-        self.durable = Some((dir.into(), codec));
+        self.opts.durable = Some(Durable {
+            dir: dir.into(),
+            codec,
+            create: true,
+        });
         self
     }
 
     /// Enable full tracing (needed for space-time diagrams; costs memory
     /// proportional to the number of steps).
     pub fn with_trace(mut self) -> SimExecutor {
-        self.tracing = true;
+        self.opts.trace = true;
         self
     }
 
@@ -323,7 +326,7 @@ impl SimExecutor {
     /// time) are *virtual* nanoseconds, because that is the clock this
     /// executor runs on.
     pub fn with_metrics(mut self, metrics: Arc<RunMetrics>) -> SimExecutor {
-        self.metrics = Some(metrics);
+        self.opts.metrics = Some(metrics);
         self
     }
 
@@ -335,73 +338,37 @@ impl SimExecutor {
     /// [`RunError::PeCrashed`] (checkpointing disabled) or
     /// [`RunError::RecoveryFailed`] (lost state cannot be restored).
     pub fn run(&self, cluster: Cluster) -> Result<SimReport, RunError> {
-        let ClusterParts {
-            mut stores,
-            injections,
-            initial_events,
-            fault_plan,
-        } = cluster.into_parts();
-        let num_nodes = stores.len();
-        let durable = self.durable.is_some();
-        let rec = Recovery::for_run(fault_plan, durable, &mut stores, &self.metrics)?;
         // Flight-recorder lane for the whole simulated mesh. Events
         // are observational only — nothing reads them back into the
         // run, so products stay bitwise-identical recorder on or off.
         let lane = navp_obs::flight().lane("sim");
-        let mut cores: Vec<PeCore> = stores
-            .into_iter()
-            .enumerate()
-            .map(|(pe, store)| {
-                PeCore::new(
-                    pe,
-                    num_nodes,
-                    store,
-                    Arc::clone(&lane),
-                    self.metrics.clone(),
-                )
-            })
-            .collect();
+        // No wall-clock spans: the simulator traces virtual time.
+        let setup = Setup::cluster(cluster, &self.opts, None, |_| Arc::clone(&lane))?;
+        let mut cores = setup.cores;
+        let mut spill = setup.spill;
         let mut sim = Sim {
             cost: &self.cost,
-            metrics: self.metrics.as_deref(),
+            metrics: self.opts.metrics.as_deref(),
             lane,
-            res: (0..num_nodes).map(|_| PeResources::new()).collect(),
+            res: (0..cores.len()).map(|_| PeResources::new()).collect(),
             queue: EventQueue::new(),
-            agents: Vec::with_capacity(injections.len()),
-            events: EventTable::default(),
-            trace: if self.tracing {
+            agents: Vec::with_capacity(setup.admitted.len()),
+            events: setup.events,
+            trace: if self.opts.trace {
                 Trace::enabled()
             } else {
                 Trace::disabled()
             },
-            rec,
+            rec: setup.rec,
             live: 0,
             makespan: VTime::ZERO,
             pe: 0,
             t: VTime::ZERO,
         };
-        for key in initial_events {
-            sim.events.bank(key);
-        }
-        for (pe, msgr) in injections {
-            cores[pe].admit(sim.rec.as_mut(), sim.agents.len() as u64, msgr.as_ref());
+        // Admission ids are injection indices, so agent slots line up.
+        for (pe, _id, msgr) in setup.admitted {
             sim.spawn(pe, msgr, VTime::ZERO);
         }
-
-        let mut spill = match &self.durable {
-            Some((dir, codec)) => {
-                let mut spill = Spill::create(dir.clone(), Arc::clone(codec), num_nodes)?;
-                // Boundary 0: the injected-but-unrun cluster, so even a
-                // kill before the first run restores cleanly.
-                let rec = sim
-                    .rec
-                    .as_ref()
-                    .expect("durable mode forces fault machinery");
-                spill.spill_all(rec, &sim.events, &sim.lane)?;
-                Some(spill)
-            }
-            None => None,
-        };
 
         while let Some((t, (aid, gen))) = sim.queue.pop() {
             if sim.agents[aid].gen != gen {
@@ -420,7 +387,7 @@ impl SimExecutor {
             // local hops and banked waits, `t` advancing step by step.
             let ran = cores[pe].run(&mut sim, aid as u64, msgr)?;
             if let (true, Some(spill), Some(rec)) = (ran, &mut spill, &sim.rec) {
-                spill.spill_all(rec, &sim.events, &sim.lane)?;
+                spill.spill_all(rec, &sim.events, &sim.lane, 0)?;
             }
         }
 
@@ -434,23 +401,14 @@ impl SimExecutor {
             return Err(RunError::Deadlock { blocked });
         }
 
-        let (mut steps, mut hops, mut hop_bytes) = (0, 0, 0);
-        let stores = cores
-            .into_iter()
-            .map(|c| {
-                steps += c.tally.steps;
-                hops += c.tally.hops;
-                hop_bytes += c.tally.hop_bytes;
-                c.store
-            })
-            .collect();
+        let (stores, tally, _) = teardown(cores);
         Ok(SimReport {
             makespan: sim.makespan,
             stores,
             trace: sim.trace,
-            steps,
-            hops,
-            hop_bytes,
+            steps: tally.steps,
+            hops: tally.hops,
+            hop_bytes: tally.hop_bytes,
             faults: sim.rec.map(|r| r.stats()).unwrap_or_default(),
         })
     }

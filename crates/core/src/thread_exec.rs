@@ -17,6 +17,11 @@
 //! A watchdog converts silent deadlocks (every messenger parked on an
 //! event nobody will signal) into [`RunError::Stalled`].
 //!
+//! The run is set up by the shared [`Setup`] (so an empty cluster still
+//! resolves its fault plan and spills its boundary-0 cut before
+//! returning) and torn down by the shared `teardown`; this module
+//! adds the daemon threads, their channels and the watchdog.
+//!
 //! ## Fault tolerance
 //!
 //! When the cluster carries a [`FaultPlan`](crate::FaultPlan), the
@@ -34,16 +39,19 @@
 //! survives daemon restarts.
 
 use crate::agent::{Messenger, StepOutputs};
-use crate::cluster::{Cluster, ClusterParts};
+use crate::cluster::Cluster;
 use crate::durable::DurableCodec;
 use crate::error::RunError;
 use crate::fault::FaultStats;
-use crate::pe_core::{Arrival, EventTable, Parked, PeCore, PeIo, Recovery, Spill};
+use crate::pe_core::{
+    pe_lane, teardown, Arrival, Durable, EventTable, Parked, PeCore, PeIo, Recovery, RunOpts,
+    Setup, Spill,
+};
 use navp_metrics::RunMetrics;
 use navp_obs::Lane;
 use navp_sim::key::{EventKey, NodeId};
 use navp_sim::store::NodeStore;
-use navp_trace::{merge_pe_traces, PeLog, Trace};
+use navp_trace::{merge_pe_traces, Trace};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -153,7 +161,7 @@ impl Shared {
         let r = rec.lock().unwrap();
         let mut spill = ds.lock().unwrap();
         let events = self.events.lock().unwrap();
-        spill.spill_all(&r, &events, lane)
+        spill.spill_all(&r, &events, lane, 0)
     }
 }
 
@@ -312,9 +320,7 @@ impl std::fmt::Debug for WallReport {
 /// channels, wall-clock timing.
 pub struct ThreadExecutor {
     watchdog: Duration,
-    trace: bool,
-    metrics: Option<Arc<RunMetrics>>,
-    durable: Option<(PathBuf, Arc<dyn DurableCodec>)>,
+    opts: RunOpts,
 }
 
 impl Default for ThreadExecutor {
@@ -328,9 +334,7 @@ impl ThreadExecutor {
     pub fn new() -> ThreadExecutor {
         ThreadExecutor {
             watchdog: Duration::from_secs(10),
-            trace: false,
-            metrics: None,
-            durable: None,
+            opts: RunOpts::default(),
         }
     }
 
@@ -346,7 +350,11 @@ impl ThreadExecutor {
         dir: impl Into<PathBuf>,
         codec: Arc<dyn DurableCodec>,
     ) -> ThreadExecutor {
-        self.durable = Some((dir.into(), codec));
+        self.opts.durable = Some(Durable {
+            dir: dir.into(),
+            codec,
+            create: true,
+        });
         self
     }
 
@@ -366,7 +374,7 @@ impl ThreadExecutor {
     /// daemon keeps a bounded ring of events; the merged [`Trace`] lands
     /// in [`WallReport::trace`]. Products are unaffected.
     pub fn with_trace(mut self, trace: bool) -> ThreadExecutor {
-        self.trace = trace;
+        self.opts.trace = trace;
         self
     }
 
@@ -376,7 +384,7 @@ impl ThreadExecutor {
     /// the caller keeps its own handle to scrape or snapshot them —
     /// also mid-run, which is the whole point. Products are unaffected.
     pub fn with_metrics(mut self, metrics: Arc<RunMetrics>) -> ThreadExecutor {
-        self.metrics = Some(metrics);
+        self.opts.metrics = Some(metrics);
         self
     }
 
@@ -387,96 +395,76 @@ impl ThreadExecutor {
     /// [`RunError::RecoveryFailed`] (lost state cannot be restored) —
     /// never a hang.
     pub fn run(&self, cluster: Cluster) -> Result<WallReport, RunError> {
-        let ClusterParts {
-            mut stores,
-            injections,
-            initial_events,
-            fault_plan,
-        } = cluster.into_parts();
-        let pes = stores.len();
-        if injections.is_empty() {
-            return Ok(WallReport {
-                wall: Duration::ZERO,
-                stores,
-                steps: 0,
-                hops: 0,
-                hop_bytes: 0,
-                faults: FaultStats::default(),
-                watchdog: self.watchdog,
-                trace: self.trace.then(Trace::enabled),
-                trace_dropped: 0,
-            });
-        }
-
-        let durable = self.durable.is_some();
-        let mut rec = Recovery::for_run(fault_plan, durable, &mut stores, &self.metrics)?;
-
-        let mut senders = Vec::with_capacity(pes);
-        let mut receivers: Vec<Receiver<DaemonMsg>> = Vec::with_capacity(pes);
-        for _ in 0..pes {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
         // All daemons anchor their recorders at one instant, so per-PE
         // timestamps are directly comparable (offsets are zero).
         let anchor = Instant::now();
-        let mut cores: Vec<PeCore> = stores
-            .into_iter()
-            .enumerate()
-            .map(|(pe, store)| {
-                // Per-PE flight lane, fetched once; purely observational
-                // (see `navp_obs`), so products stay bitwise-identical.
-                let lane = navp_obs::flight().lane(&format!("pe{pe}"));
-                PeCore::new(pe, pes, store, lane, self.metrics.clone())
-                    .with_trace(anchor, self.trace)
-            })
-            .collect();
-        let mut events = EventTable::default();
-        for key in initial_events {
-            events.bank(key);
+        let setup = Setup::cluster(cluster, &self.opts, Some(anchor), pe_lane)?;
+        let (wall, cores, faults) = if setup.admitted.is_empty() {
+            // Nothing will ever run: start no daemons.
+            let faults = setup.rec.map(|r| r.stats()).unwrap_or_default();
+            (Duration::ZERO, setup.cores, faults)
+        } else {
+            self.run_daemons(setup)?
+        };
+        let (stores, tally, logs) = teardown(cores);
+        let (trace, trace_dropped) = if self.opts.trace {
+            let (t, d) = merge_pe_traces(logs);
+            (Some(t), d)
+        } else {
+            (None, 0)
+        };
+        if let Some(m) = &self.opts.metrics {
+            m.trace_dropped.add(trace_dropped);
         }
-        // Queue the time-zero injections before any daemon starts; each
-        // is a delivery point, so checkpoint it.
-        let live = injections.len();
-        for (i, (pe, msgr)) in injections.into_iter().enumerate() {
-            cores[pe].admit(rec.as_mut(), i as u64, msgr.as_ref());
+        Ok(WallReport {
+            wall,
+            stores,
+            steps: tally.steps,
+            hops: tally.hops,
+            hop_bytes: tally.hop_bytes,
+            faults,
+            watchdog: self.watchdog,
+            trace,
+            trace_dropped,
+        })
+    }
+
+    /// Start one daemon per PE on the admitted injections and watch
+    /// them until every messenger finished, a daemon failed or the
+    /// watchdog fired. Returns the wall time, the cores and what the
+    /// fault machinery did.
+    fn run_daemons(
+        &self,
+        setup: Setup<Box<dyn Messenger>>,
+    ) -> Result<(Duration, Vec<PeCore>, FaultStats), RunError> {
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            setup.cores.iter().map(|_| channel::<DaemonMsg>()).unzip();
+        // Queue the time-zero injections before any daemon starts.
+        let live = setup.admitted.len();
+        for (pe, id, msgr) in setup.admitted {
             let _ = senders[pe].send(DaemonMsg::Agent {
-                id: i as u64,
+                id,
                 epoch: 0,
                 msgr,
                 via: Arrival::Fresh,
             });
         }
-        let durable = match &self.durable {
-            Some((dir, codec)) => Some(Mutex::new(Spill::create(
-                dir.clone(),
-                Arc::clone(codec),
-                pes,
-            )?)),
-            None => None,
-        };
         let shared = Shared {
             chans: senders,
             live: AtomicUsize::new(live),
             progress: AtomicU64::new(0),
             next_id: AtomicU64::new(live as u64),
-            events: Mutex::new(events),
+            events: Mutex::new(setup.events),
             failure: Mutex::new(None),
-            recovery: rec.map(Mutex::new),
-            durable,
+            recovery: setup.rec.map(Mutex::new),
+            durable: setup.spill.map(Mutex::new),
         };
-        // Boundary 0: the injected-but-unrun cluster, so even a kill
-        // before the first run restores cleanly.
-        shared.spill(cores[0].lane())?;
 
         let start = Instant::now();
-        let mut joined: Vec<Option<PeCore>> = (0..pes).map(|_| None).collect();
-        let mut panic_msg: Option<String> = None;
-
-        std::thread::scope(|s| {
+        let joined: Vec<std::thread::Result<PeCore>> = std::thread::scope(|s| {
             let shared = &shared;
-            let handles: Vec<_> = cores
+            let handles: Vec<_> = setup
+                .cores
                 .into_iter()
                 .zip(receivers)
                 .map(|(core, rx)| {
@@ -525,66 +513,24 @@ impl ThreadExecutor {
                 }
             }
 
-            for (pe, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(core) => joined[pe] = Some(core),
-                    Err(p) => panic_msg = Some(panic_text(&*p)),
-                }
-            }
+            handles.into_iter().map(|h| h.join()).collect()
         });
         let wall = start.elapsed();
 
-        if let Some(msg) = panic_msg {
-            return Err(RunError::WorkerPanic(msg));
-        }
+        let cores = joined
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|p| RunError::WorkerPanic(panic_text(&*p)))?;
         if let Some(err) = shared.failure.lock().unwrap().take() {
             return Err(err);
         }
         let faults = shared.recovery().map(|r| r.stats()).unwrap_or_default();
-        let (mut steps, mut hops, mut hop_bytes) = (0, 0, 0);
-        let mut stores = Vec::with_capacity(pes);
-        let mut logs = Vec::with_capacity(pes);
-        for (pe, core) in joined.into_iter().enumerate() {
-            let core = core.expect("all daemons joined");
-            steps += core.tally.steps;
-            hops += core.tally.hops;
-            hop_bytes += core.tally.hop_bytes;
-            let (store, mut recorder) = core.into_parts();
-            let (events, dropped) = recorder.take();
-            stores.push(store);
-            logs.push(PeLog {
-                pe,
-                // One shared anchor ⇒ clocks already agree.
-                offset_ns: 0,
-                events,
-                dropped,
-            });
-        }
-        let (trace, trace_dropped) = if self.trace {
-            let (t, d) = merge_pe_traces(logs);
-            (Some(t), d)
-        } else {
-            (None, 0)
-        };
-        if let Some(m) = &self.metrics {
-            m.trace_dropped.add(trace_dropped);
-        }
-        Ok(WallReport {
-            wall,
-            stores,
-            steps,
-            hops,
-            hop_bytes,
-            faults,
-            watchdog: self.watchdog,
-            trace,
-            trace_dropped,
-        })
+        Ok((wall, cores, faults))
     }
 }
 
 /// Human-readable payload of a caught panic.
-fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
     p.downcast_ref::<&str>()
         .map(|s| s.to_string())
         .or_else(|| p.downcast_ref::<String>().cloned())
@@ -1045,6 +991,40 @@ mod tests {
         let rep = ThreadExecutor::new().run(restored).unwrap();
         assert_eq!(counts(&rep), counts(&clean), "restore must be exact");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn empty_durable_cluster_writes_a_restorable_cut_like_the_sim() {
+        let build = || {
+            let mut c = Cluster::new(2).unwrap();
+            c.store_mut(1).insert(Key::plain("count"), 5u64, 8);
+            c
+        };
+        let base = std::env::temp_dir().join(format!("navp-thr-empty-{}", std::process::id()));
+        let (sim_dir, thr_dir) = (base.join("sim"), base.join("threads"));
+        std::fs::remove_dir_all(&base).ok();
+        crate::SimExecutor::new(navp_sim::CostModel::paper_cluster())
+            .with_durable(&sim_dir, Arc::new(ToyCodec))
+            .run(build())
+            .unwrap();
+        let rep = ThreadExecutor::new()
+            .with_durable(&thr_dir, Arc::new(ToyCodec))
+            .run(build())
+            .unwrap();
+        assert_eq!(rep.steps, 0);
+        for dir in [&sim_dir, &thr_dir] {
+            let (_, cuts) = durable::read_all_cuts(dir).unwrap();
+            assert_eq!(
+                cuts.len(),
+                2,
+                "one boundary-0 cut per PE in {}",
+                dir.display()
+            );
+            let restored = durable::restore_cluster(&cuts, &ToyCodec).unwrap();
+            let rep = ThreadExecutor::new().run(restored).unwrap();
+            assert_eq!(counts(&rep), (0, 5), "restored from {}", dir.display());
+        }
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

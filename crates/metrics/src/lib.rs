@@ -16,8 +16,8 @@
 //!   journal commits, fault injections, frame codec bytes, queue
 //!   depths), pre-registered with stable `navp_*` names.
 //! - [`MetricsSnapshot`] is a point-in-time flattened view that can be
-//!   shipped over the wire (the `MetricsCollect`/`MetricsDump` frames
-//!   in `navp-net`) and merged across PEs.
+//!   shipped over the wire (in each PE's end-of-run `Report` frame in
+//!   `navp-net`) and merged across PEs.
 //! - [`serve_http`] is a minimal HTTP/1.1 responder on std TCP serving
 //!   `GET /metrics` (Prometheus exposition) and `GET /healthz` (JSON)
 //!   — what `navp-pe --metrics-addr` binds.

@@ -3,7 +3,7 @@
 //! A [`MetricsSnapshot`] is the flattened form of a registry: one
 //! [`Sample`] per series, histograms already expanded to cumulative
 //! `_bucket`/`_sum`/`_count` samples. It is what the net layer ships
-//! in `MetricsDump` frames and what `RunOutput::metrics` carries, and
+//! in each PE's `Report` frame and what `RunOutput::metrics` carries, and
 //! it merges across PEs by summing samples with identical
 //! `(name, labels)` keys.
 

@@ -4,14 +4,20 @@
 //! The driver never runs messengers itself. It serializes each PE's
 //! store slice and time-zero injections, brings up the process mesh,
 //! then tallies `Delta` frames: the run is over when
-//! `initial + spawned − finished` hits zero. A driver-side watchdog
-//! turns silence into [`RunError::Stalled`]; a control-connection EOF
-//! turns a dead PE process into [`RunError::PeerDisconnected`] — in
-//! both cases every child is killed before returning, so a failed run
-//! never leaks processes.
+//! `initial + spawned − finished` hits zero and a termination probe
+//! confirms it. One `Collect`/`Report` exchange then brings back every
+//! PE's store, fault stats, metric samples and trace at once.
+//!
+//! Every phase waits on PEs through one receive function, which folds
+//! each `Delta` into the per-PE stats and ends the run on a PE's
+//! `Fatal` or a lost control connection. A driver-side watchdog turns
+//! silence into [`RunError::Stalled`]; a control-connection EOF turns a
+//! dead PE process into [`RunError::PeerDisconnected`] — in both cases
+//! every child is killed before returning, so a failed run never leaks
+//! processes.
 
 use crate::cluster::{event_home, resolve_pe_bin, spawn_pe};
-use crate::frame::{Frame, StoreEntry};
+use crate::frame::Frame;
 use crate::netloop::{IoHandle, IoLoop};
 use crate::registry::{decode_store, encode_messenger, encode_store};
 use navp::{Cluster, FaultStats, NodeStore, RunError, WireSnapshot};
@@ -35,9 +41,22 @@ pub struct NetPeStats {
     /// Encoded frame bytes this PE sent to peers (hops, waits,
     /// deliveries, signals — not driver control traffic).
     pub wire_bytes: u64,
-    /// Faults injected on this PE, from its end-of-run `StoreDump`
+    /// Faults injected on this PE, from its end-of-run `Report`
     /// (the totals-row mirror of [`NetReport::faults`]).
     pub faults: FaultStats,
+}
+
+impl std::iter::Sum for NetPeStats {
+    fn sum<I: Iterator<Item = NetPeStats>>(iter: I) -> NetPeStats {
+        iter.fold(NetPeStats::default(), |mut a, b| {
+            a.steps += b.steps;
+            a.hops += b.hops;
+            a.hop_payload_bytes += b.hop_payload_bytes;
+            a.wire_bytes += b.wire_bytes;
+            a.faults.absorb(&b.faults);
+            a
+        })
+    }
 }
 
 /// What a networked run produced.
@@ -69,8 +88,8 @@ pub struct NetReport {
     pub trace: Option<Trace>,
     /// Events the PEs' ring buffers evicted before collection.
     pub trace_dropped: u64,
-    /// Cluster-wide metric snapshot, merged from every PE's
-    /// `MetricsDump`, when the run was metered.
+    /// Cluster-wide metric snapshot, merged from every PE's `Report`,
+    /// when the run was metered.
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -137,18 +156,6 @@ enum DriverMsg {
     FromPe(usize, std::io::Result<Frame>),
 }
 
-/// What [`NetExecutor::drive`] hands back: stores, per-PE stats, fault
-/// counters, totals, the merged trace (with its dropped count) when
-/// the run was traced, and the merged metric snapshot when metered.
-type DriveOutcome = (
-    Vec<NodeStore>,
-    Vec<NetPeStats>,
-    FaultStats,
-    NetPeStats,
-    Option<(Trace, u64)>,
-    Option<MetricsSnapshot>,
-);
-
 struct Links {
     conns: Vec<IoHandle>,
     rx: Receiver<DriverMsg>,
@@ -158,6 +165,13 @@ struct Links {
     /// the two generally disagree; each PE reports its OS pid in
     /// `Hello` and this map is filled from it.
     pe_child: Vec<Option<usize>>,
+    /// What each PE's `Delta`s and `Report` added up to.
+    per_pe: Vec<NetPeStats>,
+    /// Messengers live by the deltas' count: initial + spawned −
+    /// finished.
+    live: i64,
+    /// When the last `Delta` arrived: the watchdog's feed.
+    heard: Instant,
 }
 
 impl NetExecutor {
@@ -268,12 +282,13 @@ impl NetExecutor {
             return Err(RunError::NoPes);
         }
 
+        // The same plan rule as in process: durable runs need the
+        // recovery machinery on every PE even without faults.
+        let durable = self.durable_dir.is_some();
+        let plan = navp::FaultPlan::resolve(parts.fault_plan, navp::FaultPlan::from_env, durable)?;
+
         // Serialize everything up front: an unserializable messenger or
         // store value fails here, before any process exists.
-        let mut store_imgs: Vec<Vec<StoreEntry>> = Vec::with_capacity(pes);
-        for store in &parts.stores {
-            store_imgs.push(encode_store(store)?);
-        }
         let mut injections: Vec<Vec<(u64, WireSnapshot)>> = vec![Vec::new(); pes];
         for (id, (pe, m)) in parts.injections.iter().enumerate() {
             if *pe >= pes {
@@ -286,14 +301,20 @@ impl NetExecutor {
         for key in &parts.initial_events {
             events[event_home(key, pes)].push(*key);
         }
-
-        // The same plan rule as in process. Durable runs need the
-        // recovery machinery on every PE even without faults, and a
-        // fresh session manifest on disk before any process can spill
-        // against it.
-        let durable = self.durable_dir.is_some();
-        let fault_plan =
-            navp::FaultPlan::resolve(parts.fault_plan, navp::FaultPlan::from_env, durable)?;
+        let mut starts = Vec::with_capacity(pes);
+        for ((store, injections), events) in parts.stores.iter().zip(injections).zip(events) {
+            starts.push(Frame::Start {
+                store: encode_store(store)?,
+                injections,
+                events,
+                plan: plan.clone(),
+                initial_live,
+                trace: self.trace,
+                metrics: self.metrics,
+            });
+        }
+        // A durable run needs a fresh session manifest on disk before
+        // any process can spill against it.
         if let Some(dir) = &self.durable_dir {
             navp::durable::write_manifest(
                 &navp::durable::run_dir(dir, self.run_id),
@@ -309,15 +330,7 @@ impl NetExecutor {
 
         let start = Instant::now();
         let mut links = self.establish(pes)?;
-        let run = self.drive(
-            &mut links,
-            pes,
-            store_imgs,
-            injections,
-            events,
-            fault_plan,
-            initial_live,
-        );
+        let run = self.drive(&mut links, starts, initial_live);
         // Whatever happened, no child outlives the run.
         for conn in &links.conns {
             let _ = conn.send(&Frame::Shutdown);
@@ -341,25 +354,9 @@ impl NetExecutor {
                 }
             }
         }
-        let (stores, per_pe, faults, totals, traced, metrics) = run?;
-        let (trace, trace_dropped) = match traced {
-            Some((t, d)) => (Some(t), d),
-            None => (None, 0),
-        };
-        Ok(NetReport {
-            wall: start.elapsed(),
-            stores,
-            steps: totals.steps,
-            hops: totals.hops,
-            hop_payload_bytes: totals.hop_payload_bytes,
-            wire_bytes: totals.wire_bytes,
-            per_pe,
-            faults,
-            watchdog: self.watchdog,
-            trace,
-            trace_dropped,
-            metrics,
-        })
+        let mut report = run?;
+        report.wall = start.elapsed();
+        Ok(report)
     }
 
     /// Bring up `pes` control connections: spawn local children or
@@ -460,6 +457,9 @@ impl NetExecutor {
             rx,
             children,
             pe_child: vec![None; pes],
+            per_pe: vec![NetPeStats::default(); pes],
+            live: 0,
+            heard: Instant::now(),
         })
     }
 
@@ -534,85 +534,54 @@ impl NetExecutor {
         RunError::PeerDisconnected { pe, detail }
     }
 
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    /// Bring up the mesh, hand each PE its `Start` frame, run to
+    /// termination and collect every PE's report into the run's.
     fn drive(
         &self,
         links: &mut Links,
-        pes: usize,
-        store_imgs: Vec<Vec<StoreEntry>>,
-        injections: Vec<Vec<(u64, WireSnapshot)>>,
-        events: Vec<Vec<navp::EventKey>>,
-        plan: Option<navp::FaultPlan>,
+        starts: Vec<Frame>,
         initial_live: u64,
-    ) -> Result<DriveOutcome, RunError> {
+    ) -> Result<NetReport, RunError> {
+        let pes = starts.len();
         let transport = |detail: String| RunError::Transport { detail };
         let handshake_deadline = Instant::now() + self.handshake_window();
+        let handshake_overdue = |_: &Links| {
+            (Instant::now() >= handshake_deadline).then(|| transport("handshake timed out".into()))
+        };
         let run_deadline = self.deadline.map(|d| Instant::now() + d);
 
         // Assign identities, gather listen addresses, broadcast the
         // address map, wait for the mesh barrier.
-        for (pe, conn) in links.conns.iter().enumerate() {
-            conn.send(&Frame::Assign {
-                pe: pe as u32,
-                pes: pes as u32,
-                run: self.run_id,
-            })
-            .map_err(|e| transport(format!("send Assign to PE {pe}: {e}")))?;
-        }
-        let mut listens: Vec<Option<String>> = vec![None; pes];
-        let mut got = 0;
-        while got < pes {
-            match Self::next_handshake(links, handshake_deadline, self.grace)? {
-                (pe, Frame::Hello { pe: echoed, pid, listen }) if echoed as usize == pe => {
-                    links.pe_child[pe] = links.children.iter().position(|c| c.id() == pid);
-                    if listens[pe].replace(listen).is_none() {
-                        got += 1;
-                    }
-                }
-                (pe, other) => {
-                    return Err(transport(format!("PE {pe}: expected Hello, got {other:?}")))
-                }
+        let assign = |pe: usize| Frame::Assign {
+            pe: pe as u32,
+            pes: pes as u32,
+            run: self.run_id,
+        };
+        let hello = |links: &mut Links, pe: usize, _, f| match f {
+            Frame::Hello {
+                pe: echoed,
+                pid,
+                listen,
+            } if echoed as usize == pe => {
+                links.pe_child[pe] = links.children.iter().position(|c| c.id() == pid);
+                Ok(listen)
             }
-        }
-        let peers: Vec<String> = listens.into_iter().map(|l| l.expect("all got")).collect();
-        for (pe, conn) in links.conns.iter().enumerate() {
-            conn.send(&Frame::Bootstrap {
-                peers: peers.clone(),
-            })
-            .map_err(|e| transport(format!("send Bootstrap to PE {pe}: {e}")))?;
-        }
-        let mut ready = vec![false; pes];
-        let mut got = 0;
-        while got < pes {
-            match Self::next_handshake(links, handshake_deadline, self.grace)? {
-                (pe, Frame::MeshReady { .. }) => {
-                    if !std::mem::replace(&mut ready[pe], true) {
-                        got += 1;
-                    }
-                }
-                (pe, other) => {
-                    return Err(transport(format!(
-                        "PE {pe}: expected MeshReady, got {other:?}"
-                    )))
-                }
-            }
-        }
+            other => Err(Box::new(other)),
+        };
+        let peers = self.round(links, "Hello", assign, hello, handshake_overdue)?;
+        let bootstrap = |_| Frame::Bootstrap {
+            peers: peers.clone(),
+        };
+        let ready = |_: &mut Links, _, _, f| match f {
+            Frame::MeshReady { .. } => Ok(()),
+            other => Err(Box::new(other)),
+        };
+        self.round(links, "MeshReady", bootstrap, ready, handshake_overdue)?;
 
         // Hand out the run.
-        let mut store_imgs = store_imgs;
-        let mut injections = injections;
-        let mut events = events;
-        for pe in 0..pes {
+        for (pe, start) in starts.iter().enumerate() {
             links.conns[pe]
-                .send(&Frame::Start {
-                    store: std::mem::take(&mut store_imgs[pe]),
-                    injections: std::mem::take(&mut injections[pe]),
-                    events: std::mem::take(&mut events[pe]),
-                    plan: plan.clone(),
-                    initial_live,
-                    trace: self.trace,
-                    metrics: self.metrics,
-                })
+                .send(start)
                 .map_err(|e| transport(format!("send Start to PE {pe}: {e}")))?;
         }
 
@@ -623,358 +592,224 @@ impl NetExecutor {
         // when two consecutive probe rounds return identical lifetime
         // counters with no messenger live and no peer frame in flight
         // (Mattern's four-counter principle).
-        let mut live = initial_live as i64;
-        let mut per_pe = vec![NetPeStats::default(); pes];
-        let mut totals = NetPeStats::default();
-        let tick = self.watchdog.min(Duration::from_millis(100));
-        let mut last_progress = Instant::now();
-        let mut probe_round: u64 = 0;
-        let mut probing = false;
-        let mut acks: Vec<Option<(u64, u64, u64, u64)>> = vec![None; pes];
-        let mut acks_got = 0;
-        let mut prev_round: Option<Vec<(u64, u64, u64, u64)>> = None;
-        loop {
-            if let Some(at) = run_deadline {
-                if Instant::now() >= at {
-                    return Err(RunError::DeadlineExceeded {
-                        limit_ms: self.deadline.unwrap_or_default().as_millis() as u64,
-                    });
+        links.live = initial_live as i64;
+        links.heard = Instant::now();
+        let run_overdue = |links: &Links| {
+            if run_deadline.is_some_and(|at| Instant::now() >= at) {
+                let limit_ms = self.deadline.unwrap_or_default().as_millis() as u64;
+                return Some(RunError::DeadlineExceeded { limit_ms });
+            }
+            (links.heard.elapsed() >= self.watchdog).then(|| RunError::Stalled {
+                live: links.live.max(0) as usize,
+            })
+        };
+        let mut prev: Option<Vec<(u64, u64, u64, u64)>> = None;
+        for probe in 1.. {
+            while links.live > 0 {
+                if let Some(err) = run_overdue(links) {
+                    return Err(err);
+                }
+                if let Some((pe, other)) = self.next_frame(links, Instant::now() + self.tick())? {
+                    return Err(transport(format!(
+                        "PE {pe}: unexpected frame {other:?} during run"
+                    )));
                 }
             }
-            if live <= 0 && !probing {
-                probe_round += 1;
-                probing = true;
-                acks = vec![None; pes];
-                acks_got = 0;
-                for (pe, conn) in links.conns.iter().enumerate() {
-                    conn.send(&Frame::Probe { round: probe_round })
-                        .map_err(|e| transport(format!("send Probe to PE {pe}: {e}")))?;
-                }
+            let ask = |_| Frame::Probe { round: probe };
+            let ack = |_: &mut Links, _, _, f| match f {
+                Frame::ProbeAck {
+                    round,
+                    spawned,
+                    finished,
+                    peer_sent,
+                    peer_recv,
+                } if round == probe => Ok((spawned, finished, peer_sent, peer_recv)),
+                other => Err(Box::new(other)),
+            };
+            let acks = self.round(links, "ProbeAck", ask, ack, run_overdue)?;
+            let total = |f: fn(&(u64, u64, u64, u64)) -> u64| acks.iter().map(f).sum::<u64>();
+            let quiet =
+                initial_live + total(|a| a.0) == total(|a| a.1) && total(|a| a.2) == total(|a| a.3);
+            if quiet && prev.as_ref() == Some(&acks) {
+                break; // two identical quiet rounds: terminated
             }
-            match links.rx.recv_timeout(tick) {
-                Ok(DriverMsg::FromPe(pe, Ok(frame))) => {
-                    match frame {
-                        Frame::Delta {
-                            spawned,
-                            finished,
-                            steps,
-                            hops,
-                            hop_payload,
-                            wire_bytes,
-                        } => {
-                            // Even an all-zero delta is a heartbeat
-                            // that feeds the watchdog.
-                            last_progress = Instant::now();
-                            live += spawned as i64 - finished as i64;
-                            per_pe[pe].steps += steps;
-                            per_pe[pe].hops += hops;
-                            per_pe[pe].hop_payload_bytes += hop_payload;
-                            per_pe[pe].wire_bytes += wire_bytes;
-                            totals.steps += steps;
-                            totals.hops += hops;
-                            totals.hop_payload_bytes += hop_payload;
-                            totals.wire_bytes += wire_bytes;
-                        }
-                        Frame::ProbeAck {
-                            round,
-                            spawned,
-                            finished,
-                            peer_sent,
-                            peer_recv,
-                        } => {
-                            if round != probe_round {
-                                continue; // stale ack from a superseded round
-                            }
-                            if acks[pe]
-                                .replace((spawned, finished, peer_sent, peer_recv))
-                                .is_none()
-                            {
-                                acks_got += 1;
-                            }
-                            if acks_got < pes {
-                                continue;
-                            }
-                            probing = false;
-                            let cur: Vec<(u64, u64, u64, u64)> =
-                                acks.iter().map(|a| a.expect("all acked")).collect();
-                            let spawned: u64 = cur.iter().map(|a| a.0).sum();
-                            let finished: u64 = cur.iter().map(|a| a.1).sum();
-                            let sent: u64 = cur.iter().map(|a| a.2).sum();
-                            let recv: u64 = cur.iter().map(|a| a.3).sum();
-                            let quiet = initial_live + spawned == finished && sent == recv;
-                            if quiet && prev_round.as_ref() == Some(&cur) {
-                                break; // two identical quiet rounds: terminated
-                            }
-                            prev_round = Some(cur);
-                            // Damp the reprobe rate while the cluster
-                            // settles; in-flight frames land within a
-                            // few milliseconds on any sane network.
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Frame::Fatal { err } => return Err(err),
-                        other => {
-                            return Err(transport(format!(
-                                "PE {pe}: unexpected frame {other:?} during run"
-                            )))
-                        }
-                    }
-                }
-                Ok(DriverMsg::FromPe(pe, Err(e))) => {
-                    return Err(Self::disconnect_error(links, pe, &e, self.grace))
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if last_progress.elapsed() >= self.watchdog {
-                        return Err(RunError::Stalled {
-                            live: live.max(0) as usize,
-                        });
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(transport("all control readers exited".into()))
-                }
-            }
+            prev = Some(acks);
+            // Damp the reprobe rate while the cluster settles; in-flight
+            // frames land within a few milliseconds on any sane network.
+            std::thread::sleep(Duration::from_millis(2));
         }
 
-        // Collect traces. One PE at a time: the request/response pair
-        // doubles as a Cristian's-algorithm clock probe, so it must not
-        // share the channel with another PE's dump. The PE's clock
-        // reading `pe_ns` happened (to within half the round trip) at
-        // driver time (t0 + t1) / 2; the difference is the offset that
-        // maps that PE's timestamps onto the driver's timeline.
-        let traced = if self.trace {
-            let anchor = Instant::now();
-            let mut logs: Vec<PeLog> = Vec::with_capacity(pes);
-            for pe in 0..pes {
-                let t0 = anchor.elapsed().as_nanos() as u64;
-                links.conns[pe]
-                    .send(&Frame::TraceCollect)
-                    .map_err(|e| transport(format!("send TraceCollect to PE {pe}: {e}")))?;
-                let deadline = Instant::now() + self.handshake_window();
-                loop {
-                    match links.rx.recv_timeout(tick) {
-                        Ok(DriverMsg::FromPe(
-                            p,
-                            Ok(Frame::TraceDump {
-                                pe_ns,
-                                dropped,
-                                events,
-                            }),
-                        )) if p == pe => {
-                            let t1 = anchor.elapsed().as_nanos() as u64;
-                            let offset_ns = ((t0 + t1) / 2) as i64 - pe_ns as i64;
-                            logs.push(PeLog {
-                                pe,
-                                offset_ns,
-                                events,
-                                dropped,
-                            });
-                            break;
-                        }
-                        // Late deltas can race the dump; absorb them.
-                        Ok(DriverMsg::FromPe(
-                            p,
-                            Ok(Frame::Delta {
-                                steps,
-                                hops,
-                                hop_payload,
-                                wire_bytes,
-                                ..
-                            }),
-                        )) => {
-                            per_pe[p].steps += steps;
-                            per_pe[p].hops += hops;
-                            per_pe[p].hop_payload_bytes += hop_payload;
-                            per_pe[p].wire_bytes += wire_bytes;
-                            totals.steps += steps;
-                            totals.hops += hops;
-                            totals.hop_payload_bytes += hop_payload;
-                            totals.wire_bytes += wire_bytes;
-                        }
-                        Ok(DriverMsg::FromPe(_, Ok(Frame::Fatal { err }))) => return Err(err),
-                        Ok(DriverMsg::FromPe(p, Ok(other))) => {
-                            return Err(transport(format!(
-                                "PE {p}: unexpected frame {other:?} during trace collect"
-                            )))
-                        }
-                        Ok(DriverMsg::FromPe(p, Err(e))) => {
-                            return Err(Self::disconnect_error(links, p, &e, self.grace))
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            if Instant::now() >= deadline {
-                                return Err(transport(format!(
-                                    "PE {pe} returned no trace before timeout"
-                                )));
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(transport("all control readers exited".into()))
-                        }
-                    }
-                }
+        // End the run with one exchange: every PE is asked at once and
+        // answers with one `Report`. Each request/response pair doubles
+        // as a Cristian's-algorithm clock probe: the PE's clock reading
+        // `pe_ns` happened (to within half the round trip) at driver
+        // time (t0 + t1) / 2, and the difference is the offset that maps
+        // that PE's timestamps onto the driver's timeline.
+        let anchor = Instant::now();
+        let collect_deadline = anchor + self.handshake_window();
+        let report = |links: &mut Links, pe: usize, sent: Instant, f| match f {
+            Frame::Report {
+                store,
+                stats,
+                samples,
+                pe_ns,
+                dropped,
+                events,
+            } => {
+                let t0 = sent.duration_since(anchor).as_nanos() as i64;
+                let t1 = anchor.elapsed().as_nanos() as i64;
+                let offset_ns = (t0 + t1) / 2 - pe_ns as i64;
+                links.per_pe[pe].faults = stats;
+                Ok((
+                    store,
+                    samples,
+                    PeLog {
+                        pe,
+                        offset_ns,
+                        events,
+                        dropped,
+                    },
+                ))
             }
-            Some(merge_pe_traces(logs))
-        } else {
-            None
+            other => Err(Box::new(other)),
         };
-
-        // Collect metrics, one PE at a time like the trace collection
-        // above (no clock probe needed — counters are clock-free — but
-        // the one-at-a-time shape keeps the channel unambiguous).
-        let metrics = if self.metrics {
-            let mut merged = MetricsSnapshot::default();
-            for pe in 0..pes {
-                links.conns[pe]
-                    .send(&Frame::MetricsCollect)
-                    .map_err(|e| transport(format!("send MetricsCollect to PE {pe}: {e}")))?;
-                let deadline = Instant::now() + self.handshake_window();
-                loop {
-                    match links.rx.recv_timeout(tick) {
-                        Ok(DriverMsg::FromPe(p, Ok(Frame::MetricsDump { samples })))
-                            if p == pe =>
-                        {
-                            merged.merge(&MetricsSnapshot { samples });
-                            break;
-                        }
-                        // Late deltas can race the dump; absorb them.
-                        Ok(DriverMsg::FromPe(
-                            p,
-                            Ok(Frame::Delta {
-                                steps,
-                                hops,
-                                hop_payload,
-                                wire_bytes,
-                                ..
-                            }),
-                        )) => {
-                            per_pe[p].steps += steps;
-                            per_pe[p].hops += hops;
-                            per_pe[p].hop_payload_bytes += hop_payload;
-                            per_pe[p].wire_bytes += wire_bytes;
-                            totals.steps += steps;
-                            totals.hops += hops;
-                            totals.hop_payload_bytes += hop_payload;
-                            totals.wire_bytes += wire_bytes;
-                        }
-                        Ok(DriverMsg::FromPe(_, Ok(Frame::Fatal { err }))) => return Err(err),
-                        Ok(DriverMsg::FromPe(p, Ok(other))) => {
-                            return Err(transport(format!(
-                                "PE {p}: unexpected frame {other:?} during metrics collect"
-                            )))
-                        }
-                        Ok(DriverMsg::FromPe(p, Err(e))) => {
-                            return Err(Self::disconnect_error(links, p, &e, self.grace))
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            if Instant::now() >= deadline {
-                                return Err(transport(format!(
-                                    "PE {pe} returned no metrics before timeout"
-                                )));
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(transport("all control readers exited".into()))
-                        }
-                    }
-                }
-            }
-            Some(merged)
-        } else {
-            None
+        let collect_overdue = |_: &Links| {
+            (Instant::now() >= collect_deadline)
+                .then(|| transport("PEs sent no report before timeout".into()))
         };
+        let reports = self.round(links, "Report", |_| Frame::Collect, report, collect_overdue)?;
+        let mut stores = Vec::with_capacity(pes);
+        let mut logs = Vec::with_capacity(pes);
+        let mut metrics = MetricsSnapshot::default();
+        for (pe, (store, samples, log)) in reports.into_iter().enumerate() {
+            stores.push(
+                decode_store(&store).map_err(|e| {
+                    transport(format!("PE {pe} returned an undecodable store: {e}"))
+                })?,
+            );
+            metrics.merge(&MetricsSnapshot { samples });
+            logs.push(log);
+        }
+        let (trace, trace_dropped) = if self.trace {
+            let (t, d) = merge_pe_traces(logs);
+            (Some(t), d)
+        } else {
+            (None, 0)
+        };
+        let totals: NetPeStats = links.per_pe.iter().copied().sum();
+        Ok(NetReport {
+            wall: Duration::ZERO, // stamped once the processes are down
+            stores,
+            steps: totals.steps,
+            hops: totals.hops,
+            hop_payload_bytes: totals.hop_payload_bytes,
+            wire_bytes: totals.wire_bytes,
+            per_pe: std::mem::take(&mut links.per_pe),
+            faults: totals.faults,
+            watchdog: self.watchdog,
+            trace,
+            trace_dropped,
+            metrics: self.metrics.then_some(metrics),
+        })
+    }
 
-        // Collect stores and fault counters.
+    /// One request/answer round: send `ask(pe)` to every PE, then take
+    /// one `want` frame from each. `answer` gets the PE, when its
+    /// request was sent, and the frame, and hands back a frame it did
+    /// not want; that, a second answer from one PE, or the error
+    /// `overdue` returns while the round waits ends the run.
+    fn round<T>(
+        &self,
+        links: &mut Links,
+        want: &str,
+        ask: impl Fn(usize) -> Frame,
+        mut answer: impl FnMut(&mut Links, usize, Instant, Frame) -> Result<T, Box<Frame>>,
+        overdue: impl Fn(&Links) -> Option<RunError>,
+    ) -> Result<Vec<T>, RunError> {
+        let pes = links.conns.len();
+        let mut sent = Vec::with_capacity(pes);
         for (pe, conn) in links.conns.iter().enumerate() {
-            conn.send(&Frame::Collect)
-                .map_err(|e| transport(format!("send Collect to PE {pe}: {e}")))?;
+            let frame = ask(pe);
+            sent.push(Instant::now());
+            conn.send(&frame).map_err(|e| RunError::Transport {
+                detail: format!("send to PE {pe} (awaiting {want}): {e}"),
+            })?;
         }
-        let mut stores: Vec<Option<NodeStore>> = (0..pes).map(|_| None).collect();
-        let mut faults = FaultStats::default();
+        let mut answers: Vec<Option<T>> = (0..pes).map(|_| None).collect();
         let mut got = 0;
-        let collect_deadline = Instant::now() + self.handshake_window();
         while got < pes {
-            match links.rx.recv_timeout(tick) {
-                Ok(DriverMsg::FromPe(pe, Ok(Frame::StoreDump { store, stats }))) => {
-                    let decoded = decode_store(&store).map_err(|e| {
-                        transport(format!("PE {pe} returned an undecodable store: {e}"))
-                    })?;
-                    if stores[pe].replace(decoded).is_none() {
+            let (pe, wrong) = match self.next_frame(links, Instant::now() + self.tick())? {
+                Some((pe, f)) if answers[pe].is_none() => match answer(links, pe, sent[pe], f) {
+                    Ok(a) => {
+                        answers[pe] = Some(a);
                         got += 1;
+                        continue;
                     }
-                    per_pe[pe].faults = stats;
-                    faults.absorb(&stats);
-                }
-                // Late deltas can race Collect; they carry no live
-                // change at this point beyond bookkeeping.
-                Ok(DriverMsg::FromPe(pe, Ok(Frame::Delta {
+                    Err(f) => (pe, *f),
+                },
+                Some(wrong) => wrong,
+                None => match overdue(links) {
+                    Some(err) => return Err(err),
+                    None => continue,
+                },
+            };
+            return Err(RunError::Transport {
+                detail: format!("PE {pe}: expected {want}, got {wrong:?}"),
+            });
+        }
+        Ok(answers
+            .into_iter()
+            .map(|a| a.expect("all answered"))
+            .collect())
+    }
+
+    /// How long one wait for a frame lasts before the waiter checks its
+    /// deadlines.
+    fn tick(&self) -> Duration {
+        self.watchdog.min(Duration::from_millis(100))
+    }
+
+    /// Wait until `until` for the next frame from any PE. `Ok(None)`:
+    /// nothing for the caller yet — a timeout, or a `Delta`, which is
+    /// folded into `links` here (even an all-zero delta is a heartbeat
+    /// that feeds the watchdog). A PE's `Fatal`, a lost control
+    /// connection and the loss of every reader end the run.
+    fn next_frame(
+        &self,
+        links: &mut Links,
+        until: Instant,
+    ) -> Result<Option<(usize, Frame)>, RunError> {
+        let wait = until.saturating_duration_since(Instant::now());
+        match links.rx.recv_timeout(wait) {
+            Ok(DriverMsg::FromPe(_, Ok(Frame::Fatal { err }))) => Err(err),
+            Ok(DriverMsg::FromPe(
+                pe,
+                Ok(Frame::Delta {
+                    spawned,
+                    finished,
                     steps,
                     hops,
                     hop_payload,
                     wire_bytes,
-                    ..
-                }))) => {
-                    per_pe[pe].steps += steps;
-                    per_pe[pe].hops += hops;
-                    per_pe[pe].hop_payload_bytes += hop_payload;
-                    per_pe[pe].wire_bytes += wire_bytes;
-                    totals.steps += steps;
-                    totals.hops += hops;
-                    totals.hop_payload_bytes += hop_payload;
-                    totals.wire_bytes += wire_bytes;
-                }
-                Ok(DriverMsg::FromPe(_, Ok(Frame::Fatal { err }))) => return Err(err),
-                Ok(DriverMsg::FromPe(pe, Ok(other))) => {
-                    return Err(transport(format!(
-                        "PE {pe}: unexpected frame {other:?} during collect"
-                    )))
-                }
-                Ok(DriverMsg::FromPe(pe, Err(e))) => {
-                    return Err(Self::disconnect_error(links, pe, &e, self.grace))
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= collect_deadline {
-                        return Err(transport(format!(
-                            "only {got}/{pes} stores returned before timeout"
-                        )));
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(transport("all control readers exited".into()))
-                }
+                }),
+            )) => {
+                links.heard = Instant::now();
+                links.live += spawned as i64 - finished as i64;
+                let p = &mut links.per_pe[pe];
+                p.steps += steps;
+                p.hops += hops;
+                p.hop_payload_bytes += hop_payload;
+                p.wire_bytes += wire_bytes;
+                Ok(None)
             }
-        }
-        let stores = stores.into_iter().map(|s| s.expect("all got")).collect();
-        Ok((stores, per_pe, faults, totals, traced, metrics))
-    }
-
-    /// Next handshake-phase frame from any PE, honouring the deadline.
-    fn next_handshake(
-        links: &mut Links,
-        deadline: Instant,
-        grace: Duration,
-    ) -> Result<(usize, Frame), RunError> {
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(RunError::Transport {
-                    detail: "handshake timed out".into(),
-                });
+            Ok(DriverMsg::FromPe(pe, Ok(frame))) => Ok(Some((pe, frame))),
+            Ok(DriverMsg::FromPe(pe, Err(e))) => {
+                Err(Self::disconnect_error(links, pe, &e, self.grace))
             }
-            match links.rx.recv_timeout(left.min(Duration::from_millis(100))) {
-                Ok(DriverMsg::FromPe(pe, Ok(Frame::Fatal { err }))) => {
-                    let _ = pe;
-                    return Err(err);
-                }
-                Ok(DriverMsg::FromPe(pe, Ok(frame))) => return Ok((pe, frame)),
-                Ok(DriverMsg::FromPe(pe, Err(e))) => {
-                    return Err(Self::disconnect_error(links, pe, &e, grace))
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(RunError::Transport {
-                        detail: "all control readers exited".into(),
-                    })
-                }
-            }
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(RunError::Transport {
+                detail: "all control readers exited".into(),
+            }),
         }
     }
 }

@@ -106,8 +106,8 @@ pub enum Frame {
         /// Record a wall-clock trace during the run.
         trace: bool,
         /// Export live metrics during the run (served on the PE's
-        /// `--metrics-addr` endpoint and collected via
-        /// [`Frame::MetricsCollect`]).
+        /// `--metrics-addr` endpoint and returned in
+        /// [`Frame::Report`]).
         metrics: bool,
     },
     /// PE → PE: a messenger hopping here.
@@ -196,43 +196,34 @@ pub enum Frame {
         /// Payload frames received from peers, lifetime total.
         peer_recv: u64,
     },
-    /// Driver → PE: the run is over; send your store back.
+    /// Driver → PE: the run is over; send your [`Frame::Report`].
     Collect,
-    /// PE → driver: final store image plus local fault counters.
-    StoreDump {
+    /// PE → driver: everything the PE holds at the end of the run. The
+    /// driver stamps its `Collect` send and this frame's arrival on its
+    /// own clock and pairs them with `pe_ns` (Cristian's algorithm) to
+    /// place this PE's trace events on the driver's timeline.
+    Report {
         /// The PE's post-run store.
         store: Vec<StoreEntry>,
         /// What the local fault machinery did.
         stats: FaultStats,
+        /// Flattened metric samples (histograms pre-expanded to
+        /// buckets), taken after the trace's `dropped` count was added.
+        /// Empty when the PE ran without metrics.
+        samples: Vec<Sample>,
+        /// The PE's trace clock when it processed the collect (its
+        /// anchor elapsed, in ns); 0 when untraced.
+        pe_ns: u64,
+        /// Trace events evicted from the ring buffer.
+        dropped: u64,
+        /// The drained trace events, oldest first, on the PE's clock.
+        /// Empty when untraced.
+        events: Vec<TraceEvent>,
     },
     /// PE → driver: the run failed on this PE.
     Fatal {
         /// The structured error.
         err: RunError,
-    },
-    /// Driver → PE: send your trace buffer back. The driver timestamps
-    /// the request/response pair on its own clock and pairs them with
-    /// `pe_ns` (Cristian's algorithm) to place this PE's events on the
-    /// driver's timeline.
-    TraceCollect,
-    /// PE → driver: the PE's trace buffer, drained.
-    TraceDump {
-        /// The PE's trace clock at the moment it processed the
-        /// collect (its `Instant` anchor elapsed, in ns).
-        pe_ns: u64,
-        /// Events evicted from the ring buffer before collection.
-        dropped: u64,
-        /// The surviving events, oldest first, on the PE's clock.
-        events: Vec<TraceEvent>,
-    },
-    /// Driver → PE: send a snapshot of your metric registry back.
-    /// Request/response shape mirrors [`Frame::TraceCollect`].
-    MetricsCollect,
-    /// PE → driver: flattened metric samples at the moment the collect
-    /// was processed. Empty when the PE ran without metrics.
-    MetricsDump {
-        /// Flattened samples (histograms pre-expanded to buckets).
-        samples: Vec<Sample>,
     },
     /// Driver → PE: exit cleanly.
     Shutdown,
@@ -250,15 +241,13 @@ const K_EVENT_SIGNAL: u8 = 9;
 const K_DELIVER: u8 = 10;
 const K_DELTA: u8 = 11;
 const K_COLLECT: u8 = 12;
-const K_STORE_DUMP: u8 = 13;
+const K_REPORT: u8 = 13;
 const K_FATAL: u8 = 14;
 const K_SHUTDOWN: u8 = 15;
 const K_PROBE: u8 = 16;
 const K_PROBE_ACK: u8 = 17;
-const K_TRACE_COLLECT: u8 = 18;
-const K_TRACE_DUMP: u8 = 19;
-const K_METRICS_COLLECT: u8 = 20;
-const K_METRICS_DUMP: u8 = 21;
+// Kinds 18–21 carried the retired per-PE trace and metrics collect
+// exchanges (now part of `Report`); they stay unassigned.
 
 fn put_snapshot(w: &mut WireWriter, s: &WireSnapshot) {
     w.put_str(&s.tag);
@@ -727,22 +716,21 @@ impl Frame {
                 w.put_u64(*peer_recv);
             }
             Frame::Collect => w.put_u8(K_COLLECT),
-            Frame::StoreDump { store, stats } => {
-                w.put_u8(K_STORE_DUMP);
-                put_store(&mut w, store);
-                put_stats(&mut w, stats);
-            }
-            Frame::Fatal { err } => {
-                w.put_u8(K_FATAL);
-                put_err(&mut w, err);
-            }
-            Frame::TraceCollect => w.put_u8(K_TRACE_COLLECT),
-            Frame::TraceDump {
+            Frame::Report {
+                store,
+                stats,
+                samples,
                 pe_ns,
                 dropped,
                 events,
             } => {
-                w.put_u8(K_TRACE_DUMP);
+                w.put_u8(K_REPORT);
+                put_store(&mut w, store);
+                put_stats(&mut w, stats);
+                w.put_u32(samples.len() as u32);
+                for s in samples {
+                    put_sample(&mut w, s);
+                }
                 w.put_u64(*pe_ns);
                 w.put_u64(*dropped);
                 w.put_u32(events.len() as u32);
@@ -750,13 +738,9 @@ impl Frame {
                     put_trace_event(&mut w, e);
                 }
             }
-            Frame::MetricsCollect => w.put_u8(K_METRICS_COLLECT),
-            Frame::MetricsDump { samples } => {
-                w.put_u8(K_METRICS_DUMP);
-                w.put_u32(samples.len() as u32);
-                for s in samples {
-                    put_sample(&mut w, s);
-                }
+            Frame::Fatal { err } => {
+                w.put_u8(K_FATAL);
+                put_err(&mut w, err);
             }
             Frame::Shutdown => w.put_u8(K_SHUTDOWN),
         }
@@ -856,15 +840,14 @@ impl Frame {
                 peer_recv: r.get_u64()?,
             },
             K_COLLECT => Frame::Collect,
-            K_STORE_DUMP => Frame::StoreDump {
-                store: get_store(&mut r)?,
-                stats: get_stats(&mut r)?,
-            },
-            K_FATAL => Frame::Fatal {
-                err: get_err(&mut r)?,
-            },
-            K_TRACE_COLLECT => Frame::TraceCollect,
-            K_TRACE_DUMP => {
+            K_REPORT => {
+                let store = get_store(&mut r)?;
+                let stats = get_stats(&mut r)?;
+                let n = r.get_u32()? as usize;
+                let mut samples = Vec::new();
+                for _ in 0..n {
+                    samples.push(get_sample(&mut r)?);
+                }
                 let pe_ns = r.get_u64()?;
                 let dropped = r.get_u64()?;
                 let n = r.get_u32()? as usize;
@@ -872,21 +855,18 @@ impl Frame {
                 for _ in 0..n {
                     events.push(get_trace_event(&mut r)?);
                 }
-                Frame::TraceDump {
+                Frame::Report {
+                    store,
+                    stats,
+                    samples,
                     pe_ns,
                     dropped,
                     events,
                 }
             }
-            K_METRICS_COLLECT => Frame::MetricsCollect,
-            K_METRICS_DUMP => {
-                let n = r.get_u32()? as usize;
-                let mut samples = Vec::new();
-                for _ in 0..n {
-                    samples.push(get_sample(&mut r)?);
-                }
-                Frame::MetricsDump { samples }
-            }
+            K_FATAL => Frame::Fatal {
+                err: get_err(&mut r)?,
+            },
             K_SHUTDOWN => Frame::Shutdown,
             k => return Err(DecodeError::UnknownTag(format!("frame kind {k}"))),
         };
@@ -1078,13 +1058,17 @@ mod tests {
             trace: true,
             metrics: true,
         });
-        roundtrip(Frame::StoreDump {
+        roundtrip(Frame::Report {
             store,
             stats: FaultStats {
                 crashes: 1,
                 hops_delayed: 2,
                 ..FaultStats::default()
             },
+            samples: vec![],
+            pe_ns: 0,
+            dropped: 0,
+            events: vec![],
         });
     }
 
@@ -1124,72 +1108,55 @@ mod tests {
         }
     }
 
+    // Every sample and trace-event kind is covered by the codec property
+    // tests; the two tests below round-trip the four shapes an end-of-run
+    // Report takes: traced and metered, traced only, metered only, neither.
+    fn sample() -> Sample {
+        Sample {
+            name: "navp_park_wait_ns_bucket".into(),
+            labels: vec![("pe".into(), "0".into()), ("le".into(), "+Inf".into())],
+            kind: SampleKind::Counter,
+            value: 17.0,
+        }
+    }
+
+    fn exec_event() -> TraceEvent {
+        TraceEvent {
+            start: VTime(10),
+            end: VTime(20),
+            actor: 1,
+            label: "carrier".into(),
+            kind: TraceKind::Exec { pe: 0 },
+        }
+    }
+
+    fn report(samples: &[Sample], pe_ns: u64, dropped: u64, events: &[TraceEvent]) -> Frame {
+        Frame::Report {
+            store: vec![StoreEntry {
+                key: Key::at("C", 1),
+                tag: "mm.Block".into(),
+                bytes: 64,
+                val: vec![7; 8],
+            }],
+            stats: FaultStats {
+                redelivered: 2,
+                ..FaultStats::default()
+            },
+            samples: samples.to_vec(),
+            pe_ns,
+            dropped,
+            events: events.to_vec(),
+        }
+    }
+
     #[test]
     fn trace_frames_roundtrip() {
-        roundtrip(Frame::TraceCollect);
-        roundtrip(Frame::TraceDump {
-            pe_ns: 0,
-            dropped: 0,
-            events: vec![],
-        });
-        roundtrip(Frame::TraceDump {
-            pe_ns: 987_654_321,
-            dropped: 3,
-            events: vec![
-                TraceEvent {
-                    start: VTime(10),
-                    end: VTime(20),
-                    actor: 1,
-                    label: "carrier".into(),
-                    kind: TraceKind::Exec { pe: 0 },
-                },
-                TraceEvent {
-                    start: VTime(20),
-                    end: VTime(25),
-                    actor: 1,
-                    label: "carrier".into(),
-                    kind: TraceKind::Transfer {
-                        from: 0,
-                        to: 3,
-                        bytes: 512,
-                    },
-                },
-                TraceEvent {
-                    start: VTime(30),
-                    end: VTime(40),
-                    actor: 2,
-                    label: "w".into(),
-                    kind: TraceKind::Block { pe: 3 },
-                },
-                TraceEvent {
-                    start: VTime(41),
-                    end: VTime(41),
-                    actor: 2,
-                    label: "w".into(),
-                    kind: TraceKind::Signal { pe: 3 },
-                },
-                TraceEvent {
-                    start: VTime(50),
-                    end: VTime(50),
-                    actor: u64::MAX,
-                    label: "crash".into(),
-                    kind: TraceKind::Fault { pe: 1 },
-                },
-            ],
-        });
-        // Corrupt kind tag is rejected, not panicked on.
-        let mut body = Frame::TraceDump {
-            pe_ns: 1,
-            dropped: 0,
-            events: vec![TraceEvent {
-                start: VTime(0),
-                end: VTime(1),
-                actor: 0,
-                label: String::new(),
-                kind: TraceKind::Exec { pe: 0 },
-            }],
-        }
-        .encode();
+        let traced = [exec_event()];
+        roundtrip(report(&[sample()], 987_654_321, 3, &traced)); // traced and metered
+        roundtrip(report(&[], 987_654_321, 3, &traced)); // traced only
+
+        // A corrupt trace-kind tag is rejected, not panicked on.
+        let mut body = report(&[], 1, 0, &traced).encode();
         let kind_at = body.len() - 5; // u8 tag + u32 pe at the tail
         body[kind_at] = 99;
         assert!(Frame::decode(&body).is_err());
@@ -1197,30 +1164,18 @@ mod tests {
 
     #[test]
     fn metrics_frames_roundtrip() {
-        roundtrip(Frame::MetricsCollect);
-        roundtrip(Frame::MetricsDump { samples: vec![] });
-        roundtrip(Frame::MetricsDump {
-            samples: vec![
-                Sample {
-                    name: "navp_hops_total".into(),
-                    labels: vec![("pe".into(), "2".into())],
-                    kind: SampleKind::Counter,
-                    value: 42.0,
-                },
-                Sample {
-                    name: "navp_queue_depth".into(),
-                    labels: vec![],
-                    kind: SampleKind::Gauge,
-                    value: -3.0,
-                },
-                Sample {
-                    name: "navp_park_wait_ns_bucket".into(),
-                    labels: vec![("pe".into(), "0".into()), ("le".into(), "+Inf".into())],
-                    kind: SampleKind::Counter,
-                    value: 17.0,
-                },
-            ],
-        });
+        roundtrip(report(&[sample()], 0, 0, &[])); // metered only
+        roundtrip(report(&[], 0, 0, &[])); // neither
+    }
+
+    #[test]
+    fn retired_kinds_are_unknown() {
+        for kind in 18..=21u8 {
+            assert!(
+                matches!(Frame::decode(&[kind]), Err(DecodeError::UnknownTag(_))),
+                "kind {kind} must stay retired"
+            );
+        }
     }
 
     #[test]

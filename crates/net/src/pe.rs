@@ -24,15 +24,19 @@
 
 use crate::cluster::{event_home, read_frame, FrameConn};
 use crate::durable::{register_durable, RegistryCodec};
-use crate::frame::{Frame, StoreEntry};
+use crate::frame::Frame;
 use crate::netloop::{IoHandle, IoLoop};
 use crate::registry::{decode_messenger, decode_store, encode_messenger, encode_store};
 use navp::durable::{self as core_durable, OutFrame};
-use navp::pe_core::{Arrival, EventTable, HopHold, Parked, PeCore, PeIo, Recovery, Spill, Tally};
+use navp::pe_core::{
+    pe_lane, Arrival, Durable, EventTable, HopHold, Host, Parked, PeCore, PeIo, Recovery, RunOpts,
+    Setup, Spill, Tally,
+};
 use navp::sim_exec::HOP_STATE_BYTES;
+use navp::thread_exec::panic_text;
 use navp::{EventKey, FaultPlan, Messenger, RunError, WireSnapshot};
 use navp_metrics::{serve_http_with, Counter, MetricsRegistry, RunMetrics};
-use navp_obs::{flight, EventKind as ObsKind, Lane as ObsLane};
+use navp_obs::{EventKind as ObsKind, Lane as ObsLane};
 use std::collections::{HashSet, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -677,6 +681,35 @@ impl Daemon {
         Ok(())
     }
 
+    /// The end-of-run report: store, fault stats, metric samples and the
+    /// drained trace. The trace's dropped count joins the metrics before
+    /// they are snapshot.
+    fn report(&mut self) -> Result<Frame, RunError> {
+        let recorder = self.core.recorder();
+        let pe_ns = recorder.now_ns();
+        let (events, dropped) = recorder.take();
+        let samples = match &self.io.metrics {
+            Some(met) => {
+                met.trace_dropped.add(dropped);
+                met.snapshot().samples
+            }
+            None => Vec::new(),
+        };
+        Ok(Frame::Report {
+            store: encode_store(&self.core.store)?,
+            stats: self
+                .io
+                .recovery
+                .as_ref()
+                .map(|r| r.stats())
+                .unwrap_or_default(),
+            samples,
+            pe_ns,
+            dropped,
+            events,
+        })
+    }
+
     fn send_driver(&self, frame: &Frame, what: &str) -> Result<(), RunError> {
         self.io
             .driver
@@ -724,41 +757,8 @@ impl Daemon {
                 }
                 Ok(PeEvent::Driver(Ok(Frame::Collect))) => {
                     self.flush_delta()?;
-                    let dump = Frame::StoreDump {
-                        store: encode_store(&self.core.store)?,
-                        stats: self
-                            .io
-                            .recovery
-                            .as_ref()
-                            .map(|r| r.stats())
-                            .unwrap_or_default(),
-                    };
-                    self.send_driver(&dump, "return its store")?;
-                }
-                Ok(PeEvent::Driver(Ok(Frame::TraceCollect))) => {
-                    self.flush_delta()?;
-                    let recorder = self.core.recorder();
-                    let pe_ns = recorder.now_ns();
-                    let (events, dropped) = recorder.take();
-                    if let Some(met) = &self.io.metrics {
-                        met.trace_dropped.add(dropped);
-                    }
-                    let dump = Frame::TraceDump {
-                        pe_ns,
-                        dropped,
-                        events,
-                    };
-                    self.send_driver(&dump, "return its trace")?;
-                }
-                Ok(PeEvent::Driver(Ok(Frame::MetricsCollect))) => {
-                    self.flush_delta()?;
-                    let samples = self
-                        .io
-                        .metrics
-                        .as_ref()
-                        .map(|met| met.snapshot().samples)
-                        .unwrap_or_default();
-                    self.send_driver(&Frame::MetricsDump { samples }, "return its metrics")?;
+                    let report = self.report()?;
+                    self.send_driver(&report, "report")?;
                 }
                 Ok(PeEvent::Driver(Ok(Frame::Shutdown))) => return Ok(()),
                 Ok(PeEvent::Driver(Ok(other))) => {
@@ -1064,18 +1064,13 @@ fn driver_session(
 /// Everything the blocking handshake half of a session produces,
 /// handed to [`pe_run`] at the moment the sockets join the event loop.
 struct SessionSetup<'a> {
-    pe: usize,
-    pes: usize,
-    run: u64,
     peer_streams: Vec<Option<TcpStream>>,
-    store_img: Vec<StoreEntry>,
-    injections: Vec<(u64, WireSnapshot)>,
-    events: Vec<EventKey>,
+    /// This PE, its store and its decoded time-zero injections; the
+    /// span anchor is set when the session clock starts.
+    host: Host,
     plan: Option<FaultPlan>,
+    run_opts: RunOpts,
     initial_live: u64,
-    trace: bool,
-    metered: bool,
-    run_metrics: Option<Arc<RunMetrics>>,
     _run_guard: RunGuard<'a>,
 }
 
@@ -1195,20 +1190,46 @@ fn pe_handshake<'a>(
         );
         RunMetrics::on_registry(Arc::clone(&registry), pes)
     });
+    let store = decode_store(&store_img)
+        .map_err(|e| transport(format!("PE {pe} cannot decode its store: {e}")))?;
+    let mut admitted = Vec::with_capacity(injections.len());
+    for (id, snap) in injections {
+        let m = decode_messenger(&snap)
+            .map_err(|e| transport(format!("PE {pe} cannot decode injection {id}: {e}")))?;
+        admitted.push((pe, id, m));
+    }
+    // Durable state is scoped to the session's run namespace: run 0
+    // spills into the base directory (the pre-service layout), any
+    // other run into its own `run-<id>` subdir whose manifest the
+    // driver wrote before connecting.
+    let durable = opts.durable_dir.as_ref().map(|base| Durable {
+        dir: core_durable::run_dir(base, run),
+        codec: Arc::new(RegistryCodec),
+        create: false,
+    });
+    // Recovery machinery (fault tracker, journal, checkpoint table) runs
+    // for a fault plan *or* durable mode — the durable cut is that
+    // machinery serialized. Crash-restart semantics follow the plan.
+    let plan = plan.or_else(|| durable.is_some().then(FaultPlan::new));
 
     Ok(SessionSetup {
-        pe,
-        pes,
-        run,
         peer_streams,
-        store_img,
-        injections,
-        events,
+        host: Host {
+            pes,
+            first: pe,
+            stores: vec![store],
+            injections: admitted,
+            events,
+            run,
+            anchor: None,
+        },
         plan,
+        run_opts: RunOpts {
+            trace,
+            metrics: run_metrics,
+            durable,
+        },
         initial_live,
-        trace,
-        metered,
-        run_metrics,
         _run_guard: run_guard,
     })
 }
@@ -1225,20 +1246,15 @@ fn pe_run(
 ) -> Result<(), RunError> {
     let transport = |detail: String| RunError::Transport { detail };
     let SessionSetup {
-        pe,
-        pes,
-        run,
         peer_streams,
-        store_img,
-        injections,
-        events,
+        mut host,
         plan,
+        run_opts,
         initial_live,
-        trace,
-        metered,
-        run_metrics,
         _run_guard,
     } = setup;
+    let (pe, pes, run) = (host.first, host.pes, host.run);
+    let (trace, metered) = (run_opts.trace, run_opts.metrics.is_some());
     let reader_bytes = metered.then(|| Arc::clone(&obs.decode_bytes));
     let ioloop = IoLoop::global();
     if metered {
@@ -1283,97 +1299,45 @@ fn pe_run(
         peers[q] = Some(handle);
     }
 
-    let mut store = decode_store(&store_img)
-        .map_err(|e| transport(format!("PE {pe} cannot decode its store: {e}")))?;
-    // Recovery machinery (fault tracker, journal, checkpoint table) runs
-    // for a fault plan *or* durable mode — the durable cut is that
-    // machinery serialized. Crash-restart semantics follow the plan.
-    let recovery = (plan.is_some() || opts.durable_dir.is_some()).then(|| {
-        let plan = plan.unwrap_or_default();
-        Recovery::new(
-            plan,
-            pes,
-            pe,
-            std::slice::from_mut(&mut store),
-            run_metrics.clone(),
-        )
-    });
-    let durable = match &opts.durable_dir {
-        Some(base) => {
-            register_durable();
-            // Durable state is scoped to the session's run namespace:
-            // run 0 spills into the base directory (the pre-service
-            // layout), any other run into its own `run-<id>` subdir
-            // whose manifest the driver wrote before connecting.
-            let dir = core_durable::run_dir(base, run);
-            let m = core_durable::read_manifest(&dir)
-                .map_err(|e| transport(format!("PE {pe} durable manifest: {e}")))?;
-            if m.pes != pes {
-                return Err(transport(format!(
-                    "PE {pe}: durable manifest declares {} PEs, cluster has {pes}",
-                    m.pes
-                )));
-            }
-            Some(NetDurable {
-                spill: Spill {
-                    dir,
-                    codec: Arc::new(RegistryCodec),
-                    nonce: m.nonce,
-                    boundary: 0,
-                },
-                sent_to: vec![0; pes],
-                recv_from: vec![0; pes],
-                outbox: Vec::new(),
-                pending: Vec::new(),
-            })
-        }
-        None => None,
-    };
-
-    let lane = flight().lane(&format!("pe{pe}"));
     // The recorder shares the session anchor with the I/O callbacks, so
     // loop-stamped arrival times and daemon-stamped span times live on
     // one clock.
-    let core = PeCore::new(pe, pes, store, Arc::clone(&lane), run_metrics.clone())
-        .with_trace(anchor, trace)
-        .with_run(run);
+    host.anchor = Some(anchor);
+    let setup = Setup::new(host, plan, &run_opts, pe_lane)?;
+    let core = setup.cores.into_iter().next().expect("one hosted PE");
     let mut daemon = Daemon {
-        core,
         io: NetIo {
             pe,
             pes,
             run,
-            lane,
-            recovery,
-            durable,
-            events: EventTable::default(),
-            queue: VecDeque::new(),
+            lane: Arc::clone(core.lane()),
+            recovery: setup.rec,
+            durable: setup.spill.map(|spill| NetDurable {
+                spill,
+                sent_to: vec![0; pes],
+                recv_from: vec![0; pes],
+                outbox: Vec::new(),
+                pending: Vec::new(),
+            }),
+            events: setup.events,
+            queue: setup
+                .admitted
+                .into_iter()
+                .map(|(_, id, m)| (id, m, Arrival::Fresh))
+                .collect(),
             next_inject: 0,
             initial_live,
             peers,
             driver,
-            metrics: run_metrics,
+            metrics: run_opts.metrics,
             health: opts.metrics_addr.is_some().then(|| Arc::clone(&obs.health)),
             d_wire: 0,
             t_peer_sent: 0,
             t_peer_recv: 0,
         },
+        core,
         flushed: Tally::default(),
     };
-    for key in events {
-        daemon.io.events.bank(key);
-    }
-    for (id, snap) in injections {
-        let m = decode_messenger(&snap)
-            .map_err(|e| transport(format!("PE {pe} cannot decode injection {id}: {e}")))?;
-        daemon
-            .core
-            .admit(daemon.io.recovery.as_mut(), id, m.as_ref());
-        daemon.io.queue.push_back((id, m, Arrival::Fresh));
-    }
-    // Boundary 0: spill the delivered-but-unrun state, so even a kill
-    // before the first run restores cleanly.
-    daemon.io.durable_commit()?;
     daemon
         .io
         .lane
@@ -1386,14 +1350,10 @@ fn pe_run(
     }));
     let result = match outcome {
         Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".to_string());
-            Err(RunError::WorkerPanic(format!("PE {pe}: {msg}")))
-        }
+        Err(payload) => Err(RunError::WorkerPanic(format!(
+            "PE {pe}: {}",
+            panic_text(&*payload)
+        ))),
     };
     daemon.io.lane.record(
         ObsKind::RunEnd,

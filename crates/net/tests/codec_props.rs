@@ -164,7 +164,7 @@ fn arb_sample(rng: &mut SplitMix64) -> Sample {
 }
 
 fn arb_frame(rng: &mut SplitMix64) -> Frame {
-    match rng.below(21) {
+    match rng.below(17) {
         0 => Frame::Assign {
             pe: rng.below(16) as u32,
             pes: rng.below(16) as u32,
@@ -225,18 +225,34 @@ fn arb_frame(rng: &mut SplitMix64) -> Frame {
             wire_bytes: rng.next_u64() >> 1,
         },
         11 => Frame::Collect,
-        12 => Frame::StoreDump {
-            store: arb_store(rng),
-            stats: FaultStats {
-                crashes: rng.below(5),
-                redelivered: rng.below(5),
-                replayed_writes: rng.below(100),
-                send_retries: rng.below(5),
-                hops_delayed: rng.below(5),
-                hops_dropped: rng.below(5),
-                signals_lost: rng.below(5),
-            },
-        },
+        12 => {
+            // Traced and metered, traced only, metered only, or neither.
+            let (metered, traced) = (rng.below(2) == 1, rng.below(2) == 1);
+            Frame::Report {
+                store: arb_store(rng),
+                stats: FaultStats {
+                    crashes: rng.below(5),
+                    redelivered: rng.below(5),
+                    replayed_writes: rng.below(100),
+                    send_retries: rng.below(5),
+                    hops_delayed: rng.below(5),
+                    hops_dropped: rng.below(5),
+                    signals_lost: rng.below(5),
+                },
+                samples: if metered {
+                    (0..rng.below(6)).map(|_| arb_sample(rng)).collect()
+                } else {
+                    Vec::new()
+                },
+                pe_ns: if traced { rng.next_u64() >> 1 } else { 0 },
+                dropped: if traced { rng.below(100) } else { 0 },
+                events: if traced {
+                    (0..rng.below(6)).map(|_| arb_trace_event(rng)).collect()
+                } else {
+                    Vec::new()
+                },
+            }
+        }
         13 => Frame::Fatal {
             err: arb_error(rng),
         },
@@ -249,16 +265,6 @@ fn arb_frame(rng: &mut SplitMix64) -> Frame {
             finished: rng.below(10_000),
             peer_sent: rng.below(10_000),
             peer_recv: rng.below(10_000),
-        },
-        16 => Frame::TraceCollect,
-        17 => Frame::TraceDump {
-            pe_ns: rng.next_u64() >> 1,
-            dropped: rng.below(100),
-            events: (0..rng.below(6)).map(|_| arb_trace_event(rng)).collect(),
-        },
-        18 => Frame::MetricsCollect,
-        19 => Frame::MetricsDump {
-            samples: (0..rng.below(6)).map(|_| arb_sample(rng)).collect(),
         },
         _ => Frame::Shutdown,
     }
