@@ -23,14 +23,12 @@
 
 use navp_bench::check::{compare, parse_baseline, render_table, BenchEntry};
 use navp_bench::timing::{write_groups_json, Entry, Group, Metric};
-use navp_kv::{run_kv_threads, run_kv_threads_unverified, KvConfig, KvStage};
+use navp_kv::{run_kv, KvConfig, KvStage};
 use navp_matrix::gen::seeded_matrix;
 use navp_matrix::kernel::{gemm_acc, gemm_acc_naive, gemm_flops};
 use navp_matrix::Grid2D;
 use navp_mm::config::MmConfig;
-use navp_mm::runner::{
-    run_navp_net, run_navp_threads, run_navp_threads_unverified, NavpStage, NetOpts,
-};
+use navp_mm::runner::{run_navp, NavpStage, NetOpts, On, Run};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -143,11 +141,11 @@ fn bench_stages(opts: &Opts) -> Vec<Group> {
         };
         // One verified probe: checks the answer against the sequential
         // reference and records the (deterministic) hop byte traffic.
-        let probe = run_navp_threads(stage, &cfg, grid).expect("run");
+        let probe = run_navp(stage, &cfg, grid, Run::on(On::Threads)).expect("run");
         assert_eq!(probe.verified, Some(true), "{} failed to verify", stage.name());
         let e = wall
             .bench(stage.name(), || {
-                run_navp_threads_unverified(stage, &cfg, grid)
+                run_navp(stage, &cfg, grid, Run::on(On::Threads).unverified())
                     .expect("run")
                     .wall
             })
@@ -187,9 +185,14 @@ fn bench_recorder_overhead(opts: &Opts) -> Group {
     let mut timed = |label: &str, on: bool| {
         navp_obs::flight().set_enabled(on);
         g.bench(label, || {
-            run_navp_threads_unverified(NavpStage::Phase1D, &cfg, grid)
-                .expect("run")
-                .wall
+            run_navp(
+                NavpStage::Phase1D,
+                &cfg,
+                grid,
+                Run::on(On::Threads).unverified(),
+            )
+            .expect("run")
+            .wall
         })
         .clone()
     };
@@ -226,13 +229,14 @@ fn bench_net_scaling(opts: &Opts) -> Vec<Group> {
     let mut hops = Group::new(&format!("hop_bandwidth_net_scaling_n{n}")).sample_size(samples);
     for pes in [4usize, 16, 64] {
         let ab = n / (2 * pes);
-        let cfg = MmConfig::real(n, ab).with_watchdog(Duration::from_secs(120));
+        let cfg = MmConfig::real(n, ab);
         let grid = Grid2D::line(pes).expect("grid");
+        let run = || Run::on(On::Net(&net_opts)).watchdog(Some(Duration::from_secs(120)));
         // One probe records the deterministic hop byte traffic; every
-        // timed sample also verifies against the sequential product
-        // (run_navp_net always checks), so a scaling row can never be
+        // timed sample also verifies against the sequential product (a
+        // plain `Run` verifies), so a scaling row can never be
         // fast-but-wrong.
-        let probe = run_navp_net(NavpStage::Phase1D, &cfg, grid, &net_opts).expect("net run");
+        let probe = run_navp(NavpStage::Phase1D, &cfg, grid, run()).expect("net run");
         assert_eq!(
             probe.verified,
             Some(true),
@@ -241,7 +245,7 @@ fn bench_net_scaling(opts: &Opts) -> Vec<Group> {
         let label = format!("phase1d_p{pes}");
         let e = wall
             .bench(&label, || {
-                run_navp_net(NavpStage::Phase1D, &cfg, grid, &net_opts)
+                run_navp(NavpStage::Phase1D, &cfg, grid, run())
                     .expect("net run")
                     .wall
             })
@@ -286,7 +290,7 @@ fn bench_kv(opts: &Opts) -> Vec<Group> {
         // One verified probe: checks the product against the
         // sequential reference and records the deterministic scan
         // volume this (config, step) pair produces.
-        let probe = run_kv_threads(stage, &cfg, pes).expect("run");
+        let probe = run_kv(stage, &cfg, pes, Run::on(On::Threads)).expect("run");
         assert_eq!(
             probe.verified,
             Some(true),
@@ -296,7 +300,9 @@ fn bench_kv(opts: &Opts) -> Vec<Group> {
         let label = format!("{}_p{pes}", stage.name());
         let e = wall
             .bench(&label, || {
-                run_kv_threads_unverified(stage, &cfg, pes).expect("run").wall
+                run_kv(stage, &cfg, pes, Run::on(On::Threads).unverified())
+                    .expect("run")
+                    .wall
             })
             .clone();
         scans.record(Entry {

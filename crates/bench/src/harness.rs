@@ -6,9 +6,7 @@ use navp::{FaultPlan, FaultStats};
 use navp_matrix::Grid2D;
 use navp_mm::config::MmConfig;
 use navp_mm::gentleman::GentlemanOpts;
-use navp_mm::runner::{
-    run_mp_sim, run_navp_sim, run_navp_sim_faulted, run_seq_sim, MpAlg, NavpStage, RunnerError,
-};
+use navp_mm::runner::{run_mp_sim, run_navp, run_seq_sim, MpAlg, NavpStage, On, Run, RunnerError};
 use navp_sim::CostModel;
 use std::fmt::Write as _;
 
@@ -108,12 +106,14 @@ pub fn run_table_with_faults(
         let mut cells = Vec::with_capacity(spec.columns.len());
         let mut faults = FaultStats::default();
         for (col_idx, (name, paper_times)) in spec.columns.iter().enumerate() {
-            let out = match (impl_of(name), plan) {
-                (CellImpl::Navp(stage), None) => run_navp_sim(stage, &cfg, grid, cost, false)?,
-                (CellImpl::Navp(stage), Some(plan)) => {
-                    run_navp_sim_faulted(stage, &cfg, grid, cost, plan.clone())?
-                }
-                (CellImpl::Mp(alg), _) => run_mp_sim(alg, &cfg, grid, cost)?,
+            let out = match impl_of(name) {
+                CellImpl::Navp(stage) => run_navp(
+                    stage,
+                    &cfg,
+                    grid,
+                    Run::on(On::Sim(cost)).plan(plan.cloned()),
+                )?,
+                CellImpl::Mp(alg) => run_mp_sim(alg, &cfg, grid, cost)?,
             };
             if let Some(f) = &out.faults {
                 faults.absorb(f);

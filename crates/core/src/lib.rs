@@ -55,8 +55,10 @@
 //! hop-boundary checkpoint/restart machinery in [`recovery`].
 //!
 //! The three transformations themselves (DSC, pipelining, phase
-//! shifting) are available as a reusable API in [`transform`] — the
-//! paper's future-work item made concrete.
+//! shifting) are applied by hand in the case-study crates (`navp-mm`,
+//! `navp-kv`): each stage is a set of serializable messengers, so it
+//! runs unchanged on every executor. [`script::Script`] builds a
+//! messenger from closures for tests and examples that stay in process.
 
 #![warn(missing_docs)]
 
@@ -73,7 +75,6 @@ pub mod sim_exec;
 #[cfg(test)]
 mod testkit;
 pub mod thread_exec;
-pub mod transform;
 
 pub use agent::{Effect, Messenger, MsgrCtx, StepOutputs, WireSnapshot};
 pub use cluster::Cluster;

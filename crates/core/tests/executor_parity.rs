@@ -5,7 +5,6 @@
 //! identically.
 
 use navp::script::Script;
-use navp::transform::Itinerary;
 use navp::{Cluster, Effect, FaultPlan, Key, Messenger, MsgrCtx, SimExecutor, ThreadExecutor};
 use navp_metrics::RunMetrics;
 use navp_sim::CostModel;
@@ -76,35 +75,6 @@ fn chained_producers_consumers_agree() {
             "PE {pe} disagrees"
         );
     }
-}
-
-#[test]
-fn itinerary_carriers_agree_across_executors() {
-    let build = || {
-        let mut cl = Cluster::new(3).expect("cluster");
-        for pe in 0..3 {
-            cl.store_mut(pe).insert(Key::plain("v"), (pe * pe) as f64, 8);
-        }
-        let acc = Arc::new(std::sync::Mutex::new(0.0f64));
-        let mut it = Itinerary::new("walker");
-        for pe in [2, 0, 1] {
-            let acc = acc.clone();
-            it = it.then_at(pe, move |ctx| {
-                let v = *ctx.store().get::<f64>(Key::plain("v")).expect("placed");
-                *acc.lock().unwrap() += v;
-            });
-        }
-        let acc2 = acc.clone();
-        let it = it.then_at(1, move |ctx| {
-            let total = *acc2.lock().unwrap();
-            ctx.store().insert(Key::plain("total"), total, 8);
-        });
-        cl.inject(2, it.into_messenger());
-        cl
-    };
-    let (sim, thr) = both(build);
-    assert_eq!(sim[1].get::<f64>(Key::plain("total")), Some(&5.0));
-    assert_eq!(thr[1].get::<f64>(Key::plain("total")), Some(&5.0));
 }
 
 #[test]

@@ -7,8 +7,6 @@
 //! workload derives its operands from `(seed, n)` rather than
 //! serializing matrices into every messenger.
 
-use std::time::Duration;
-
 /// Configuration of one key-value run: a seeded stream of
 /// put/get/scan/delete operations split into client batches over a
 /// hash-partitioned keyspace.
@@ -32,13 +30,6 @@ pub struct KvConfig {
     pub scan_limit: usize,
     /// Root seed of the workload generator.
     pub seed: u64,
-    /// Per-PE watchdog for the real executors (`None` = executor
-    /// default, overridable via `NAVP_WATCHDOG_MS`).
-    pub watchdog: Option<Duration>,
-    /// Record a wall-clock trace on the real executors.
-    pub trace: bool,
-    /// Collect live metrics during the run.
-    pub metrics: bool,
 }
 
 impl KvConfig {
@@ -58,9 +49,6 @@ impl KvConfig {
             keys_per_batch: 256,
             scan_limit: 16,
             seed: 0x5eed_cafe,
-            watchdog: None,
-            trace: false,
-            metrics: false,
         }
     }
 
@@ -81,30 +69,6 @@ impl KvConfig {
     pub fn with_keys_per_batch(mut self, keys: u64) -> KvConfig {
         assert!(keys > 0, "keyspace must be non-empty");
         self.keys_per_batch = keys;
-        self
-    }
-
-    /// Override the scan result cap.
-    pub fn with_scan_limit(mut self, limit: usize) -> KvConfig {
-        self.scan_limit = limit;
-        self
-    }
-
-    /// Override the per-PE watchdog used by the real executors.
-    pub fn with_watchdog(mut self, timeout: Duration) -> KvConfig {
-        self.watchdog = Some(timeout);
-        self
-    }
-
-    /// Request a wall-clock trace from the real executors.
-    pub fn with_trace(mut self, on: bool) -> KvConfig {
-        self.trace = on;
-        self
-    }
-
-    /// Request live metrics collection.
-    pub fn with_metrics(mut self, on: bool) -> KvConfig {
-        self.metrics = on;
         self
     }
 

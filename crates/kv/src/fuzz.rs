@@ -15,9 +15,7 @@ use navp_mm::{FuzzExecutor, FuzzOpts};
 use navp_sim::CostModel;
 
 use crate::config::KvConfig;
-use crate::runner::{
-    run_kv_sim_faulted, run_kv_threads_faulted, KvError, KvStage,
-};
+use crate::runner::{run_kv, KvError, KvStage};
 
 /// One complete faulted kv run, reduced to its product bytes.
 fn run_once(
@@ -27,13 +25,8 @@ fn run_once(
     executor: FuzzExecutor,
     plan: &FaultPlan,
 ) -> Result<Vec<u8>, RunError> {
-    let out = match executor {
-        FuzzExecutor::Sim => {
-            run_kv_sim_faulted(stage, cfg, pes, &CostModel::paper_cluster(), plan.clone())
-        }
-        FuzzExecutor::Threads => run_kv_threads_faulted(stage, cfg, pes, plan.clone()),
-    };
-    let out = out.map_err(|e| match e {
+    let cost = CostModel::paper_cluster();
+    let out = run_kv(stage, cfg, pes, executor.run(&cost, plan)).map_err(|e| match e {
         KvError::Navp(e) => e,
         other => RunError::Transport {
             detail: other.to_string(),

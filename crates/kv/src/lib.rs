@@ -19,10 +19,10 @@
 //!   the final journey step.
 //!
 //! The four steps — [`KvStage::Seq`], [`KvStage::Dsc`],
-//! [`KvStage::Pipe`], [`KvStage::Phase`] — run through the [`runner`]
-//! entry points ([`run_kv_sim`], [`run_kv_threads`], [`run_kv_net`] and
-//! their faulted, durable and restored variants), which share the
-//! matrix runner's one dispatch. They produce bitwise-identical
+//! [`KvStage::Pipe`], [`KvStage::Phase`] — run through [`run_kv`],
+//! which takes the matrix runner's [`Run`](navp_mm::Run) — executor,
+//! faults, durable or restore directory, tracing, metrics, watchdog —
+//! and shares its one dispatch. They produce bitwise-identical
 //! products across the sim, thread, and networked executors *and across
 //! each other*, because batches own disjoint key regions and compaction
 //! is observation-neutral. The workload integrates with the rest of the
@@ -46,11 +46,7 @@ pub use carrier::{BatchCarrier, BatchResult, Compactor, DscKvCarrier};
 pub use config::KvConfig;
 pub use fuzz::{fuzz_kv_stage, replay_kv_repro};
 pub use net::register_net;
-pub use runner::{
-    run_kv_net, run_kv_net_faulted, run_kv_restored_threads, run_kv_sim, run_kv_sim_faulted,
-    run_kv_threads, run_kv_threads_durable, run_kv_threads_faulted, run_kv_threads_unverified,
-    KvError, KvRunOutput, KvStage,
-};
+pub use runner::{run_kv, run_kv_sim, KvError, KvRunOutput, KvStage};
 pub use shard::Shard;
 pub use stages::KvRunStats;
 pub use workload::{expected, KvProduct};

@@ -8,8 +8,6 @@
 //! exactly what the NavP model says travels — the agent variables: the
 //! accumulated result buffer, in-flight scan hits, and the cursors.
 
-use std::time::Duration;
-
 use navp_net::codec::{DecodeError, WireReader, WireWriter};
 use navp_net::registry::{register_messenger, register_value, ValueCodec};
 use navp_sim::store::StoreValue;
@@ -37,15 +35,6 @@ pub(crate) fn put_cfg(w: &mut WireWriter, cfg: &KvConfig) {
     w.put_u64(cfg.keys_per_batch);
     w.put_usize(cfg.scan_limit);
     w.put_u64(cfg.seed);
-    match cfg.watchdog {
-        Some(wd) => {
-            w.put_bool(true);
-            w.put_u64(wd.as_nanos() as u64);
-        }
-        None => w.put_bool(false),
-    }
-    w.put_bool(cfg.trace);
-    w.put_bool(cfg.metrics);
 }
 
 /// Hard caps on decoded workload sizes. Ops are *regenerated* from
@@ -73,11 +62,6 @@ pub(crate) fn get_cfg(r: &mut WireReader<'_>) -> Result<KvConfig, DecodeError> {
     }
     let scan_limit = r.get_usize()?;
     let seed = r.get_u64()?;
-    let watchdog = if r.get_bool()? {
-        Some(Duration::from_nanos(r.get_u64()?))
-    } else {
-        None
-    };
     Ok(KvConfig {
         ops,
         batches,
@@ -85,9 +69,6 @@ pub(crate) fn get_cfg(r: &mut WireReader<'_>) -> Result<KvConfig, DecodeError> {
         keys_per_batch,
         scan_limit,
         seed,
-        watchdog,
-        trace: r.get_bool()?,
-        metrics: r.get_bool()?,
     })
 }
 

@@ -1,19 +1,19 @@
-//! Uniform entry points over the kv journey steps.
+//! The entry point of the kv journey steps.
 //!
-//! Every `run_kv_*` function names a [`Run`] and hands the step's
-//! cluster to [`run_cluster`], the one dispatch both workloads share,
-//! so the tests, the bench harness, the fuzzer, the job service and the
+//! [`run_kv`] takes the problem ([`KvConfig`]) and one [`Run`] that
+//! says how the run goes, and hands the step's cluster to
+//! [`run_cluster`], the one dispatch both workloads share, so the
+//! tests, the bench harness, the fuzzer, the job service and the
 //! examples all measure the same code. What stays here is the kv work:
 //! building each step's cluster, collecting the product and verifying
 //! it against the sequential reference model.
 
 use std::fmt;
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use navp::{Cluster, FaultPlan, FaultStats};
+use navp::{Cluster, FaultStats};
 use navp_metrics::MetricsSnapshot;
-use navp_mm::runner::{run_cluster, NetOpts, On, Run, RunCfg};
+use navp_mm::runner::{run_cluster, On, Run};
 use navp_net::NetPeStats;
 use navp_sim::{CostModel, Trace};
 use navp_trace::TraceReport;
@@ -169,23 +169,19 @@ fn build_cluster(stage: KvStage, cfg: &KvConfig, pes: usize) -> Result<Cluster, 
     })
 }
 
-/// Run a kv step: build its cluster (unless the run restores one from
-/// disk), then collect the product from each batch's result home and
-/// verify it.
-fn run_kv(
+/// Run a kv step as `run` says: build its cluster (unless the run
+/// restores one from disk), run it, then collect the product from each
+/// batch's result home and verify it. The product is bitwise identical
+/// on every executor and every step.
+pub fn run_kv(
     stage: KvStage,
     cfg: &KvConfig,
     pes: usize,
     run: Run<'_>,
 ) -> Result<KvRunOutput, KvError> {
     let check = run.verifies();
-    let run_cfg = RunCfg {
-        trace: cfg.trace,
-        metrics: cfg.metrics,
-        watchdog: cfg.watchdog,
-    };
     let build = || build_cluster(stage, cfg, pes);
-    let ran = run_cluster(run, run_cfg, crate::net::register_net, build)?;
+    let ran = run_cluster(run, crate::net::register_net, build)?;
     let home = |b| stage.res_home(stage.effective_pes(pes), b);
     let (product, stats) = stages::collect(&ran.stores, cfg, home).map_err(KvError::Incomplete)?;
     let verified = check.then(|| product == expected(cfg));
@@ -216,106 +212,22 @@ pub fn run_kv_sim(
     run_kv(stage, cfg, pes, Run::on(On::Sim(cost)).traced(with_trace))
 }
 
-/// As [`run_kv_sim`], with `plan`'s faults injected during the run.
-pub fn run_kv_sim_faulted(
-    stage: KvStage,
-    cfg: &KvConfig,
-    pes: usize,
-    cost: &CostModel,
-    plan: FaultPlan,
-) -> Result<KvRunOutput, KvError> {
-    run_kv(stage, cfg, pes, Run::on(On::Sim(cost)).plan(Some(plan)))
-}
-
-/// Run a kv step on real threads (wall-clock), verifying the product
-/// against the sequential reference model.
-pub fn run_kv_threads(stage: KvStage, cfg: &KvConfig, pes: usize) -> Result<KvRunOutput, KvError> {
-    run_kv(stage, cfg, pes, Run::on(On::Threads))
-}
-
-/// As [`run_kv_threads`] without verification — for benchmarks, where
-/// re-deriving the reference every iteration would dominate.
-pub fn run_kv_threads_unverified(
-    stage: KvStage,
-    cfg: &KvConfig,
-    pes: usize,
-) -> Result<KvRunOutput, KvError> {
-    run_kv(stage, cfg, pes, Run::on(On::Threads).unverified())
-}
-
-/// As [`run_kv_threads`], with `plan`'s faults injected during the run.
-pub fn run_kv_threads_faulted(
-    stage: KvStage,
-    cfg: &KvConfig,
-    pes: usize,
-    plan: FaultPlan,
-) -> Result<KvRunOutput, KvError> {
-    run_kv(stage, cfg, pes, Run::on(On::Threads).plan(Some(plan)))
-}
-
-/// Run a kv step across real OS processes over TCP. The cluster is
-/// built exactly as for [`run_kv_threads`]; only the executor differs,
-/// so the product must be bitwise identical — `tests/kv.rs` asserts it.
-pub fn run_kv_net(
-    stage: KvStage,
-    cfg: &KvConfig,
-    pes: usize,
-    opts: &NetOpts,
-) -> Result<KvRunOutput, KvError> {
-    run_kv(stage, cfg, pes, Run::on(On::Net(opts)))
-}
-
-/// As [`run_kv_net`], with `plan`'s faults mapped onto the real
-/// sockets.
-pub fn run_kv_net_faulted(
-    stage: KvStage,
-    cfg: &KvConfig,
-    pes: usize,
-    opts: &NetOpts,
-    plan: FaultPlan,
-) -> Result<KvRunOutput, KvError> {
-    run_kv(stage, cfg, pes, Run::on(On::Net(opts)).plan(Some(plan)))
-}
-
-/// As [`run_kv_threads`], spilling a durable checkpoint of the whole
-/// cluster — shards, carriers, deposited results — to `dir` at every
-/// run boundary. An optional fault plan lets tests crash mid-run; the
-/// cuts restore with [`run_kv_restored_threads`] and finish bitwise
-/// identically.
-pub fn run_kv_threads_durable(
-    stage: KvStage,
-    cfg: &KvConfig,
-    pes: usize,
-    dir: impl Into<PathBuf>,
-    plan: Option<FaultPlan>,
-) -> Result<KvRunOutput, KvError> {
-    let run = Run::on(On::Threads).durable(dir.into()).plan(plan);
-    run_kv(stage, cfg, pes, run)
-}
-
-/// Restore an interrupted durable kv run from its checkpoint directory
-/// and finish it on real threads. The completed product is bitwise
-/// identical to the uninterrupted run, which `verified` re-checks.
-pub fn run_kv_restored_threads(
-    stage: KvStage,
-    cfg: &KvConfig,
-    pes: usize,
-    dir: &Path,
-) -> Result<KvRunOutput, KvError> {
-    run_kv(stage, cfg, pes, Run::on(On::Threads).restore(dir))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use navp::FaultPlan;
+
+    fn threads(stage: KvStage, cfg: &KvConfig, pes: usize) -> KvRunOutput {
+        run_kv(stage, cfg, pes, Run::on(On::Threads)).unwrap_or_else(|e| panic!("{stage}: {e}"))
+    }
 
     #[test]
     fn journey_entry_points_agree() {
         let cfg = KvConfig::new(160, 4);
-        let seq = run_kv_threads(KvStage::Seq, &cfg, 1).expect("seq");
-        let dsc = run_kv_threads(KvStage::Dsc, &cfg, 3).expect("dsc");
-        let pipe = run_kv_threads(KvStage::Pipe, &cfg, 3).expect("pipe");
-        let phase = run_kv_threads(KvStage::Phase, &cfg, 3).expect("phase");
+        let seq = threads(KvStage::Seq, &cfg, 1);
+        let dsc = threads(KvStage::Dsc, &cfg, 3);
+        let pipe = threads(KvStage::Pipe, &cfg, 3);
+        let phase = threads(KvStage::Phase, &cfg, 3);
         for out in [&seq, &dsc, &pipe, &phase] {
             assert_eq!(out.verified, Some(true));
         }
@@ -331,13 +243,15 @@ mod tests {
         let cfg = KvConfig::new(120, 4);
         let dir = std::env::temp_dir().join(format!("navp-kv-durable-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let clean = run_kv_threads(KvStage::Pipe, &cfg, 2).expect("clean run");
+        let clean = threads(KvStage::Pipe, &cfg, 2);
         // Crash PE 1 without checkpoint-based in-run recovery, so the
         // run dies and only the durable cuts can finish it.
         let plan = FaultPlan::new().crash_pe(1, 1).without_checkpointing();
-        let died = run_kv_threads_durable(KvStage::Pipe, &cfg, 2, &dir, Some(plan));
+        let run = Run::on(On::Threads).durable(&dir).plan(Some(plan));
+        let died = run_kv(KvStage::Pipe, &cfg, 2, run);
         assert!(died.is_err(), "crash plan must kill the run");
-        let restored = run_kv_restored_threads(KvStage::Pipe, &cfg, 2, &dir).expect("restore");
+        let restored =
+            run_kv(KvStage::Pipe, &cfg, 2, Run::on(On::Threads).restore(&dir)).expect("restore");
         assert_eq!(restored.verified, Some(true));
         assert_eq!(restored.product, clean.product);
         let _ = std::fs::remove_dir_all(&dir);
@@ -345,15 +259,10 @@ mod tests {
 
     #[test]
     fn sim_metrics_and_trace_paths_work() {
-        let cfg = KvConfig::new(80, 4).with_metrics(true);
-        let out = run_kv_sim(
-            KvStage::Phase,
-            &cfg,
-            2,
-            &CostModel::paper_cluster(),
-            true,
-        )
-        .expect("sim");
+        let cfg = KvConfig::new(80, 4);
+        let cost = CostModel::paper_cluster();
+        let run = Run::on(On::Sim(&cost)).traced(true).metrics(true);
+        let out = run_kv(KvStage::Phase, &cfg, 2, run).expect("sim");
         assert_eq!(out.verified, Some(true));
         assert!(out.trace.is_some());
         let snap = out.metrics.expect("metrics requested");

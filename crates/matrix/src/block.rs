@@ -192,11 +192,6 @@ impl BlockedMatrix {
         self.n
     }
 
-    /// Algorithmic block order.
-    pub fn block_order(&self) -> usize {
-        self.ab
-    }
-
     /// Number of blocks per side (`n / ab`).
     pub fn nb(&self) -> usize {
         self.nb
@@ -214,15 +209,6 @@ impl BlockedMatrix {
     pub fn block(&self, bi: usize, bj: usize) -> &BlockData {
         assert!(bi < self.nb && bj < self.nb, "block index out of range");
         &self.blocks[bi * self.nb + bj]
-    }
-
-    /// Mutably borrow block `(bi, bj)`.
-    ///
-    /// # Panics
-    /// Panics when the block index is out of range.
-    pub fn block_mut(&mut self, bi: usize, bj: usize) -> &mut BlockData {
-        assert!(bi < self.nb && bj < self.nb, "block index out of range");
-        &mut self.blocks[bi * self.nb + bj]
     }
 
     /// Move block `(bi, bj)` out, leaving a phantom of the same shape —

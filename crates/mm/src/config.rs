@@ -1,7 +1,6 @@
 //! Problem configuration shared by every implementation.
 
 use navp_matrix::{BlockedMatrix, Matrix, MatrixError};
-use std::time::Duration;
 
 /// What the blocks contain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,20 +27,6 @@ pub struct MmConfig {
     pub ab: usize,
     /// Real or phantom payloads.
     pub payload: Payload,
-    /// No-progress watchdog for thread-executor runs. `None` defers to
-    /// the `NAVP_WATCHDOG_MS` environment variable, falling back to the
-    /// executor's built-in default.
-    pub watchdog: Option<Duration>,
-    /// Record a wall-clock trace on the real executors (threads, net)
-    /// and derive a [`TraceReport`](navp_trace::TraceReport) from it.
-    /// Off by default; does not affect the sim executor, whose tracing
-    /// is requested per-call.
-    pub trace: bool,
-    /// Meter the run with the shared `navp_*` metric set
-    /// ([`navp_metrics::RunMetrics`]) and surface the flattened
-    /// snapshot as `RunOutput::metrics`. Off by default; unmetered runs
-    /// pay one branch per recording site.
-    pub metrics: bool,
 }
 
 impl MmConfig {
@@ -54,9 +39,6 @@ impl MmConfig {
                 seed_a: 0xA11CE,
                 seed_b: 0xB0B,
             },
-            watchdog: None,
-            trace: false,
-            metrics: false,
         }
     }
 
@@ -66,28 +48,7 @@ impl MmConfig {
             n,
             ab,
             payload: Payload::Phantom,
-            watchdog: None,
-            trace: false,
-            metrics: false,
         }
-    }
-
-    /// Builder-style watchdog override for thread-executor runs.
-    pub fn with_watchdog(mut self, watchdog: Duration) -> MmConfig {
-        self.watchdog = Some(watchdog);
-        self
-    }
-
-    /// Builder-style trace toggle for wall-clock (threads/net) runs.
-    pub fn with_trace(mut self, trace: bool) -> MmConfig {
-        self.trace = trace;
-        self
-    }
-
-    /// Builder-style metrics toggle (sim, threads and net runs).
-    pub fn with_metrics(mut self, metrics: bool) -> MmConfig {
-        self.metrics = metrics;
-        self
     }
 
     /// Blocks per side (`n / ab`).

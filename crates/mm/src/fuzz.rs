@@ -15,7 +15,7 @@
 //! explores the same schedules in the same order on every machine.
 
 use crate::config::MmConfig;
-use crate::runner::{run_navp_sim_faulted, run_navp_threads_faulted, NavpStage, RunnerError};
+use crate::runner::{run_navp, NavpStage, On, Run, RunnerError};
 use navp::explore::{classify, explore, read_repro, ExploreConfig, ExploreReport, Outcome};
 use navp::{FaultPlan, RunError};
 use navp_matrix::{Grid2D, Matrix};
@@ -33,6 +33,18 @@ pub enum FuzzExecutor {
     /// Real threads: wall-clock, watchdog-bounded. Slower per schedule;
     /// use for targeted replay of a repro on the real runtime.
     Threads,
+}
+
+impl FuzzExecutor {
+    /// The run of one schedule: `plan`'s faults on this executor, the
+    /// sim under `cost`.
+    pub fn run<'a>(self, cost: &'a CostModel, plan: &FaultPlan) -> Run<'a> {
+        let on = match self {
+            FuzzExecutor::Sim => On::Sim(cost),
+            FuzzExecutor::Threads => On::Threads,
+        };
+        Run::on(on).plan(Some(plan.clone()))
+    }
 }
 
 /// Knobs for [`fuzz_stage`].
@@ -85,17 +97,8 @@ fn run_once(
     executor: FuzzExecutor,
     plan: &FaultPlan,
 ) -> Result<Vec<u8>, RunError> {
-    let out = match executor {
-        FuzzExecutor::Sim => run_navp_sim_faulted(
-            stage,
-            cfg,
-            grid,
-            &CostModel::paper_cluster(),
-            plan.clone(),
-        ),
-        FuzzExecutor::Threads => run_navp_threads_faulted(stage, cfg, grid, plan.clone()),
-    };
-    let out = out.map_err(|e| match e {
+    let cost = CostModel::paper_cluster();
+    let out = run_navp(stage, cfg, grid, executor.run(&cost, plan)).map_err(|e| match e {
         RunnerError::Navp(e) => e,
         other => RunError::Transport {
             detail: other.to_string(),

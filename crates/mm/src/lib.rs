@@ -33,9 +33,12 @@
 //! 128/256), bottom out in the same kernel, and run at either
 //! granularity of realism: `Real` payloads (verified against the
 //! sequential product) or `Phantom` payloads (cost-model-only, used to
-//! replay the paper's problem sizes). [`runner`] wraps every stage and
-//! baseline behind one uniform entry point used by tests, examples and
-//! the bench harness.
+//! replay the paper's problem sizes). [`runner`] puts every stage behind
+//! one entry point, [`run_navp`], which runs it as one [`Run`] says —
+//! on the sim, thread or networked executor, with faults, durable
+//! checkpoints, tracing or metrics — and the baselines behind
+//! [`run_mp_sim`] and [`run_mp_threads`]. Tests, examples, the fuzzer,
+//! the job service and the bench harness all use them.
 
 #![warn(missing_docs)]
 
@@ -62,8 +65,6 @@ pub use config::{MmConfig, Payload};
 pub use fuzz::{fuzz_stage, replay_repro, FuzzExecutor, FuzzOpts};
 pub use net::register_net;
 pub use runner::{
-    run_mp_sim, run_mp_threads, run_navp_net, run_navp_sim, run_navp_sim_durable,
-    run_navp_threads, run_navp_threads_durable, run_navp_threads_metered, run_restored_net,
-    run_restored_sim, run_restored_threads, run_seq_sim, MpAlg, NavpStage, NetOpts, RunOutput,
-    RunnerError,
+    run_mp_sim, run_mp_threads, run_navp, run_navp_sim, run_seq_sim, MpAlg, NavpStage, NetOpts, On,
+    Run, RunOutput, RunnerError,
 };

@@ -18,7 +18,6 @@ use navp_matrix::{BlockData, Grid2D, Matrix};
 use navp_net::codec::{DecodeError, WireReader, WireWriter};
 use navp_net::registry::{register_messenger, register_value, ValueCodec};
 use navp_sim::store::StoreValue;
-use std::time::Duration;
 
 pub(crate) fn put_cfg(w: &mut WireWriter, cfg: &MmConfig) {
     w.put_usize(cfg.n);
@@ -31,15 +30,6 @@ pub(crate) fn put_cfg(w: &mut WireWriter, cfg: &MmConfig) {
         }
         Payload::Phantom => w.put_u8(1),
     }
-    match cfg.watchdog {
-        Some(wd) => {
-            w.put_bool(true);
-            w.put_u64(wd.as_nanos() as u64);
-        }
-        None => w.put_bool(false),
-    }
-    w.put_bool(cfg.trace);
-    w.put_bool(cfg.metrics);
 }
 
 pub(crate) fn get_cfg(r: &mut WireReader<'_>) -> Result<MmConfig, DecodeError> {
@@ -53,19 +43,7 @@ pub(crate) fn get_cfg(r: &mut WireReader<'_>) -> Result<MmConfig, DecodeError> {
         1 => Payload::Phantom,
         _ => return Err(DecodeError::BadValue("payload kind")),
     };
-    let watchdog = if r.get_bool()? {
-        Some(Duration::from_nanos(r.get_u64()?))
-    } else {
-        None
-    };
-    Ok(MmConfig {
-        n,
-        ab,
-        payload,
-        watchdog,
-        trace: r.get_bool()?,
-        metrics: r.get_bool()?,
-    })
+    Ok(MmConfig { n, ab, payload })
 }
 
 pub(crate) fn put_topo1(w: &mut WireWriter, t: &Topo1D) {
@@ -212,7 +190,7 @@ mod tests {
     #[test]
     fn cfg_topo_and_block_roundtrip() {
         let mut w = WireWriter::new();
-        let cfg = MmConfig::real(12, 2).with_watchdog(Duration::from_millis(250));
+        let cfg = MmConfig::real(12, 2);
         put_cfg(&mut w, &cfg);
         put_topo1(&mut w, &Topo1D::new(6, 3).unwrap());
         let t2 = Topo2D::new(6, Grid2D::new(2, 3).unwrap()).unwrap();

@@ -2,15 +2,15 @@
 //! beneath them.
 //!
 //! The bench harness, the integration tests, the fuzzer, the job
-//! service and the examples all drive the stages through the `run_*`
-//! functions here. Each only names a [`Run`]: the executor ([`On`]) plus
-//! what the variant adds — a fault plan, a durable or restore directory,
-//! a live metrics handle. [`run_cluster`], the one dispatch under them
-//! and under the kv runner, runs a built or restored cluster on any
-//! executor and returns the executor-neutral [`Ran`], honouring the
-//! config's trace, metrics and watchdog settings the same way on every
-//! path. What stays here is the matrix work: each stage's cluster and
-//! C-ownership map, collecting C and verifying it.
+//! service and the examples all drive the NavP stages through
+//! [`run_navp`]: the problem ([`MmConfig`]) plus one [`Run`] that says
+//! how the run goes — the executor ([`On`]), a fault plan, a durable or
+//! restore directory, tracing, metrics and the watchdog. [`run_cluster`],
+//! the one dispatch under it and under the kv runner, runs a built or
+//! restored cluster on any executor and returns the executor-neutral
+//! [`Ran`], honouring every setting of the [`Run`] the same way on every
+//! executor. What stays here is the matrix work: each stage's cluster
+//! and C-ownership map, collecting C and verifying it.
 
 use crate::config::{MmConfig, Payload};
 use crate::gentleman::GentlemanOpts;
@@ -153,9 +153,9 @@ pub struct RunOutput {
     pub transfers: u64,
     /// Bytes moved between PEs.
     pub bytes: u64,
-    /// Full execution trace when requested — virtual-time from the sim
-    /// executor, wall-clock from the threads/net executors (when
-    /// [`MmConfig::trace`] is set).
+    /// Full execution trace when requested ([`Run::traced`]) —
+    /// virtual-time from the sim executor, wall-clock from the
+    /// threads/net executors.
     pub trace: Option<Trace>,
     /// Metrics derived from the trace (utilization, hop latency,
     /// waits), whenever one was recorded.
@@ -165,9 +165,10 @@ pub struct RunOutput {
     pub faults: Option<FaultStats>,
     /// Per-PE network accounting (networked executor only).
     pub per_pe_net: Option<Vec<NetPeStats>>,
-    /// Aggregated runtime metrics (when [`MmConfig::metrics`] is set;
-    /// NavP executors only). For networked runs this is the merge of
-    /// every PE daemon's registry, collected over the mesh at drain.
+    /// Aggregated runtime metrics (when [`Run::metrics`] or
+    /// [`Run::metered`] asks for them; NavP executors only). For
+    /// networked runs this is the merge of every PE daemon's registry,
+    /// collected over the mesh at drain.
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -192,9 +193,10 @@ impl fmt::Debug for RunOutput {
 /// Owner map: C-block coordinates to the PE holding the block after a run.
 type OwnerFn = Box<dyn Fn(usize, usize) -> usize>;
 
-/// Run a NavP stage: build its cluster (unless the run restores one from
-/// disk) and collect C by the stage's ownership map.
-fn run_navp(
+/// Run a NavP stage as `run` says: build its cluster (unless the run
+/// restores one from disk), run it, and collect C by the stage's
+/// ownership map. The product is bitwise identical on every executor.
+pub fn run_navp(
     stage: NavpStage,
     cfg: &MmConfig,
     grid: Grid2D,
@@ -241,12 +243,7 @@ fn run_mm(
     build: impl FnOnce() -> Result<Cluster, RunnerError>,
 ) -> Result<RunOutput, RunnerError> {
     let check = run.verifies();
-    let run_cfg = RunCfg {
-        trace: cfg.trace,
-        metrics: cfg.metrics,
-        watchdog: cfg.watchdog,
-    };
-    let ran = run_cluster(run, run_cfg, crate::net::register_net, build)?;
+    let ran = run_cluster(run, crate::net::register_net, build)?;
     output(cfg, ran, own, check)
 }
 
@@ -295,9 +292,9 @@ pub enum On<'a> {
     Net(&'a NetOpts),
 }
 
-/// One run of a workload's cluster: the executor, and what a `run_*`
-/// entry point adds to its config. [`Run::on`] alone is a plain run of
-/// a freshly built cluster, verified.
+/// How one run of a workload's cluster goes: the executor and every
+/// setting of the run. [`Run::on`] alone is a plain run of a freshly
+/// built cluster, verified, untraced and unmetered.
 #[derive(Default)]
 pub struct Run<'a> {
     on: On<'a>,
@@ -305,7 +302,9 @@ pub struct Run<'a> {
     plan: Option<FaultPlan>,
     durable: Option<PathBuf>,
     trace: bool,
+    metrics: bool,
     live_metrics: Option<Arc<RunMetrics>>,
+    watchdog: Option<Duration>,
     unverified: bool,
 }
 
@@ -319,7 +318,8 @@ impl<'a> Run<'a> {
     }
 
     /// Finish the durable run checkpointed in `dir` instead of building
-    /// a fresh cluster.
+    /// a fresh cluster. The cuts may come from any executor, and the
+    /// finished product is bitwise identical to an uninterrupted run.
     pub fn restore(mut self, dir: &'a Path) -> Run<'a> {
         self.restore = Some(dir);
         self
@@ -331,24 +331,45 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// Spill a durable checkpoint to `dir` at every run boundary
-    /// (in-process executors; the net executor takes
-    /// [`NetOpts::durable_dir`]).
-    pub fn durable(mut self, dir: PathBuf) -> Run<'a> {
-        self.durable = Some(dir);
+    /// Spill a durable checkpoint of the whole cluster to `dir` at every
+    /// run boundary (atomic rename-commit, checksummed; see
+    /// `navp::durable`), on every executor. [`Run::restore`] finishes a
+    /// run that died from those cuts. On the net executor every PE
+    /// daemon spills its own cut, under the per-run subdirectory of a
+    /// nonzero [`NetOpts::run_id`]; joined (`--listen`) daemons must
+    /// have been started with the same `--durable-dir`. Restore
+    /// *before* re-running durably into the same directory: the run
+    /// stamps a fresh session manifest.
+    pub fn durable(mut self, dir: impl Into<PathBuf>) -> Run<'a> {
+        self.durable = Some(dir.into());
         self
     }
 
-    /// Record a trace even when the config does not ask for one.
+    /// Record a trace (and derive its [`TraceReport`]).
     pub fn traced(mut self, trace: bool) -> Run<'a> {
         self.trace = trace;
         self
     }
 
+    /// Record runtime metrics and return their snapshot. On the net
+    /// executor it is the merge of every PE daemon's registry.
+    pub fn metrics(mut self, metrics: bool) -> Run<'a> {
+        self.metrics = metrics;
+        self
+    }
+
     /// Record metrics into this caller-owned handle, which a concurrent
-    /// observer may poll mid-run (in-process executors).
+    /// observer may poll mid-run (in-process executors). It must span
+    /// the cluster's PEs.
     pub fn metered(mut self, metrics: Arc<RunMetrics>) -> Run<'a> {
         self.live_metrics = Some(metrics);
+        self
+    }
+
+    /// The no-progress watchdog of the wall-clock executors. `None`
+    /// takes `NAVP_WATCHDOG_MS`, then the executor default.
+    pub fn watchdog(mut self, watchdog: Option<Duration>) -> Run<'a> {
+        self.watchdog = watchdog;
         self
     }
 
@@ -362,18 +383,6 @@ impl<'a> Run<'a> {
     pub fn verifies(&self) -> bool {
         !self.unverified
     }
-}
-
-/// The run settings every workload config carries.
-#[derive(Clone, Copy, Debug)]
-pub struct RunCfg {
-    /// Record a trace (and derive its [`TraceReport`]).
-    pub trace: bool,
-    /// Record runtime metrics and return their snapshot.
-    pub metrics: bool,
-    /// No-progress watchdog of the wall-clock executors; `None` falls
-    /// back to `NAVP_WATCHDOG_MS`, then the executor default.
-    pub watchdog: Option<Duration>,
 }
 
 /// What [`run_cluster`] hands back, whatever the executor.
@@ -403,12 +412,11 @@ pub struct Ran {
 
 /// The one run path of every workload: take the cluster `build` makes
 /// (or, for [`Run::restore`], the one reassembled from disk), run it as
-/// `run` and `cfg` say, and return the executor-neutral results.
-/// `register` loads the workload's wire codecs, which restores, durable
-/// spills and the net executor need.
+/// `run` says, and return the executor-neutral results. `register`
+/// loads the workload's wire codecs, which restores, durable spills and
+/// the net executor need.
 pub fn run_cluster<E: From<RunError>>(
-    run: Run<'_>,
-    cfg: RunCfg,
+    mut run: Run<'_>,
     register: fn(),
     build: impl FnOnce() -> Result<Cluster, E>,
 ) -> Result<Ran, E> {
@@ -419,27 +427,26 @@ pub fn run_cluster<E: From<RunError>>(
         Some(dir) => restore_from_dir(dir)?,
         None => build()?,
     };
-    if let Some(plan) = run.plan {
+    if let Some(plan) = run.plan.take() {
         cl.set_fault_plan(plan);
     }
     let pes = cl.pes();
-    let trace = cfg.trace || run.trace;
     let meter = || {
         let live = run.live_metrics.clone();
-        live.or_else(|| cfg.metrics.then(|| RunMetrics::new(pes)))
+        live.or_else(|| run.metrics.then(|| RunMetrics::new(pes)))
     };
     let (mut ran, dropped) = match run.on {
         On::Sim(cost) => {
             let mut exec = SimExecutor::new(*cost);
-            if trace {
+            if run.trace {
                 exec = exec.with_trace();
             }
             let met = meter();
             if let Some(m) = &met {
                 exec = exec.with_metrics(Arc::clone(m));
             }
-            if let Some(dir) = run.durable {
-                exec = exec.with_durable(dir, Arc::new(RegistryCodec::new()));
+            if let Some(dir) = &run.durable {
+                exec = exec.with_durable(dir.clone(), Arc::new(RegistryCodec::new()));
             }
             let rep = exec.run(cl)?;
             let ran = Ran {
@@ -447,7 +454,7 @@ pub fn run_cluster<E: From<RunError>>(
                 virt_seconds: Some(rep.makespan.as_secs_f64()),
                 transfers: rep.hops,
                 bytes: rep.hop_bytes,
-                trace: trace.then_some(rep.trace),
+                trace: run.trace.then_some(rep.trace),
                 faults: Some(rep.faults),
                 metrics: met.map(|m| m.snapshot()),
                 ..Ran::default()
@@ -455,13 +462,13 @@ pub fn run_cluster<E: From<RunError>>(
             (ran, 0)
         }
         On::Threads => {
-            let mut exec = thread_executor(trace, cfg.watchdog);
+            let mut exec = thread_executor(&run);
             let met = meter();
             if let Some(m) = &met {
                 exec = exec.with_metrics(Arc::clone(m));
             }
-            if let Some(dir) = run.durable {
-                exec = exec.with_durable(dir, Arc::new(RegistryCodec::new()));
+            if let Some(dir) = &run.durable {
+                exec = exec.with_durable(dir.clone(), Arc::new(RegistryCodec::new()));
             }
             let rep = exec.run(cl)?;
             let ran = Ran {
@@ -477,7 +484,7 @@ pub fn run_cluster<E: From<RunError>>(
             (ran, rep.trace_dropped)
         }
         On::Net(opts) => {
-            let rep = net_executor(opts, trace, cfg.metrics, cfg.watchdog).run(cl)?;
+            let rep = net_executor(opts, &run).run(cl)?;
             let ran = Ran {
                 stores: rep.stores,
                 wall: Some(rep.wall),
@@ -508,32 +515,27 @@ pub fn run_cluster<E: From<RunError>>(
     Ok(ran)
 }
 
-/// The watchdog a run is under: the config's, else the
-/// `NAVP_WATCHDOG_MS` environment variable, else the executor's
-/// `default`. Garbage in the variable is ignored.
-fn resolve_watchdog(watchdog: Option<Duration>, default: Duration) -> Duration {
+/// The watchdog `run` is under: its own, else the `NAVP_WATCHDOG_MS`
+/// environment variable, else the executor's `default`. Garbage in the
+/// variable is ignored.
+fn resolve_watchdog(run: &Run<'_>, default: Duration) -> Duration {
     let env = || std::env::var("NAVP_WATCHDOG_MS").ok()?.trim().parse().ok();
-    let wd = watchdog.or_else(|| env().map(Duration::from_millis));
+    let wd = run.watchdog.or_else(|| env().map(Duration::from_millis));
     wd.unwrap_or(default)
 }
 
-/// The thread executor a run asks for.
-fn thread_executor(trace: bool, watchdog: Option<Duration>) -> ThreadExecutor {
-    let exec = ThreadExecutor::new().with_trace(trace);
-    let wd = resolve_watchdog(watchdog, exec.watchdog());
+/// The thread executor `run` asks for.
+fn thread_executor(run: &Run<'_>) -> ThreadExecutor {
+    let exec = ThreadExecutor::new().with_trace(run.trace);
+    let wd = resolve_watchdog(run, exec.watchdog());
     exec.with_watchdog(wd)
 }
 
-/// The networked executor a run asks for.
-fn net_executor(
-    opts: &NetOpts,
-    trace: bool,
-    metrics: bool,
-    watchdog: Option<Duration>,
-) -> NetExecutor {
+/// The networked executor `run` asks for on `opts`.
+fn net_executor(opts: &NetOpts, run: &Run<'_>) -> NetExecutor {
     let mut exec = NetExecutor::new()
-        .with_trace(trace)
-        .with_metrics(metrics)
+        .with_trace(run.trace)
+        .with_metrics(run.metrics)
         .join_addrs(opts.join.clone())
         .with_run_id(opts.run_id);
     if let Some(bin) = &opts.pe_bin {
@@ -542,13 +544,13 @@ fn net_executor(
     if let Some(grace) = opts.grace {
         exec = exec.with_grace(grace);
     }
-    if let Some(dir) = &opts.durable_dir {
+    if let Some(dir) = &run.durable {
         exec = exec.with_durable_dir(dir.clone());
     }
     if let Some(deadline) = opts.deadline {
         exec = exec.with_deadline(deadline);
     }
-    let wd = resolve_watchdog(watchdog, exec.watchdog());
+    let wd = resolve_watchdog(run, exec.watchdog());
     exec.with_watchdog(wd)
 }
 
@@ -573,65 +575,6 @@ pub fn run_navp_sim(
     run_navp(stage, cfg, grid, Run::on(On::Sim(cost)).traced(with_trace))
 }
 
-/// As [`run_navp_sim`], with `plan`'s faults injected during the run.
-/// The returned [`RunOutput::faults`] reports what was injected and
-/// recovered.
-pub fn run_navp_sim_faulted(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    cost: &CostModel,
-    plan: FaultPlan,
-) -> Result<RunOutput, RunnerError> {
-    run_navp(stage, cfg, grid, Run::on(On::Sim(cost)).plan(Some(plan)))
-}
-
-/// Run a NavP stage on real threads (wall-clock).
-pub fn run_navp_threads(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-) -> Result<RunOutput, RunnerError> {
-    run_navp(stage, cfg, grid, Run::on(On::Threads))
-}
-
-/// As [`run_navp_threads`] but without result verification — for
-/// benchmarks, where recomputing the sequential reference on every
-/// iteration would dominate the measurement. `verified` is `None`.
-pub fn run_navp_threads_unverified(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-) -> Result<RunOutput, RunnerError> {
-    run_navp(stage, cfg, grid, Run::on(On::Threads).unverified())
-}
-
-/// As [`run_navp_threads`], with `plan`'s faults injected during the
-/// run. The returned [`RunOutput::faults`] reports what was injected
-/// and recovered.
-pub fn run_navp_threads_faulted(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    plan: FaultPlan,
-) -> Result<RunOutput, RunnerError> {
-    run_navp(stage, cfg, grid, Run::on(On::Threads).plan(Some(plan)))
-}
-
-/// As [`run_navp_threads`], recording runtime metrics into the
-/// caller-supplied [`RunMetrics`] so a concurrent observer (e.g. the
-/// `metrics_dashboard` example) can poll live counters while the run is
-/// in flight. The handle must span `grid.rows * grid.cols` PEs; its
-/// final state is also snapshotted into [`RunOutput::metrics`].
-pub fn run_navp_threads_metered(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    metrics: Arc<RunMetrics>,
-) -> Result<RunOutput, RunnerError> {
-    run_navp(stage, cfg, grid, Run::on(On::Threads).metered(metrics))
-}
-
 /// Options for networked (multi-process) runs.
 #[derive(Clone, Debug, Default)]
 pub struct NetOpts {
@@ -645,12 +588,6 @@ pub struct NetOpts {
     /// Teardown grace window (child shutdown wait, exit-status polling
     /// on disconnect). `None` keeps the executor's 2 s default.
     pub grace: Option<Duration>,
-    /// Durable checkpoint directory: every PE daemon spills its
-    /// recovery cut there at each run boundary, so the whole cluster
-    /// survives `kill -9` and restores with [`run_restored_net`].
-    /// Joined (`--listen`) daemons must have been started with the same
-    /// `--durable-dir`. `None` (default) performs zero extra syscalls.
-    pub durable_dir: Option<PathBuf>,
     /// Run namespace for multi-tenant clusters: rides in the net
     /// handshake frames and scopes durable checkpoints to a per-run
     /// subdirectory, so concurrent runs multiplexed onto the same
@@ -664,12 +601,6 @@ pub struct NetOpts {
 }
 
 impl NetOpts {
-    /// Builder-style [`NetOpts::durable_dir`].
-    pub fn with_durable_dir(mut self, dir: impl Into<PathBuf>) -> NetOpts {
-        self.durable_dir = Some(dir.into());
-        self
-    }
-
     /// Builder-style [`NetOpts::run_id`].
     pub fn with_run_id(mut self, run_id: u64) -> NetOpts {
         self.run_id = run_id;
@@ -681,104 +612,6 @@ impl NetOpts {
         self.deadline = Some(deadline);
         self
     }
-}
-
-/// Run a NavP stage across real OS processes over TCP (wall-clock).
-///
-/// The cluster is built exactly as for [`run_navp_threads`]; the only
-/// difference is the executor, so the product must be bitwise
-/// identical — the parity tests assert exactly that.
-pub fn run_navp_net(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    opts: &NetOpts,
-) -> Result<RunOutput, RunnerError> {
-    run_navp(stage, cfg, grid, Run::on(On::Net(opts)))
-}
-
-/// As [`run_navp_net`], with `plan`'s faults mapped onto the real
-/// sockets (delays hold frames, drops discard them, crashes kill or
-/// restart the PE daemon). [`RunOutput::faults`] reports what happened.
-pub fn run_navp_net_faulted(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    opts: &NetOpts,
-    plan: FaultPlan,
-) -> Result<RunOutput, RunnerError> {
-    run_navp(stage, cfg, grid, Run::on(On::Net(opts)).plan(Some(plan)))
-}
-
-/// As [`run_navp_sim`], spilling a durable checkpoint of the whole
-/// cluster to `dir` at every run boundary (atomic rename-commit,
-/// checksummed; see `navp::durable`). An optional fault plan rides
-/// along so tests can crash the run mid-way — the cuts already on disk
-/// then restore with [`run_restored_sim`] and finish bitwise-identical.
-pub fn run_navp_sim_durable(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    cost: &CostModel,
-    dir: impl Into<PathBuf>,
-    plan: Option<FaultPlan>,
-) -> Result<RunOutput, RunnerError> {
-    let run = Run::on(On::Sim(cost)).durable(dir.into()).plan(plan);
-    run_navp(stage, cfg, grid, run)
-}
-
-/// As [`run_navp_threads`], with durable checkpoints (see
-/// [`run_navp_sim_durable`]); restore with [`run_restored_threads`].
-pub fn run_navp_threads_durable(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    dir: impl Into<PathBuf>,
-    plan: Option<FaultPlan>,
-) -> Result<RunOutput, RunnerError> {
-    let run = Run::on(On::Threads).durable(dir.into()).plan(plan);
-    run_navp(stage, cfg, grid, run)
-}
-
-/// Restore an interrupted durable run of `stage` from its checkpoint
-/// directory and finish it on the virtual-time executor.
-///
-/// The cuts may come from *any* executor — a `kill -9`'d networked
-/// cluster restores here just as well — and the completed product is
-/// bitwise-identical to the uninterrupted run, which `verified`
-/// re-checks against the sequential reference.
-pub fn run_restored_sim(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    cost: &CostModel,
-    dir: &Path,
-) -> Result<RunOutput, RunnerError> {
-    run_navp(stage, cfg, grid, Run::on(On::Sim(cost)).restore(dir))
-}
-
-/// As [`run_restored_sim`], finishing on real threads.
-pub fn run_restored_threads(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    dir: &Path,
-) -> Result<RunOutput, RunnerError> {
-    run_navp(stage, cfg, grid, Run::on(On::Threads).restore(dir))
-}
-
-/// As [`run_restored_sim`], finishing across real OS processes. Set
-/// [`NetOpts::durable_dir`] (usually to the same directory) to keep the
-/// resumed run itself crash-safe — the executor stamps a fresh session
-/// manifest, so restore *before* re-running, never the other way round.
-pub fn run_restored_net(
-    stage: NavpStage,
-    cfg: &MmConfig,
-    grid: Grid2D,
-    opts: &NetOpts,
-    dir: &Path,
-) -> Result<RunOutput, RunnerError> {
-    run_navp(stage, cfg, grid, Run::on(On::Net(opts)).restore(dir))
 }
 
 /// Run a message-passing baseline under the virtual-time executor.
@@ -897,38 +730,38 @@ mod tests {
 
     #[test]
     fn watchdog_resolution_order_is_config_env_default() {
-        // Both wall-clock executors resolve through the one resolver: an
-        // explicit config wins unconditionally, then the env var, then
+        // Both wall-clock executors resolve through the one resolver: the
+        // run's own watchdog wins unconditionally, then the env var, then
         // the executor default.
-        type Resolve = fn(Option<Duration>) -> Duration;
-        let threads: Resolve = |wd| thread_executor(false, wd).watchdog();
-        let net: Resolve = |wd| net_executor(&NetOpts::default(), false, false, wd).watchdog();
+        type Resolve = fn(&Run<'_>) -> Duration;
+        let threads: Resolve = |run| thread_executor(run).watchdog();
+        let net: Resolve = |run| net_executor(&NetOpts::default(), run).watchdog();
         let ms = Duration::from_millis;
-        let explicit = MmConfig::real(8, 2).with_watchdog(ms(1234));
-        let silent = MmConfig::real(8, 2);
+        let explicit = Run::default().watchdog(Some(ms(1234)));
+        let silent = Run::default();
         for (name, resolve, default) in [
             ("threads", threads, ThreadExecutor::new().watchdog()),
             ("net", net, NetExecutor::new().watchdog()),
         ] {
-            assert_eq!(resolve(explicit.watchdog), ms(1234), "{name}");
-            // The env var fills in when the config is silent. (Runner
+            assert_eq!(resolve(&explicit), ms(1234), "{name}");
+            // The env var fills in when the run is silent. (Runner
             // tests are the only readers of this variable in this test
             // binary, so the set/remove pair cannot race another test.)
             std::env::set_var("NAVP_WATCHDOG_MS", "777");
-            assert_eq!(resolve(silent.watchdog), ms(777), "{name}");
+            assert_eq!(resolve(&silent), ms(777), "{name}");
             assert_eq!(
-                resolve(explicit.watchdog),
+                resolve(&explicit),
                 ms(1234),
-                "{name}: config still wins over env"
+                "{name}: the run still wins over env"
             );
             std::env::set_var("NAVP_WATCHDOG_MS", "not-a-number");
             assert_eq!(
-                resolve(silent.watchdog),
+                resolve(&silent),
                 default,
                 "{name}: garbage env falls back to the executor default"
             );
             std::env::remove_var("NAVP_WATCHDOG_MS");
-            assert_eq!(resolve(silent.watchdog), default, "{name}");
+            assert_eq!(resolve(&silent), default, "{name}");
         }
     }
 
@@ -937,14 +770,9 @@ mod tests {
         let cfg = MmConfig::real(12, 2);
         let grid = Grid2D::line(3).unwrap();
         let plan = FaultPlan::new().crash_pe(1, 1);
-        let out = run_navp_sim_faulted(
-            NavpStage::Dsc1D,
-            &cfg,
-            grid,
-            &CostModel::paper_cluster(),
-            plan,
-        )
-        .unwrap();
+        let cost = CostModel::paper_cluster();
+        let run = Run::on(On::Sim(&cost)).plan(Some(plan));
+        let out = run_navp(NavpStage::Dsc1D, &cfg, grid, run).unwrap();
         assert_eq!(out.verified, Some(true));
         let faults = out.faults.unwrap();
         assert_eq!(faults.crashes, 1);

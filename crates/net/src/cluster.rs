@@ -1,5 +1,5 @@
 //! Socket plumbing shared by the driver and the PE daemon: framed
-//! stream I/O, reader threads, event homing, and launching `navp-pe`
+//! stream I/O for the handshake, event homing, and launching `navp-pe`
 //! processes.
 
 use crate::frame::{Frame, MAX_FRAME};
@@ -8,9 +8,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 
 /// Environment variable naming the `navp-pe` binary to spawn for local
 /// clusters (overrides the sibling-of-current-exe search).
@@ -87,12 +85,6 @@ impl FrameConn {
 /// first prefix byte yields `UnexpectedEof`; a declared length beyond
 /// [`MAX_FRAME`] or an undecodable body yields `InvalidData`.
 pub fn read_frame(stream: &mut TcpStream) -> std::io::Result<Frame> {
-    read_frame_counted(stream).map(|(frame, _)| frame)
-}
-
-/// Like [`read_frame`] but also reports the wire size of the frame
-/// (length prefix + body) so readers can feed byte counters.
-pub fn read_frame_counted(stream: &mut TcpStream) -> std::io::Result<(Frame, u64)> {
     let mut prefix = [0u8; 4];
     stream.read_exact(&mut prefix)?;
     let len = u32::from_le_bytes(prefix) as usize;
@@ -105,52 +97,7 @@ pub fn read_frame_counted(stream: &mut TcpStream) -> std::io::Result<(Frame, u64
     let mut body = vec![0u8; len];
     stream.read_exact(&mut body)?;
     Frame::decode(&body)
-        .map(|frame| (frame, 4 + len as u64))
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-}
-
-/// Spawn a thread that reads frames off `stream` forever, mapping each
-/// `Ok(frame)` / terminal `Err` through `wrap` into the receiver's own
-/// message type. The first error (EOF included) is forwarded once and
-/// the thread exits.
-pub fn spawn_reader<T, F>(stream: TcpStream, tx: Sender<T>, wrap: F) -> JoinHandle<()>
-where
-    T: Send + 'static,
-    F: Fn(std::io::Result<Frame>) -> T + Send + 'static,
-{
-    spawn_counted_reader(stream, tx, wrap, None)
-}
-
-/// [`spawn_reader`] with an optional byte sink: every successfully
-/// decoded frame adds its wire size (prefix + body) to `decoded_bytes`.
-/// The PE daemon hands each reader the same shared counter, which the
-/// metrics registry exposes as `navp_frame_decode_bytes_total`.
-pub fn spawn_counted_reader<T, F>(
-    mut stream: TcpStream,
-    tx: Sender<T>,
-    wrap: F,
-    decoded_bytes: Option<Arc<navp_metrics::Counter>>,
-) -> JoinHandle<()>
-where
-    T: Send + 'static,
-    F: Fn(std::io::Result<Frame>) -> T + Send + 'static,
-{
-    std::thread::spawn(move || loop {
-        match read_frame_counted(&mut stream) {
-            Ok((frame, n)) => {
-                if let Some(c) = &decoded_bytes {
-                    c.add(n);
-                }
-                if tx.send(wrap(Ok(frame))).is_err() {
-                    return; // receiver gone; nothing left to do
-                }
-            }
-            Err(e) => {
-                let _ = tx.send(wrap(Err(e)));
-                return;
-            }
-        }
-    })
 }
 
 /// The deterministic home PE of an event: signals and waits for a key
@@ -230,10 +177,6 @@ pub fn spawn_pe(
     })
 }
 
-/// A shared handle to a peer's write half (cloneable across the daemon
-/// and its helper threads).
-pub type SharedConn = Arc<FrameConn>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,24 +201,6 @@ mod tests {
         let (f1, f2) = t.join().unwrap();
         assert_eq!(f1, sent);
         assert_eq!(f2, Frame::Shutdown);
-    }
-
-    #[test]
-    fn reader_thread_forwards_frames_then_eof() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let writer = std::thread::spawn(move || {
-            let (s, _) = listener.accept().unwrap();
-            let conn = FrameConn::new(s);
-            conn.send(&Frame::MeshReady { pe: 2 }).unwrap();
-            // Dropping the stream closes it → reader sees EOF.
-        });
-        let stream = TcpStream::connect(addr).unwrap();
-        let (tx, rx) = std::sync::mpsc::channel();
-        spawn_reader(stream, tx, |r| r.map_err(|e| e.kind()));
-        assert_eq!(rx.recv().unwrap(), Ok(Frame::MeshReady { pe: 2 }));
-        assert!(rx.recv().unwrap().is_err(), "EOF is forwarded as an error");
-        writer.join().unwrap();
     }
 
     #[test]

@@ -11,12 +11,12 @@ use crate::proto::{JobOutcome, JobSpec};
 use crate::sched::{JobFailure, RunnerFn};
 use crate::traces::TraceStore;
 use navp::durable::fnv1a;
-use navp_trace::ChromeTrace;
+use navp::RunError;
 use navp_matrix::{Grid2D, Matrix};
 use navp_mm::config::{MmConfig, Payload};
-use navp_mm::runner::{
-    run_navp_net, run_navp_net_faulted, NavpStage, NetOpts, RunnerError,
-};
+use navp_mm::runner::{run_navp, NavpStage, NetOpts, On, Run, RunnerError};
+use navp_trace::ChromeTrace;
+use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,10 +65,63 @@ pub fn product_checksum(m: &Matrix) -> u64 {
     fnv1a(&bytes)
 }
 
-fn fail(detail: impl Into<String>) -> JobFailure {
+pub(crate) fn fail(detail: impl Into<String>) -> JobFailure {
     JobFailure {
         timed_out: false,
         detail: detail.into(),
+    }
+}
+
+impl MeshOpts {
+    /// Run job `id` as one [`Run`] on the net executor: under the job's
+    /// run id, deadline and fault plan, the mesh's watchdog and durable
+    /// directory, traced when the job asks and the mesh keeps traces.
+    /// `go` runs the workload under that run; `runtime` picks the NavP
+    /// runtime error out of its failures, so a missed deadline times
+    /// the job out.
+    pub(crate) fn run_job<T, E: fmt::Display>(
+        &self,
+        spec: &JobSpec,
+        id: u64,
+        go: impl FnOnce(Run<'_>) -> Result<T, E>,
+        runtime: fn(&E) -> Option<&RunError>,
+    ) -> Result<T, JobFailure> {
+        let plan = match spec.fault_spec.as_str() {
+            "" => None,
+            s => Some(
+                navp::FaultPlan::parse_spec(s).map_err(|e| fail(format!("bad fault spec: {e}")))?,
+            ),
+        };
+        let mut opts = NetOpts {
+            pe_bin: self.pe_bin.clone(),
+            join: self.join.clone(),
+            ..NetOpts::default()
+        }
+        .with_run_id(id);
+        if spec.timeout_ms > 0 {
+            opts = opts.with_deadline(Duration::from_millis(spec.timeout_ms));
+        }
+        let mut run = Run::on(On::Net(&opts))
+            .plan(plan)
+            .traced(spec.trace && self.traces.is_some())
+            .watchdog(self.watchdog);
+        if let Some(dir) = &self.durable_dir {
+            run = run.durable(dir);
+        }
+        go(run).map_err(|e| match runtime(&e) {
+            Some(RunError::DeadlineExceeded { limit_ms }) => JobFailure {
+                timed_out: true,
+                detail: format!("exceeded {limit_ms} ms deadline"),
+            },
+            _ => fail(format!("run failed: {e}")),
+        })
+    }
+
+    /// Park job `id`'s rendered trace, when it recorded one.
+    pub(crate) fn keep_trace(&self, id: u64, trace: Option<&impl ChromeTrace>) {
+        if let (Some(store), Some(trace)) = (&self.traces, trace) {
+            store.put(id, trace.to_chrome_json());
+        }
     }
 }
 
@@ -81,58 +134,29 @@ pub fn gemm_runner(mesh: MeshOpts) -> Arc<RunnerFn> {
             .ok_or_else(|| fail(format!("unknown stage {:?}", spec.stage)))?;
         let grid = Grid2D::new(spec.rows as usize, spec.cols as usize)
             .map_err(|e| fail(format!("bad grid {}x{}: {e}", spec.rows, spec.cols)))?;
-        let mut cfg = MmConfig {
+        let cfg = MmConfig {
             n: spec.n as usize,
             ab: spec.ab as usize,
             payload: Payload::Real {
                 seed_a: spec.seed_a,
                 seed_b: spec.seed_b,
             },
-            watchdog: None,
-            trace: spec.trace && mesh.traces.is_some(),
-            metrics: false,
         };
-        if let Some(wd) = mesh.watchdog {
-            cfg = cfg.with_watchdog(wd);
-        }
-        let mut opts = NetOpts {
-            pe_bin: mesh.pe_bin.clone(),
-            join: mesh.join.clone(),
-            durable_dir: mesh.durable_dir.clone(),
-            ..NetOpts::default()
-        }
-        .with_run_id(id);
-        if spec.timeout_ms > 0 {
-            opts = opts.with_deadline(Duration::from_millis(spec.timeout_ms));
-        }
-        let out = if spec.fault_spec.is_empty() {
-            run_navp_net(stage, &cfg, grid, &opts)
-        } else {
-            let plan = navp::FaultPlan::parse_spec(&spec.fault_spec)
-                .map_err(|e| fail(format!("bad fault spec: {e}")))?;
-            run_navp_net_faulted(stage, &cfg, grid, &opts, plan)
-        };
-        match out {
-            Ok(out) => {
-                if let (Some(store), Some(trace)) = (&mesh.traces, &out.trace) {
-                    if cfg.trace {
-                        store.put(id, trace.to_chrome_json());
-                    }
-                }
-                Ok(JobOutcome {
-                    checksum: out.c.as_ref().map(product_checksum).unwrap_or(0),
-                    verified: out.verified.unwrap_or(false),
-                    wall_ms: out.wall.map(|w| w.as_millis() as u64).unwrap_or(0),
-                })
-            }
-            Err(RunnerError::Navp(navp::RunError::DeadlineExceeded { limit_ms })) => {
-                Err(JobFailure {
-                    timed_out: true,
-                    detail: format!("exceeded {limit_ms} ms deadline"),
-                })
-            }
-            Err(e) => Err(fail(format!("run failed: {e}"))),
-        }
+        let out = mesh.run_job(
+            spec,
+            id,
+            |run| run_navp(stage, &cfg, grid, run),
+            |e| match e {
+                RunnerError::Navp(e) => Some(e),
+                _ => None,
+            },
+        )?;
+        mesh.keep_trace(id, out.trace.as_ref());
+        Ok(JobOutcome {
+            checksum: out.c.as_ref().map(product_checksum).unwrap_or(0),
+            verified: out.verified.unwrap_or(false),
+            wall_ms: out.wall.map(|w| w.as_millis() as u64).unwrap_or(0),
+        })
     })
 }
 

@@ -9,15 +9,12 @@
 //! default). Everything else — run-id namespacing, durable checkpoint
 //! scoping, deadlines, fault injection — works exactly as for GEMM.
 
-use crate::gemm::{gemm_runner, MeshOpts};
+use crate::gemm::{fail, gemm_runner, MeshOpts};
 use crate::proto::{JobKind, JobOutcome, JobSpec};
 use crate::sched::{JobFailure, RunnerFn};
-use navp_kv::{run_kv_net, run_kv_net_faulted, KvConfig, KvError, KvStage};
+use navp_kv::{run_kv, KvConfig, KvError, KvStage};
 use navp_metrics::{Counter, MetricsRegistry};
-use navp_mm::runner::NetOpts;
-use navp_trace::ChromeTrace;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The `navp_kv_*` service metric set: how much key-value work the
 /// mesh has done across all tenants. Registered on the same registry
@@ -95,13 +92,6 @@ impl KvMetrics {
     }
 }
 
-fn fail(detail: impl Into<String>) -> JobFailure {
-    JobFailure {
-        timed_out: false,
-        detail: detail.into(),
-    }
-}
-
 /// Validate a kv spec into a runnable `(stage, cfg, pes)` triple.
 /// Fails fast — before touching the mesh — on anything the workload
 /// constructors would panic on.
@@ -132,52 +122,25 @@ fn kv_shape(spec: &JobSpec) -> Result<(KvStage, KvConfig, usize), JobFailure> {
 /// concurrently, each namespaced by `run_id = job id`.
 pub fn kv_runner(mesh: MeshOpts, metrics: Option<Arc<KvMetrics>>) -> Arc<RunnerFn> {
     Arc::new(move |spec: &JobSpec, id: u64| {
-        let (stage, mut cfg, pes) = kv_shape(spec)?;
-        cfg = cfg.with_trace(spec.trace && mesh.traces.is_some());
-        if let Some(wd) = mesh.watchdog {
-            cfg = cfg.with_watchdog(wd);
+        let (stage, cfg, pes) = kv_shape(spec)?;
+        let out = mesh.run_job(
+            spec,
+            id,
+            |run| run_kv(stage, &cfg, pes, run),
+            |e| match e {
+                KvError::Navp(e) => Some(e),
+                _ => None,
+            },
+        )?;
+        if let Some(m) = &metrics {
+            m.record_run(id, out.stats.ops, out.stats.scanned, out.stats.compactions);
         }
-        let mut opts = NetOpts {
-            pe_bin: mesh.pe_bin.clone(),
-            join: mesh.join.clone(),
-            durable_dir: mesh.durable_dir.clone(),
-            ..NetOpts::default()
-        }
-        .with_run_id(id);
-        if spec.timeout_ms > 0 {
-            opts = opts.with_deadline(Duration::from_millis(spec.timeout_ms));
-        }
-        let out = if spec.fault_spec.is_empty() {
-            run_kv_net(stage, &cfg, pes, &opts)
-        } else {
-            let plan = navp::FaultPlan::parse_spec(&spec.fault_spec)
-                .map_err(|e| fail(format!("bad fault spec: {e}")))?;
-            run_kv_net_faulted(stage, &cfg, pes, &opts, plan)
-        };
-        match out {
-            Ok(out) => {
-                if let Some(m) = &metrics {
-                    m.record_run(id, out.stats.ops, out.stats.scanned, out.stats.compactions);
-                }
-                if let (Some(store), Some(trace)) = (&mesh.traces, &out.trace) {
-                    if cfg.trace {
-                        store.put(id, trace.to_chrome_json());
-                    }
-                }
-                Ok(JobOutcome {
-                    checksum: out.product.checksum(),
-                    verified: out.verified.unwrap_or(false),
-                    wall_ms: out.wall.map(|w| w.as_millis() as u64).unwrap_or(0),
-                })
-            }
-            Err(KvError::Navp(navp::RunError::DeadlineExceeded { limit_ms })) => {
-                Err(JobFailure {
-                    timed_out: true,
-                    detail: format!("exceeded {limit_ms} ms deadline"),
-                })
-            }
-            Err(e) => Err(fail(format!("kv run failed: {e}"))),
-        }
+        mesh.keep_trace(id, out.trace.as_ref());
+        Ok(JobOutcome {
+            checksum: out.product.checksum(),
+            verified: out.verified.unwrap_or(false),
+            wall_ms: out.wall.map(|w| w.as_millis() as u64).unwrap_or(0),
+        })
     })
 }
 

@@ -27,7 +27,8 @@
 //!   in-flight gauge, admission rejects, job latency histogram) on a
 //!   [`navp_metrics::MetricsRegistry`] ready for `/metrics`.
 //! * [`gemm`] — the production runner: maps a [`proto::JobSpec`] onto
-//!   [`navp_mm::runner::run_navp_net`] against the joined mesh.
+//!   one [`navp_mm::Run`] of [`navp_mm::run_navp`] on the joined mesh;
+//!   [`kv`] does the same for kv jobs with [`navp_kv::run_kv`].
 //!
 //! See DESIGN.md §14 for the architecture and the protocol table.
 

@@ -218,12 +218,6 @@ impl Scheduler {
         }
     }
 
-    /// Milliseconds since the scheduler started (the timestamp anchor
-    /// of every [`JobInfo`]).
-    pub fn now_ms(&self) -> u64 {
-        self.inner.epoch.elapsed().as_millis() as u64
-    }
-
     /// Admit a job, or say immediately why not.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, RejectReason> {
         let m = &self.inner.metrics;
@@ -330,12 +324,6 @@ impl Scheduler {
         let mut st = self.inner.state.lock().unwrap();
         st.draining = true;
         self.inner.cv.notify_all();
-    }
-
-    /// `true` once [`Scheduler::drain`] (or shutdown) was called.
-    pub fn is_draining(&self) -> bool {
-        let st = self.inner.state.lock().unwrap();
-        st.draining || st.stopping
     }
 
     /// `true` when nothing is queued or running.

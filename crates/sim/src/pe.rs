@@ -27,11 +27,6 @@ impl PeResources {
         PeResources::default()
     }
 
-    /// Time the CPU is next free.
-    pub fn cpu_free_at(&self) -> VTime {
-        self.cpu_free
-    }
-
     /// Run a unit of work that becomes runnable at `ready`, costs
     /// `duration` of CPU, and serializes with everything else on this PE.
     /// Returns `(start, end)` and advances the CPU horizon.

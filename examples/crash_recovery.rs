@@ -13,9 +13,7 @@
 use navp_repro::navp::FaultPlan;
 use navp_repro::navp_matrix::Grid2D;
 use navp_repro::navp_mm::config::MmConfig;
-use navp_repro::navp_mm::runner::{
-    run_navp_sim, run_navp_sim_faulted, run_navp_threads_faulted, NavpStage,
-};
+use navp_repro::navp_mm::runner::{run_navp, run_navp_sim, NavpStage, On, Run};
 use navp_repro::navp_sim::CostModel;
 
 fn main() {
@@ -29,8 +27,8 @@ fn main() {
     let plan = FaultPlan::new().crash_pe(1, 2);
 
     let clean = run_navp_sim(NavpStage::Dsc1D, &cfg, grid, &cost, false).expect("clean run");
-    let faulted =
-        run_navp_sim_faulted(NavpStage::Dsc1D, &cfg, grid, &cost, plan.clone()).expect("recovery");
+    let sim = Run::on(On::Sim(&cost)).plan(Some(plan.clone()));
+    let faulted = run_navp(NavpStage::Dsc1D, &cfg, grid, sim).expect("recovery");
 
     let f = faulted.faults.expect("sim reports fault counters");
     println!("injected : {plan:?}");
@@ -49,7 +47,8 @@ fn main() {
 
     // The same plan against real OS threads: the daemon is restarted and
     // the last checkpoints are re-delivered under an epoch guard.
-    let wall = run_navp_threads_faulted(NavpStage::Dsc1D, &cfg, grid, plan).expect("threads");
+    let threads = Run::on(On::Threads).plan(Some(plan));
+    let wall = run_navp(NavpStage::Dsc1D, &cfg, grid, threads).expect("threads");
     assert_eq!(wall.verified, Some(true));
     assert_eq!(clean.c, wall.c);
     println!(

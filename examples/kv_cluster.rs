@@ -11,7 +11,8 @@
 //! the journey changed *where* operations execute, never *what* they
 //! compute.
 
-use navp_repro::navp_kv::{run_kv_sim, run_kv_threads, KvConfig, KvStage};
+use navp_repro::navp_kv::{run_kv, run_kv_sim, KvConfig, KvStage};
+use navp_repro::navp_mm::{On, Run};
 use navp_repro::navp_sim::CostModel;
 
 fn main() {
@@ -22,7 +23,7 @@ fn main() {
         cfg.ops, cfg.batches
     );
 
-    let reference = run_kv_threads(KvStage::Seq, &cfg, pes)
+    let reference = run_kv(KvStage::Seq, &cfg, pes, Run::on(On::Threads))
         .expect("sequential reference")
         .product;
 
@@ -32,7 +33,7 @@ fn main() {
         ("(c) pipelined      ", KvStage::Pipe),
         ("(d) phase-shifted  ", KvStage::Phase),
     ] {
-        let out = run_kv_threads(stage, &cfg, pes).expect("run");
+        let out = run_kv(stage, &cfg, pes, Run::on(On::Threads)).expect("run");
         let wall = out.wall.expect("threads report wall time");
         let ops_per_s = out.stats.ops as f64 / wall.as_secs_f64();
         let verified = out.verified == Some(true) && out.product == reference;

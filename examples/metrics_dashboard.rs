@@ -14,7 +14,7 @@
 use navp_repro::navp_matrix::Grid2D;
 use navp_repro::navp_metrics::{MetricsSnapshot, RunMetrics};
 use navp_repro::navp_mm::config::MmConfig;
-use navp_repro::navp_mm::runner::{run_navp_threads_metered, NavpStage};
+use navp_repro::navp_mm::runner::{run_navp, NavpStage, On, Run};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,13 +63,8 @@ fn main() {
     let worker = std::thread::spawn(move || {
         let mut last = None;
         for _ in 0..ROUNDS {
-            let out = run_navp_threads_metered(
-                NavpStage::Pipe2D,
-                &cfg,
-                grid,
-                Arc::clone(&worker_metrics),
-            )
-            .expect("metered run");
+            let run = Run::on(On::Threads).metered(Arc::clone(&worker_metrics));
+            let out = run_navp(NavpStage::Pipe2D, &cfg, grid, run).expect("metered run");
             assert_eq!(out.verified, Some(true));
             last = Some(out);
         }

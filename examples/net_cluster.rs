@@ -32,9 +32,7 @@
 use navp_repro::navp::FaultPlan;
 use navp_repro::navp_matrix::Grid2D;
 use navp_repro::navp_mm::config::MmConfig;
-use navp_repro::navp_mm::runner::{
-    run_navp_net, run_navp_net_faulted, run_navp_threads, NavpStage, NetOpts,
-};
+use navp_repro::navp_mm::runner::{run_navp, NavpStage, NetOpts, On, Run};
 
 fn main() {
     let opts = match std::env::var("NAVP_NET_JOIN") {
@@ -55,30 +53,31 @@ fn main() {
     // 2×2 mesh; any other join count runs phase1d on a line mesh that
     // wide, with the problem scaled so every PE owns two block rows.
     let pes = if opts.join.is_empty() { 4 } else { opts.join.len() };
-    let (grid, stage, cfg) = if pes == 4 {
+    let (grid, stage, cfg, watchdog) = if pes == 4 {
         (
             Grid2D::new(2, 2).expect("grid"),
             NavpStage::Pipe2D,
-            MmConfig::real(24, 4).with_metrics(true),
+            MmConfig::real(24, 4),
+            None,
         )
     } else {
         (
             Grid2D::line(pes).expect("grid"),
             NavpStage::Phase1D,
-            MmConfig::real(4 * pes, 2)
-                .with_metrics(true)
-                .with_watchdog(std::time::Duration::from_secs(180)),
+            MmConfig::real(4 * pes, 2),
+            Some(std::time::Duration::from_secs(180)),
         )
     };
+    let run = |on| Run::on(on).metrics(true).watchdog(watchdog);
 
     println!("== {} on a {pes}-process loopback cluster ==\n", stage.name());
 
     // Reference product from the in-process thread executor.
-    let reference = run_navp_threads(stage, &cfg, grid).expect("thread run");
+    let reference = run_navp(stage, &cfg, grid, run(On::Threads)).expect("thread run");
 
     // Clean networked run: every hop is a serialized messenger snapshot
     // crossing a real TCP socket between OS processes.
-    let clean = run_navp_net(stage, &cfg, grid, &opts).expect("networked run");
+    let clean = run_navp(stage, &cfg, grid, run(On::Net(&opts))).expect("networked run");
     report("clean", &clean);
     assert_eq!(clean.verified, Some(true));
     assert_eq!(
@@ -124,7 +123,8 @@ fn main() {
         plan = plan.delay_hop(pe, nth, secs);
     }
     println!("injecting: {plan:?}");
-    let delayed = run_navp_net_faulted(stage, &cfg, grid, &opts, plan).expect("delayed run");
+    let delayed =
+        run_navp(stage, &cfg, grid, run(On::Net(&opts)).plan(Some(plan))).expect("delayed run");
     report("delayed", &delayed);
     let f = delayed.faults.expect("networked runs report fault stats");
     println!("         hops held at the socket: {}", f.hops_delayed);

@@ -14,7 +14,7 @@ use navp_repro::navp::script::Script;
 use navp_repro::navp::{Cluster, Effect, Key, SimExecutor, ThreadExecutor};
 use navp_repro::navp_matrix::Grid2D;
 use navp_repro::navp_mm::config::MmConfig;
-use navp_repro::navp_mm::runner::{run_navp_sim, run_navp_threads, NavpStage};
+use navp_repro::navp_mm::runner::{run_navp, run_navp_sim, NavpStage, On, Run};
 use navp_repro::navp_sim::CostModel;
 
 fn main() {
@@ -116,7 +116,7 @@ fn part2_matrix_multiplication() {
         sim.verified
     );
 
-    let wall = run_navp_threads(NavpStage::Dpc2D, &cfg, grid).expect("run");
+    let wall = run_navp(NavpStage::Dpc2D, &cfg, grid, Run::on(On::Threads)).expect("run");
     println!(
         "wall time on this machine:        {:?} (verified: {:?})",
         wall.wall.expect("threads"),

@@ -29,9 +29,7 @@
 
 use navp_repro::navp::durable::{read_cut, read_manifest};
 use navp_repro::navp_matrix::{Grid2D, Matrix};
-use navp_repro::navp_mm::runner::{
-    run_navp_net, run_navp_threads, run_restored_net, NavpStage, NetOpts, RunOutput, RunnerError,
-};
+use navp_repro::navp_mm::runner::{run_navp, NavpStage, NetOpts, On, Run, RunOutput, RunnerError};
 use navp_repro::navp_mm::MmConfig;
 use navp_repro::navp_net::cluster::resolve_pe_bin;
 use std::path::Path;
@@ -94,13 +92,12 @@ fn main() {
     let opts = NetOpts {
         join: (0..PES).map(addr).collect(),
         ..NetOpts::default()
-    }
-    .with_durable_dir(&dir);
+    };
 
     println!("== rolling restart: {} on {PES} durable PE daemons ==\n", stage.name());
 
     // The uninterrupted reference product (in-process threads).
-    let reference = run_navp_threads(stage, &cfg, grid)
+    let reference = run_navp(stage, &cfg, grid, Run::on(On::Threads))
         .expect("thread run")
         .c
         .expect("real payload");
@@ -118,10 +115,11 @@ fn main() {
         // one can terminate the victim mid-computation.
         let (cfg2, opts2, dir2) = (cfg, opts.clone(), dir.clone());
         let driver = std::thread::spawn(move || -> Result<RunOutput, RunnerError> {
+            let run = Run::on(On::Net(&opts2)).durable(&dir2);
             if victim == 0 {
-                run_navp_net(stage, &cfg2, grid, &opts2)
+                run_navp(stage, &cfg2, grid, run)
             } else {
-                run_restored_net(stage, &cfg2, grid, &opts2, &dir2)
+                run_navp(stage, &cfg2, grid, run.restore(&dir2))
             }
         });
 
@@ -179,7 +177,10 @@ fn main() {
     // final resumed run completes the computation.
     let out = match final_out {
         Some(out) => out,
-        None => run_restored_net(stage, &cfg, grid, &opts, &dir).expect("final resumed run"),
+        None => {
+            let run = Run::on(On::Net(&opts)).durable(&dir).restore(&dir);
+            run_navp(stage, &cfg, grid, run).expect("final resumed run")
+        }
     };
     let c = out.c.as_ref().expect("real payload");
     assert_eq!(out.verified, Some(true), "product must verify");

@@ -17,7 +17,7 @@
 //! loopback job runs this example as its traced acceptance step.
 
 use navp_repro::navp_matrix::Grid2D;
-use navp_repro::navp_mm::runner::{run_navp_net, run_navp_threads, NavpStage, NetOpts, RunOutput};
+use navp_repro::navp_mm::runner::{run_navp, NavpStage, NetOpts, On, Run, RunOutput};
 use navp_repro::navp_mm::MmConfig;
 use navp_repro::navp_trace::{validate_chrome_json, ChromeTrace};
 use std::path::Path;
@@ -51,15 +51,18 @@ fn show(tag: &str, out: &RunOutput, pes: usize, path: &Path) {
 }
 
 fn main() {
-    let cfg = MmConfig::real(16, 2)
-        .with_watchdog(Duration::from_secs(60))
-        .with_trace(true);
+    let cfg = MmConfig::real(16, 2);
+    let traced = |on| {
+        Run::on(on)
+            .traced(true)
+            .watchdog(Some(Duration::from_secs(60)))
+    };
     let grid = Grid2D::new(2, 2).expect("grid");
     let out_dir = Path::new("target");
     std::fs::create_dir_all(out_dir).expect("target dir");
 
     let threads =
-        run_navp_threads(NavpStage::Pipe2D, &cfg, grid).expect("traced threads run");
+        run_navp(NavpStage::Pipe2D, &cfg, grid, traced(On::Threads)).expect("traced threads run");
     assert_eq!(threads.verified, Some(true));
     show(
         "threads: 4 PEs in one process",
@@ -72,8 +75,9 @@ fn main() {
     // per-PE traces ship back on the wire and merge onto the driver's
     // clock. Outside `cargo test` the daemon binary is found next to
     // this example's own executable.
-    let net = run_navp_net(NavpStage::Pipe2D, &cfg, grid, &NetOpts::default())
-        .expect("traced net run");
+    let opts = NetOpts::default();
+    let net =
+        run_navp(NavpStage::Pipe2D, &cfg, grid, traced(On::Net(&opts))).expect("traced net run");
     assert_eq!(net.verified, Some(true));
     show(
         "net: 4 PEs as OS processes (loopback TCP)",

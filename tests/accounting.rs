@@ -17,7 +17,7 @@
 
 use navp_repro::navp::sim_exec::HOP_STATE_BYTES;
 use navp_repro::navp_matrix::Grid2D;
-use navp_repro::navp_mm::runner::{run_navp_net, run_navp_sim, NavpStage, NetOpts};
+use navp_repro::navp_mm::runner::{run_navp, run_navp_sim, NavpStage, NetOpts, On, Run};
 use navp_repro::navp_mm::MmConfig;
 use navp_repro::navp_sim::{CostModel, TraceKind};
 use std::time::Duration;
@@ -79,7 +79,7 @@ fn sim_trace_payloads_equal_net_executor_payload_counters() {
     // minus the per-hop control-state constant) must equal what the
     // PE processes measured with `Messenger::payload_bytes()` at each
     // serialization point.
-    let cfg = MmConfig::real(16, 2).with_watchdog(Duration::from_secs(60));
+    let cfg = MmConfig::real(16, 2);
     let opts = NetOpts {
         pe_bin: Some(env!("CARGO_BIN_EXE_navp-pe").into()),
         ..NetOpts::default()
@@ -88,7 +88,8 @@ fn sim_trace_payloads_equal_net_executor_payload_counters() {
         let grid = grid_for(stage);
         let sim = run_navp_sim(stage, &cfg, grid, &CostModel::paper_cluster(), true)
             .unwrap_or_else(|e| panic!("{} sim: {e}", stage.name()));
-        let net = run_navp_net(stage, &cfg, grid, &opts)
+        let run = Run::on(On::Net(&opts)).watchdog(Some(Duration::from_secs(60)));
+        let net = run_navp(stage, &cfg, grid, run)
             .unwrap_or_else(|e| panic!("{} net: {e}", stage.name()));
         let trace = sim.trace.expect("trace requested");
         let sim_payload = trace.bytes_transferred() - HOP_STATE_BYTES * sim.transfers;

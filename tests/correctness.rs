@@ -7,7 +7,7 @@ use navp_repro::navp_matrix::Grid2D;
 use navp_repro::navp_mm::config::MmConfig;
 use navp_repro::navp_mm::gentleman::{GentlemanOpts, Scheduling, Stagger};
 use navp_repro::navp_mm::runner::{
-    run_mp_sim, run_mp_threads, run_navp_sim, run_navp_threads, run_seq_sim, MpAlg, NavpStage,
+    run_mp_sim, run_mp_threads, run_navp, run_navp_sim, run_seq_sim, MpAlg, NavpStage, On, Run,
 };
 use navp_repro::navp_sim::CostModel;
 
@@ -57,7 +57,7 @@ fn every_navp_stage_on_thread_executor() {
     let cfg = MmConfig::real(24, 4);
     for stage in NavpStage::ALL {
         for grid in grids_for(stage) {
-            let out = run_navp_threads(stage, &cfg, grid)
+            let out = run_navp(stage, &cfg, grid, Run::on(On::Threads))
                 .unwrap_or_else(|e| panic!("{} {grid:?}: {e}", stage.name()));
             assert_eq!(
                 out.verified,

@@ -7,12 +7,11 @@
 //! run replays the identical schedule, so any difference at all means
 //! the durable layer lost or corrupted state.
 
+use navp_repro::navp::durable::read_all_cuts;
 use navp_repro::navp::{FaultPlan, RunError};
 use navp_repro::navp_matrix::{Grid2D, Matrix};
 use navp_repro::navp_mm::runner::{
-    run_navp_net, run_navp_sim, run_navp_sim_durable, run_navp_threads,
-    run_navp_threads_durable, run_restored_net, run_restored_sim, run_restored_threads,
-    NavpStage, NetOpts, RunnerError,
+    run_navp, run_navp_sim, NavpStage, NetOpts, On, Run, RunOutput, RunnerError,
 };
 use navp_repro::navp_mm::MmConfig;
 use navp_sim::CostModel;
@@ -51,7 +50,18 @@ fn killer_plan() -> FaultPlan {
     FaultPlan::new().without_checkpointing().crash_pe(1, 2)
 }
 
-fn assert_died_mid_run(result: Result<navp_repro::navp_mm::RunOutput, RunnerError>) {
+/// `run`, made durable into `dir` and killed midway by the killer plan.
+fn killed<'a>(run: Run<'a>, dir: &Path) -> Run<'a> {
+    run.durable(dir).plan(Some(killer_plan()))
+}
+
+/// A run on `on` under a generous watchdog: CI machines can be slow to
+/// spawn PE processes.
+fn run(on: On<'_>) -> Run<'_> {
+    Run::on(on).watchdog(Some(Duration::from_secs(60)))
+}
+
+fn assert_died_mid_run(result: Result<RunOutput, RunnerError>) {
     match result {
         Err(RunnerError::Navp(RunError::PeCrashed { pe: 1, .. })) => {}
         Err(e) => panic!("expected the planted PeCrashed, got: {e}"),
@@ -70,15 +80,9 @@ fn sim_killed_runs_restore_bitwise_from_disk() {
             .c
             .expect("real payload");
         let dir = tmp(&format!("sim-{}", stage.name().replace([' ', '(', ')'], "")));
-        assert_died_mid_run(run_navp_sim_durable(
-            stage,
-            &cfg,
-            grid,
-            &cost,
-            &dir,
-            Some(killer_plan()),
-        ));
-        let out = run_restored_sim(stage, &cfg, grid, &cost, &dir)
+        let sim = Run::on(On::Sim(&cost));
+        assert_died_mid_run(run_navp(stage, &cfg, grid, killed(sim, &dir)));
+        let out = run_navp(stage, &cfg, grid, Run::on(On::Sim(&cost)).restore(&dir))
             .unwrap_or_else(|e| panic!("{} restore: {e}", stage.name()));
         assert_eq!(out.verified, Some(true), "{} must verify", stage.name());
         let got = out.c.expect("real payload");
@@ -89,22 +93,16 @@ fn sim_killed_runs_restore_bitwise_from_disk() {
 
 #[test]
 fn threads_killed_runs_restore_bitwise_from_disk() {
-    let cfg = MmConfig::real(12, 2).with_watchdog(Duration::from_secs(60));
+    let cfg = MmConfig::real(12, 2);
     for stage in STAGES {
         let grid = grid_for(stage);
-        let want = run_navp_threads(stage, &cfg, grid)
+        let want = run_navp(stage, &cfg, grid, run(On::Threads))
             .unwrap_or_else(|e| panic!("{} baseline: {e}", stage.name()))
             .c
             .expect("real payload");
         let dir = tmp(&format!("thr-{}", stage.name().replace([' ', '(', ')'], "")));
-        assert_died_mid_run(run_navp_threads_durable(
-            stage,
-            &cfg,
-            grid,
-            &dir,
-            Some(killer_plan()),
-        ));
-        let out = run_restored_threads(stage, &cfg, grid, &dir)
+        assert_died_mid_run(run_navp(stage, &cfg, grid, killed(run(On::Threads), &dir)));
+        let out = run_navp(stage, &cfg, grid, run(On::Threads).restore(&dir))
             .unwrap_or_else(|e| panic!("{} restore: {e}", stage.name()));
         assert_eq!(out.verified, Some(true), "{} must verify", stage.name());
         let got = out.c.expect("real payload");
@@ -114,21 +112,20 @@ fn threads_killed_runs_restore_bitwise_from_disk() {
 }
 
 /// A durable run goes down the same path as a plain one, so it honours
-/// `cfg.metrics` the same way: it returns a snapshot, and its hop count
-/// is the plain run's.
+/// [`Run::metrics`] the same way: it returns a snapshot, and its hop
+/// count is the plain run's.
 #[test]
 fn durable_threads_run_reports_the_same_metrics_as_a_plain_run() {
-    let cfg = MmConfig::real(12, 2)
-        .with_watchdog(Duration::from_secs(60))
-        .with_metrics(true);
+    let cfg = MmConfig::real(12, 2);
     let stage = NavpStage::Pipe2D;
     let grid = grid_for(stage);
-    let plain = run_navp_threads(stage, &cfg, grid).expect("plain run");
+    let metered = || run(On::Threads).metrics(true);
+    let plain = run_navp(stage, &cfg, grid, metered()).expect("plain run");
     let dir = tmp("metered");
-    let durable = run_navp_threads_durable(stage, &cfg, grid, &dir, None).expect("durable run");
+    let durable = run_navp(stage, &cfg, grid, metered().durable(&dir)).expect("durable run");
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(durable.verified, Some(true));
-    let hops = |out: &navp_repro::navp_mm::RunOutput| {
+    let hops = |out: &RunOutput| {
         let snap = out.metrics.as_ref().expect("metrics snapshot");
         snap.total("navp_hops_total")
     };
@@ -141,7 +138,7 @@ fn durable_threads_run_reports_the_same_metrics_as_a_plain_run() {
 /// (and vice versa): the cut format is executor-agnostic.
 #[test]
 fn cuts_restore_across_executors() {
-    let cfg = MmConfig::real(12, 2).with_watchdog(Duration::from_secs(60));
+    let cfg = MmConfig::real(12, 2);
     let cost = CostModel::paper_cluster();
     let stage = NavpStage::Phase1D;
     let grid = grid_for(stage);
@@ -151,15 +148,9 @@ fn cuts_restore_across_executors() {
         .expect("real payload");
 
     let dir = tmp("sim-to-threads");
-    assert_died_mid_run(run_navp_sim_durable(
-        stage,
-        &cfg,
-        grid,
-        &cost,
-        &dir,
-        Some(killer_plan()),
-    ));
-    let got = run_restored_threads(stage, &cfg, grid, &dir)
+    let sim = Run::on(On::Sim(&cost));
+    assert_died_mid_run(run_navp(stage, &cfg, grid, killed(sim, &dir)));
+    let got = run_navp(stage, &cfg, grid, run(On::Threads).restore(&dir))
         .expect("sim cuts on threads")
         .c
         .expect("real payload");
@@ -167,14 +158,8 @@ fn cuts_restore_across_executors() {
     std::fs::remove_dir_all(&dir).ok();
 
     let dir = tmp("threads-to-sim");
-    assert_died_mid_run(run_navp_threads_durable(
-        stage,
-        &cfg,
-        grid,
-        &dir,
-        Some(killer_plan()),
-    ));
-    let got = run_restored_sim(stage, &cfg, grid, &cost, &dir)
+    assert_died_mid_run(run_navp(stage, &cfg, grid, killed(run(On::Threads), &dir)));
+    let got = run_navp(stage, &cfg, grid, Run::on(On::Sim(&cost)).restore(&dir))
         .expect("thread cuts on sim")
         .c
         .expect("real payload");
@@ -189,17 +174,11 @@ fn corrupted_and_truncated_checkpoints_are_rejected() {
     let stage = NavpStage::Dsc1D;
     let grid = grid_for(stage);
     let dir = tmp("corrupt");
-    assert_died_mid_run(run_navp_sim_durable(
-        stage,
-        &cfg,
-        grid,
-        &cost,
-        &dir,
-        Some(killer_plan()),
-    ));
+    let sim = || Run::on(On::Sim(&cost));
+    assert_died_mid_run(run_navp(stage, &cfg, grid, killed(sim(), &dir)));
 
     // Pristine cuts restore fine…
-    run_restored_sim(stage, &cfg, grid, &cost, &dir).expect("pristine cuts restore");
+    run_navp(stage, &cfg, grid, sim().restore(&dir)).expect("pristine cuts restore");
 
     // …a flipped byte is caught by the container checksum…
     let cut = dir.join("pe-1.ckpt");
@@ -208,7 +187,7 @@ fn corrupted_and_truncated_checkpoints_are_rejected() {
     let mid = bad.len() / 2;
     bad[mid] ^= 0x40;
     std::fs::write(&cut, &bad).unwrap();
-    let err = match run_restored_sim(stage, &cfg, grid, &cost, &dir) {
+    let err = match run_navp(stage, &cfg, grid, sim().restore(&dir)) {
         Err(e) => e.to_string(),
         Ok(_) => panic!("corrupted cut accepted"),
     };
@@ -216,7 +195,7 @@ fn corrupted_and_truncated_checkpoints_are_rejected() {
 
     // …and a torn (truncated) file is named as such.
     std::fs::write(&cut, &pristine[..mid]).unwrap();
-    let err = match run_restored_sim(stage, &cfg, grid, &cost, &dir) {
+    let err = match run_navp(stage, &cfg, grid, sim().restore(&dir)) {
         Err(e) => e.to_string(),
         Ok(_) => panic!("truncated cut accepted"),
     };
@@ -224,17 +203,53 @@ fn corrupted_and_truncated_checkpoints_are_rejected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-// ---------------------------------------------------------------------
-// Networked executor: real `kill -9` of every OS process.
-// ---------------------------------------------------------------------
-
-fn net_opts(dir: &Path) -> NetOpts {
+/// The `navp-pe` daemon this crate ships, resolved by Cargo.
+fn net_opts() -> NetOpts {
     NetOpts {
         pe_bin: Some(env!("CARGO_BIN_EXE_navp-pe").into()),
         ..NetOpts::default()
     }
-    .with_durable_dir(dir)
 }
+
+/// [`Run::durable`] means the same on every executor: a durable run
+/// writes a cut set that [`read_all_cuts`] accepts — one cut per PE,
+/// all of the session the manifest names — and [`Run::restore`] finishes
+/// it to the plain run's product, bit for bit.
+#[test]
+fn durable_runs_write_restorable_cuts_on_every_executor() {
+    let cfg = MmConfig::real(12, 2);
+    let cost = CostModel::paper_cluster();
+    let opts = net_opts();
+    let stage = NavpStage::Dsc1D;
+    let grid = grid_for(stage);
+    let want = run_navp(stage, &cfg, grid, run(On::Threads))
+        .expect("plain run")
+        .c
+        .expect("real payload");
+    for (name, on) in [
+        ("sim", On::Sim(&cost)),
+        ("threads", On::Threads),
+        ("net", On::Net(&opts)),
+    ] {
+        let dir = tmp(&format!("every-{name}"));
+        let out = run_navp(stage, &cfg, grid, run(on).durable(&dir))
+            .unwrap_or_else(|e| panic!("{name} durable run: {e}"));
+        assert_eq!(out.verified, Some(true), "{name}");
+        let (manifest, cuts) =
+            read_all_cuts(&dir).unwrap_or_else(|e| panic!("{name} wrote no cut set: {e}"));
+        assert_eq!((manifest.pes, cuts.len()), (3, 3), "{name}: one cut per PE");
+        let out = run_navp(stage, &cfg, grid, run(on).restore(&dir))
+            .unwrap_or_else(|e| panic!("{name} restore: {e}"));
+        assert_eq!(out.verified, Some(true), "{name}");
+        let got = out.c.expect("real payload");
+        assert_eq!(bits(&got), bits(&want), "{name}: restored run is bitwise");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Networked executor: real `kill -9` of every OS process.
+// ---------------------------------------------------------------------
 
 /// SIGKILL — no signal handler, no flush, nothing: only what already
 /// reached disk survives.
@@ -284,10 +299,10 @@ impl Drop for Daemons {
 /// half runs on `--listen` daemons so the test owns their PIDs.)
 #[test]
 fn net_survives_kill_dash_nine_of_every_process() {
-    let cfg = MmConfig::real(16, 2).with_watchdog(Duration::from_secs(60));
+    let cfg = MmConfig::real(16, 2);
     let stage = NavpStage::Dsc1D;
     let grid = Grid2D::line(4).expect("grid");
-    let want = run_navp_threads(stage, &cfg, grid)
+    let want = run_navp(stage, &cfg, grid, run(On::Threads))
         .expect("thread baseline")
         .c
         .expect("real payload");
@@ -296,12 +311,12 @@ fn net_survives_kill_dash_nine_of_every_process() {
     let ports = [7461u16, 7462, 7463, 7464];
     let daemons = Daemons::spawn(&dir, &ports);
     std::thread::sleep(Duration::from_millis(300)); // listeners bind
-    let mut opts = net_opts(&dir);
+    let mut opts = net_opts();
     opts.join = ports.iter().map(|p| format!("127.0.0.1:{p}")).collect();
 
-    let (cfg2, opts2) = (cfg, opts);
+    let (cfg2, dir2) = (cfg, dir.clone());
     let driver =
-        std::thread::spawn(move || run_navp_net(stage, &cfg2, grid, &opts2));
+        std::thread::spawn(move || run_navp(stage, &cfg2, grid, run(On::Net(&opts)).durable(dir2)));
 
     // Let every PE commit at least its boundary-0 cut for the current
     // session, plus some real progress somewhere, then massacre.
@@ -340,8 +355,9 @@ fn net_survives_kill_dash_nine_of_every_process() {
     drop(daemons);
 
     // Restore from disk onto freshly spawned PEs and finish.
-    let opts = net_opts(&dir);
-    let out = run_restored_net(stage, &cfg, grid, &opts, &dir).expect("restored net run");
+    let opts = net_opts();
+    let resumed = run(On::Net(&opts)).durable(&dir).restore(&dir);
+    let out = run_navp(stage, &cfg, grid, resumed).expect("restored net run");
     assert_eq!(out.verified, Some(true));
     let got = out.c.expect("real payload");
     assert_eq!(bits(&got), bits(&want), "kill -9 all + restore is bitwise");
@@ -354,10 +370,10 @@ fn net_survives_kill_dash_nine_of_every_process() {
 /// disconnect. The stopped run then restores from disk bitwise.
 #[test]
 fn sigterm_is_graceful_and_reported_as_pe_stopped() {
-    let cfg = MmConfig::real(16, 2).with_watchdog(Duration::from_secs(60));
+    let cfg = MmConfig::real(16, 2);
     let stage = NavpStage::Dsc1D;
     let grid = Grid2D::line(4).expect("grid");
-    let want = run_navp_threads(stage, &cfg, grid)
+    let want = run_navp(stage, &cfg, grid, run(On::Threads))
         .expect("thread baseline")
         .c
         .expect("real payload");
@@ -366,12 +382,12 @@ fn sigterm_is_graceful_and_reported_as_pe_stopped() {
     let ports = [7471u16, 7472, 7473, 7474];
     let daemons = Daemons::spawn(&dir, &ports);
     std::thread::sleep(Duration::from_millis(300));
-    let mut opts = net_opts(&dir);
+    let mut opts = net_opts();
     opts.join = ports.iter().map(|p| format!("127.0.0.1:{p}")).collect();
 
-    let (cfg2, opts2) = (cfg, opts);
+    let (cfg2, dir2) = (cfg, dir.clone());
     let driver =
-        std::thread::spawn(move || run_navp_net(stage, &cfg2, grid, &opts2));
+        std::thread::spawn(move || run_navp(stage, &cfg2, grid, run(On::Net(&opts)).durable(dir2)));
     // Stop PE 0 once it has committed progress in this session.
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     let mut stopped = false;
@@ -400,8 +416,9 @@ fn sigterm_is_graceful_and_reported_as_pe_stopped() {
             Ok(_) => panic!("run completed although PE 0 was stopped mid-run"),
         }
         drop(daemons);
-        let opts = net_opts(&dir);
-        let out = run_restored_net(stage, &cfg, grid, &opts, &dir).expect("restored net run");
+        let opts = net_opts();
+        let resumed = run(On::Net(&opts)).durable(&dir).restore(&dir);
+        let out = run_navp(stage, &cfg, grid, resumed).expect("restored net run");
         assert_eq!(out.verified, Some(true));
         let got = out.c.expect("real payload");
         assert_eq!(bits(&got), bits(&want), "graceful stop + restore is bitwise");

@@ -4,9 +4,7 @@
 use navp_repro::navp::script::Script;
 use navp_repro::navp::{Cluster, Effect, FaultPlan, Key, RunError, SimExecutor, ThreadExecutor};
 use navp_repro::navp_mm::config::MmConfig;
-use navp_repro::navp_mm::runner::{
-    run_navp_sim, run_navp_threads_faulted, NavpStage, RunnerError,
-};
+use navp_repro::navp_mm::runner::{run_navp, run_navp_sim, NavpStage, On, Run, RunnerError};
 use navp_repro::navp_mp::{MpCluster, MpEffect, MpError, MpSimExecutor, Process, RankScript};
 use navp_repro::navp_sim::CostModel;
 use std::time::Duration;
@@ -125,14 +123,17 @@ fn mp_cross_rank_deadlock_is_diagnosed() {
 /// The watchdog's `Stalled` diagnosis reaches through the whole stack:
 /// a lost event signal injected into a real paper stage leaves some
 /// carrier parked forever, and the stage-level runner — with the
-/// watchdog configured through [`MmConfig`] — reports the stall rather
+/// watchdog configured through the [`Run`] — reports the stall rather
 /// than hanging.
 #[test]
 fn lost_signal_in_stage_is_reported_as_stall() {
-    let cfg = MmConfig::real(12, 2).with_watchdog(Duration::from_millis(400));
+    let cfg = MmConfig::real(12, 2);
     let grid = navp_repro::navp_matrix::Grid2D::new(2, 2).expect("grid");
     let plan = FaultPlan::new().lose_signal(0, 1);
-    match run_navp_threads_faulted(NavpStage::Pipe2D, &cfg, grid, plan) {
+    let run = Run::on(On::Threads)
+        .watchdog(Some(Duration::from_millis(400)))
+        .plan(Some(plan));
+    match run_navp(NavpStage::Pipe2D, &cfg, grid, run) {
         Err(RunnerError::Navp(RunError::Stalled { live })) => {
             assert!(live > 0, "a carrier must still be parked");
         }

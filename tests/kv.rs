@@ -11,10 +11,8 @@
 //! reordered, dropped, or corrupted an operation.
 
 use navp_repro::navp::FaultPlan;
-use navp_repro::navp_kv::{
-    run_kv_net, run_kv_net_faulted, run_kv_sim, run_kv_threads, KvConfig, KvStage,
-};
-use navp_repro::navp_mm::runner::NetOpts;
+use navp_repro::navp_kv::{run_kv, run_kv_sim, KvConfig, KvStage};
+use navp_repro::navp_mm::runner::{NetOpts, On, Run};
 use navp_repro::navp_serve::{
     client, job_runner, serve, JobSpec, JobState, MeshOpts, SchedConfig, ServeMetrics,
     ServerConfig,
@@ -34,28 +32,28 @@ fn opts() -> NetOpts {
     }
 }
 
-fn cfg(ops: usize, batches: usize) -> KvConfig {
+fn run(on: On<'_>) -> Run<'_> {
     // Generous watchdog: CI machines can be slow to spawn 4 processes.
-    KvConfig::new(ops, batches).with_watchdog(Duration::from_secs(60))
+    Run::on(on).watchdog(Some(Duration::from_secs(60)))
 }
 
 const STAGES: [KvStage; 4] = [KvStage::Seq, KvStage::Dsc, KvStage::Pipe, KvStage::Phase];
 
 #[test]
 fn all_four_journey_steps_agree_bitwise_across_all_three_executors() {
-    let cfg = cfg(160, 8);
+    let cfg = KvConfig::new(160, 8);
     let pes = 4;
     // The sequential step on the thread executor anchors the journey:
     // every other (step, executor) pair must reproduce it bit for bit.
-    let reference = run_kv_threads(KvStage::Seq, &cfg, pes)
+    let reference = run_kv(KvStage::Seq, &cfg, pes, run(On::Threads))
         .expect("seq threads")
         .product;
     for stage in STAGES {
         let sim = run_kv_sim(stage, &cfg, pes, &CostModel::paper_cluster(), false)
             .unwrap_or_else(|e| panic!("{stage} sim: {e}"));
-        let threads = run_kv_threads(stage, &cfg, pes)
+        let threads = run_kv(stage, &cfg, pes, run(On::Threads))
             .unwrap_or_else(|e| panic!("{stage} threads: {e}"));
-        let net = run_kv_net(stage, &cfg, pes, &opts())
+        let net = run_kv(stage, &cfg, pes, run(On::Net(&opts())))
             .unwrap_or_else(|e| panic!("{stage} net: {e}"));
         for (exec, out) in [("sim", &sim), ("threads", &threads), ("net", &net)] {
             assert_eq!(
@@ -76,17 +74,22 @@ fn net_kv_parity_survives_a_seeded_hop_delay_plan() {
     // Delay-only faults stress the transport (retries, reordering
     // windows) without touching data-path semantics, so the product
     // must stay bitwise intact.
-    let cfg = cfg(120, 6);
+    let cfg = KvConfig::new(120, 6);
     let plan = FaultPlan::new()
         .delay_hop(0, 1, 0.05)
         .delay_hop(1, 2, 0.08)
         .delay_hop(2, 1, 0.05)
         .delay_hop(3, 1, 0.03);
     for stage in [KvStage::Pipe, KvStage::Phase] {
-        let want = run_kv_threads(stage, &cfg, 4)
+        let want = run_kv(stage, &cfg, 4, run(On::Threads))
             .unwrap_or_else(|e| panic!("{stage} threads: {e}"));
-        let got = run_kv_net_faulted(stage, &cfg, 4, &opts(), plan.clone())
-            .unwrap_or_else(|e| panic!("{stage} net faulted: {e}"));
+        let got = run_kv(
+            stage,
+            &cfg,
+            4,
+            run(On::Net(&opts())).plan(Some(plan.clone())),
+        )
+        .unwrap_or_else(|e| panic!("{stage} net faulted: {e}"));
         assert_eq!(got.verified, Some(true), "{stage} faulted net product wrong");
         assert_eq!(
             got.product, want.product,
@@ -199,7 +202,7 @@ fn mixed_gemm_and_kv_jobs_share_one_live_mesh() {
     for (i, spec) in specs.iter().enumerate().skip(1) {
         let stage = KvStage::parse(&spec.stage).expect("kv stage");
         let cfg = KvConfig::new(spec.n as usize, spec.ab as usize).with_seed(spec.seed_a);
-        let want = run_kv_threads(stage, &cfg, spec.cols as usize)
+        let want = run_kv(stage, &cfg, spec.cols as usize, Run::on(On::Threads))
             .expect("local reference run")
             .product
             .checksum();

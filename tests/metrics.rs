@@ -7,17 +7,15 @@
 
 use navp_repro::navp_matrix::Grid2D;
 use navp_repro::navp_metrics::{validate_prometheus, MetricsSnapshot, RunMetrics};
-use navp_repro::navp_mm::runner::{
-    run_navp_net, run_navp_threads, run_navp_threads_metered, NavpStage, NetOpts,
-};
+use navp_repro::navp_mm::runner::{run_navp, NavpStage, NetOpts, On, Run};
 use navp_repro::navp_mm::MmConfig;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-fn cfg(n: usize, ab: usize) -> MmConfig {
+fn run(on: On<'_>) -> Run<'_> {
     // Generous watchdog: CI machines can be slow to spawn 4 processes.
-    MmConfig::real(n, ab).with_watchdog(Duration::from_secs(60))
+    Run::on(on).watchdog(Some(Duration::from_secs(60)))
 }
 
 /// The `navp-pe` daemon this crate ships, resolved by Cargo.
@@ -36,12 +34,14 @@ fn total(snap: &MetricsSnapshot, name: &str) -> u64 {
 #[test]
 fn metrics_off_runs_carry_no_snapshot_and_identical_product() {
     let grid = Grid2D::new(2, 2).expect("grid");
-    let plain = run_navp_threads(NavpStage::Pipe2D, &cfg(16, 2), grid).expect("plain");
+    let cfg = MmConfig::real(16, 2);
+    let plain = run_navp(NavpStage::Pipe2D, &cfg, grid, run(On::Threads)).expect("plain");
     assert!(plain.metrics.is_none(), "metrics must be off by default");
-    let metered = run_navp_threads(
+    let metered = run_navp(
         NavpStage::Pipe2D,
-        &cfg(16, 2).with_metrics(true),
+        &cfg,
         grid,
+        run(On::Threads).metrics(true),
     )
     .expect("metered");
     let snap = metered.metrics.expect("metered run returns a snapshot");
@@ -62,8 +62,9 @@ fn thread_counters_reconcile_with_run_accounting() {
     // counters are exercised (phase-shifted stages never park — that
     // is their whole point).
     let grid = Grid2D::new(2, 2).expect("grid");
-    let out = run_navp_threads(NavpStage::Pipe2D, &cfg(16, 2).with_metrics(true), grid)
-        .expect("metered run");
+    let metered = run(On::Threads).metrics(true);
+    let out =
+        run_navp(NavpStage::Pipe2D, &MmConfig::real(16, 2), grid, metered).expect("metered run");
     let snap = out.metrics.expect("snapshot");
     assert_eq!(
         total(&snap, "navp_hops_total"),
@@ -96,13 +97,10 @@ fn thread_counters_reconcile_with_run_accounting() {
 #[test]
 fn metered_traced_net_run_reconciles_counters_with_trace_spans() {
     let grid = Grid2D::new(2, 2).expect("grid");
-    let out = run_navp_net(
-        NavpStage::Pipe2D,
-        &cfg(16, 2).with_trace(true).with_metrics(true),
-        grid,
-        &net_opts(),
-    )
-    .expect("metered traced net run");
+    let opts = net_opts();
+    let run = run(On::Net(&opts)).traced(true).metrics(true);
+    let out = run_navp(NavpStage::Pipe2D, &MmConfig::real(16, 2), grid, run)
+        .expect("metered traced net run");
     assert_eq!(out.verified, Some(true));
     let snap = out.metrics.expect("cluster snapshot merged over the mesh");
 
@@ -144,13 +142,8 @@ fn metered_traced_net_run_reconciles_counters_with_trace_spans() {
 fn registry_exposition_round_trips_through_the_validator() {
     let grid = Grid2D::line(4).expect("grid");
     let metrics = RunMetrics::new(4);
-    let out = run_navp_threads_metered(
-        NavpStage::Dsc1D,
-        &cfg(16, 2),
-        grid,
-        std::sync::Arc::clone(&metrics),
-    )
-    .expect("metered run");
+    let run = run(On::Threads).metered(std::sync::Arc::clone(&metrics));
+    let out = run_navp(NavpStage::Dsc1D, &MmConfig::real(16, 2), grid, run).expect("metered run");
     assert_eq!(out.verified, Some(true));
     let text = metrics.registry.render();
     let sum = validate_prometheus(&text).unwrap_or_else(|e| panic!("invalid exposition: {e}"));
@@ -265,11 +258,12 @@ fn pe_daemon_serves_live_metrics_and_health_endpoints() {
         "never ran".into(),
     ));
     for attempt in 0..5 {
-        out = run_navp_net(
+        let grid = Grid2D::line(2).expect("grid");
+        out = run_navp(
             NavpStage::Dsc1D,
-            &cfg(16, 2),
-            Grid2D::line(2).expect("grid"),
-            &opts,
+            &MmConfig::real(16, 2),
+            grid,
+            run(On::Net(&opts)),
         );
         if out.is_ok() {
             break;

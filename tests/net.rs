@@ -9,11 +9,9 @@
 //! contribution.
 
 use navp_repro::navp::FaultPlan;
-use navp_repro::navp_kv::{run_kv_net, run_kv_threads, KvConfig, KvStage};
+use navp_repro::navp_kv::{run_kv, KvConfig, KvStage};
 use navp_repro::navp_matrix::Grid2D;
-use navp_repro::navp_mm::runner::{
-    run_navp_net, run_navp_net_faulted, run_navp_threads, NavpStage, NetOpts,
-};
+use navp_repro::navp_mm::runner::{run_navp, NavpStage, NetOpts, On, Run};
 use navp_repro::navp_mm::MmConfig;
 use std::time::Duration;
 
@@ -25,9 +23,9 @@ fn opts() -> NetOpts {
     }
 }
 
-fn cfg(n: usize, ab: usize) -> MmConfig {
+fn run(on: On<'_>) -> Run<'_> {
     // Generous watchdog: CI machines can be slow to spawn 4 processes.
-    MmConfig::real(n, ab).with_watchdog(Duration::from_secs(60))
+    Run::on(on).watchdog(Some(Duration::from_secs(60)))
 }
 
 fn grid_for(stage: NavpStage) -> Grid2D {
@@ -44,12 +42,12 @@ const STAGES: [NavpStage; 3] = [NavpStage::Dsc1D, NavpStage::Pipe2D, NavpStage::
 
 #[test]
 fn net_product_is_bitwise_identical_to_threads() {
-    let cfg = cfg(16, 2);
+    let cfg = MmConfig::real(16, 2);
     for stage in STAGES {
         let grid = grid_for(stage);
-        let want = run_navp_threads(stage, &cfg, grid)
+        let want = run_navp(stage, &cfg, grid, run(On::Threads))
             .unwrap_or_else(|e| panic!("{} threads: {e}", stage.name()));
-        let got = run_navp_net(stage, &cfg, grid, &opts())
+        let got = run_navp(stage, &cfg, grid, run(On::Net(&opts())))
             .unwrap_or_else(|e| panic!("{} net: {e}", stage.name()));
         assert_eq!(got.verified, Some(true), "{} net product wrong", stage.name());
         let (want_c, got_c) = (want.c.expect("threads c"), got.c.expect("net c"));
@@ -68,7 +66,7 @@ fn net_parity_survives_a_seeded_hop_delay_plan() {
     // a crash intentionally perturbs timing stats — for *parity* we
     // want faults that stress the transport without touching the data
     // path semantics. Deterministic (seed-derived) delays on three PEs.
-    let cfg = cfg(16, 2);
+    let cfg = MmConfig::real(16, 2);
     for stage in STAGES {
         let grid = grid_for(stage);
         let plan = FaultPlan::new()
@@ -76,9 +74,9 @@ fn net_parity_survives_a_seeded_hop_delay_plan() {
             .delay_hop(1, 2, 0.08)
             .delay_hop(2, 1, 0.05)
             .delay_hop(3, 1, 0.03);
-        let want = run_navp_threads(stage, &cfg, grid)
+        let want = run_navp(stage, &cfg, grid, run(On::Threads))
             .unwrap_or_else(|e| panic!("{} threads: {e}", stage.name()));
-        let got = run_navp_net_faulted(stage, &cfg, grid, &opts(), plan)
+        let got = run_navp(stage, &cfg, grid, run(On::Net(&opts())).plan(Some(plan)))
             .unwrap_or_else(|e| panic!("{} net+delays: {e}", stage.name()));
         assert_eq!(got.verified, Some(true), "{} under delays", stage.name());
         let faults = got.faults.expect("fault stats");
@@ -100,14 +98,19 @@ fn net_parity_survives_a_seeded_hop_delay_plan() {
 fn net_recovers_a_crashed_pe_process_with_full_parity() {
     // crash = the PE *process* exits mid-run and is restarted from the
     // hop-delivery checkpoint; the product must still match bitwise.
-    let cfg = cfg(16, 2);
+    let cfg = MmConfig::real(16, 2);
     let grid = Grid2D::line(4).expect("grid");
     let plan = FaultPlan::new()
         .crash_pe(2, 1)
         .with_retry(4, Duration::from_millis(50));
-    let want = run_navp_threads(NavpStage::Dsc1D, &cfg, grid).expect("threads");
-    let got = run_navp_net_faulted(NavpStage::Dsc1D, &cfg, grid, &opts(), plan)
-        .expect("net crash recovery");
+    let want = run_navp(NavpStage::Dsc1D, &cfg, grid, run(On::Threads)).expect("threads");
+    let got = run_navp(
+        NavpStage::Dsc1D,
+        &cfg,
+        grid,
+        run(On::Net(&opts())).plan(Some(plan)),
+    )
+    .expect("net crash recovery");
     assert_eq!(got.verified, Some(true));
     let faults = got.faults.expect("fault stats");
     assert!(faults.crashes >= 1, "the crash never fired: {faults:?}");
@@ -120,9 +123,9 @@ fn net_recovers_a_crashed_pe_process_with_full_parity() {
 
 #[test]
 fn net_reports_consistent_per_pe_stats() {
-    let cfg = cfg(16, 2);
+    let cfg = MmConfig::real(16, 2);
     let grid = Grid2D::line(4).expect("grid");
-    let out = run_navp_net(NavpStage::Dsc1D, &cfg, grid, &opts()).expect("net");
+    let out = run_navp(NavpStage::Dsc1D, &cfg, grid, run(On::Net(&opts()))).expect("net");
     let per_pe = out.per_pe_net.expect("networked runs report per-PE stats");
     assert_eq!(per_pe.len(), 4);
     let hops: u64 = per_pe.iter().map(|s| s.hops).sum();
@@ -146,10 +149,10 @@ fn net_reports_consistent_per_pe_stats() {
 fn net_parity_holds_on_a_16_pe_line() {
     // nb = 16 block rows: exactly one per PE, so every hop crosses a
     // real socket.
-    let cfg = cfg(32, 2);
+    let cfg = MmConfig::real(32, 2);
     let grid = Grid2D::line(16).expect("grid");
-    let want = run_navp_threads(NavpStage::Phase1D, &cfg, grid).expect("threads");
-    let got = run_navp_net(NavpStage::Phase1D, &cfg, grid, &opts()).expect("net 16 PEs");
+    let want = run_navp(NavpStage::Phase1D, &cfg, grid, run(On::Threads)).expect("threads");
+    let got = run_navp(NavpStage::Phase1D, &cfg, grid, run(On::Net(&opts()))).expect("net 16 PEs");
     assert_eq!(got.verified, Some(true));
     assert_eq!(
         want.c.expect("threads c").max_abs_diff(&got.c.expect("net c")),
@@ -168,12 +171,15 @@ fn net_parity_holds_on_a_16_pe_line() {
 fn net_64_pe_mesh_keeps_bitwise_parity_and_reports_io_metrics() {
     // nb = 64 block rows, one per PE; generous watchdog for the big
     // spawn + full-mesh handshake.
-    let cfg = MmConfig::real(128, 2)
-        .with_watchdog(Duration::from_secs(180))
-        .with_metrics(true);
+    let cfg = MmConfig::real(128, 2);
+    let run = |on| {
+        Run::on(on)
+            .watchdog(Some(Duration::from_secs(180)))
+            .metrics(true)
+    };
     let grid = Grid2D::line(64).expect("grid");
-    let want = run_navp_threads(NavpStage::Phase1D, &cfg, grid).expect("threads");
-    let got = run_navp_net(NavpStage::Phase1D, &cfg, grid, &opts()).expect("net 64 PEs");
+    let want = run_navp(NavpStage::Phase1D, &cfg, grid, run(On::Threads)).expect("threads");
+    let got = run_navp(NavpStage::Phase1D, &cfg, grid, run(On::Net(&opts()))).expect("net 64 PEs");
     assert_eq!(got.verified, Some(true));
     assert_eq!(
         want.c.expect("threads c").max_abs_diff(&got.c.expect("net c")),
@@ -207,9 +213,9 @@ fn net_64_pe_mesh_keeps_bitwise_parity_and_reports_io_metrics() {
 fn kv_journey_verifies_on_a_16_pe_net_mesh() {
     let cfg = KvConfig::new(2_000, 8).with_seed(0xFEED_5EED);
     for stage in [KvStage::Dsc, KvStage::Pipe, KvStage::Phase] {
-        let reference = run_kv_threads(stage, &cfg, 16).expect("threads");
+        let reference = run_kv(stage, &cfg, 16, Run::on(On::Threads)).expect("threads");
         assert_eq!(reference.verified, Some(true));
-        let got = run_kv_net(stage, &cfg, 16, &opts()).expect("kv net 16 PEs");
+        let got = run_kv(stage, &cfg, 16, Run::on(On::Net(&opts()))).expect("kv net 16 PEs");
         assert_eq!(
             got.verified,
             Some(true),

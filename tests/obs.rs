@@ -6,9 +6,7 @@
 //! time would invalidate the paper's reproduced tables.
 
 use navp_repro::navp_matrix::Grid2D;
-use navp_repro::navp_mm::runner::{
-    run_navp_net, run_navp_sim, run_navp_threads, NavpStage, NetOpts,
-};
+use navp_repro::navp_mm::runner::{run_navp, run_navp_sim, NavpStage, NetOpts, On, Run};
 use navp_repro::navp_mm::MmConfig;
 use navp_repro::navp_obs;
 use navp_repro::navp_sim::CostModel;
@@ -83,9 +81,9 @@ fn recorder_is_bitwise_neutral_on_the_thread_executor() {
     let cfg = MmConfig::real(16, 2);
     for stage in STAGES {
         let grid = grid_for(stage);
-        let on = with_flight(true, || run_navp_threads(stage, &cfg, grid).expect("threads on"));
-        let off =
-            with_flight(false, || run_navp_threads(stage, &cfg, grid).expect("threads off"));
+        let threads = || run_navp(stage, &cfg, grid, Run::on(On::Threads));
+        let on = with_flight(true, || threads().expect("threads on"));
+        let off = with_flight(false, || threads().expect("threads off"));
         assert_eq!(on.verified, Some(true), "{}", stage.name());
         assert_eq!(off.verified, Some(true), "{}", stage.name());
         let (c_on, c_off) = (on.c.expect("c on"), off.c.expect("c off"));
@@ -101,19 +99,19 @@ fn recorder_is_bitwise_neutral_on_the_thread_executor() {
 #[test]
 fn recorder_is_bitwise_neutral_on_the_net_executor() {
     let _serial = FLIGHT_FLAG.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = MmConfig::real(16, 2).with_watchdog(std::time::Duration::from_secs(60));
+    let cfg = MmConfig::real(16, 2);
     let opts = NetOpts {
         pe_bin: Some(env!("CARGO_BIN_EXE_navp-pe").into()),
         ..NetOpts::default()
     };
     let stage = NavpStage::Dsc1D;
     let grid = Grid2D::line(4).expect("grid");
-    let on = with_flight(true, || {
-        run_navp_net(stage, &cfg, grid, &opts).expect("net on")
-    });
-    let off = with_flight(false, || {
-        run_navp_net(stage, &cfg, grid, &opts).expect("net off")
-    });
+    let net = || {
+        let run = Run::on(On::Net(&opts)).watchdog(Some(std::time::Duration::from_secs(60)));
+        run_navp(stage, &cfg, grid, run)
+    };
+    let on = with_flight(true, || net().expect("net on"));
+    let off = with_flight(false, || net().expect("net off"));
     assert_eq!(on.verified, Some(true));
     assert_eq!(off.verified, Some(true));
     let (c_on, c_off) = (on.c.expect("c on"), off.c.expect("c off"));
@@ -133,8 +131,9 @@ fn recorder_actually_records_during_an_instrumented_run() {
         .iter()
         .map(|s| s.events.len() as u64 + s.dropped)
         .sum();
+    let grid = Grid2D::line(2).expect("grid");
     with_flight(true, || {
-        run_navp_threads(NavpStage::Dsc1D, &cfg, Grid2D::line(2).expect("grid")).expect("run")
+        run_navp(NavpStage::Dsc1D, &cfg, grid, Run::on(On::Threads)).expect("run")
     });
     let after: u64 = navp_obs::flight()
         .snapshot_all()

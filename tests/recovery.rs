@@ -7,10 +7,7 @@
 use navp_repro::navp::{FaultPlan, RunError};
 use navp_repro::navp_matrix::Grid2D;
 use navp_repro::navp_mm::config::MmConfig;
-use navp_repro::navp_mm::runner::{
-    run_navp_sim, run_navp_sim_faulted, run_navp_threads, run_navp_threads_faulted, NavpStage,
-    RunnerError,
-};
+use navp_repro::navp_mm::runner::{run_navp, run_navp_sim, NavpStage, On, Run, RunnerError};
 use navp_repro::navp_sim::CostModel;
 use std::time::Duration;
 
@@ -22,16 +19,21 @@ fn grid_for(stage: NavpStage) -> Grid2D {
     }
 }
 
+/// A thread-executor run under a generous watchdog.
+fn threads() -> Run<'static> {
+    Run::on(On::Threads).watchdog(Some(Duration::from_secs(30)))
+}
+
 /// Crash one PE mid-run and demand the exact fault-free product back.
 fn crash_recovers_bitwise(stage: NavpStage, crash_pe: usize, at_run: u64) {
-    let cfg = MmConfig::real(12, 2).with_watchdog(Duration::from_secs(30));
+    let cfg = MmConfig::real(12, 2);
     let grid = grid_for(stage);
     let cost = CostModel::paper_cluster();
     let plan = FaultPlan::new().crash_pe(crash_pe, at_run);
 
     let clean = run_navp_sim(stage, &cfg, grid, &cost, false).expect("clean sim");
-    let faulted =
-        run_navp_sim_faulted(stage, &cfg, grid, &cost, plan.clone()).expect("faulted sim");
+    let sim = Run::on(On::Sim(&cost)).plan(Some(plan.clone()));
+    let faulted = run_navp(stage, &cfg, grid, sim).expect("faulted sim");
     assert_eq!(faulted.verified, Some(true), "{}: sim result wrong", stage.name());
     let fs = faulted.faults.expect("NavP run reports fault stats");
     assert_eq!(fs.crashes, 1, "{}: sim crash not injected", stage.name());
@@ -43,9 +45,9 @@ fn crash_recovers_bitwise(stage: NavpStage, crash_pe: usize, at_run: u64) {
         stage.name()
     );
 
-    let clean = run_navp_threads(stage, &cfg, grid).expect("clean threads");
+    let clean = run_navp(stage, &cfg, grid, threads()).expect("clean threads");
     let faulted =
-        run_navp_threads_faulted(stage, &cfg, grid, plan).expect("faulted threads");
+        run_navp(stage, &cfg, grid, threads().plan(Some(plan))).expect("faulted threads");
     assert_eq!(faulted.verified, Some(true), "{}: thread result wrong", stage.name());
     let fs = faulted.faults.expect("NavP run reports fault stats");
     assert_eq!(fs.crashes, 1, "{}: thread crash not injected", stage.name());
@@ -81,23 +83,19 @@ fn phase1d_crash_on_home_pe_recovers_bitwise() {
 
 #[test]
 fn crash_without_checkpointing_is_structured_on_both_executors() {
-    let cfg = MmConfig::real(12, 2).with_watchdog(Duration::from_secs(30));
+    let cfg = MmConfig::real(12, 2);
     let grid = Grid2D::line(3).expect("line");
+    let cost = CostModel::paper_cluster();
     let plan = FaultPlan::new().crash_pe(1, 1).without_checkpointing();
 
-    match run_navp_sim_faulted(
-        NavpStage::Dsc1D,
-        &cfg,
-        grid,
-        &CostModel::paper_cluster(),
-        plan.clone(),
-    ) {
+    let sim = Run::on(On::Sim(&cost)).plan(Some(plan.clone()));
+    match run_navp(NavpStage::Dsc1D, &cfg, grid, sim) {
         Err(RunnerError::Navp(RunError::PeCrashed { pe: 1, .. })) => {}
         other => panic!("sim: expected PeCrashed, got ok={}", other.is_ok()),
     }
     // The generous watchdog proves the structured error preempts any
     // stall: an unrecoverable crash must not present as a hang.
-    match run_navp_threads_faulted(NavpStage::Dsc1D, &cfg, grid, plan) {
+    match run_navp(NavpStage::Dsc1D, &cfg, grid, threads().plan(Some(plan))) {
         Err(RunnerError::Navp(RunError::PeCrashed { pe: 1, .. })) => {}
         other => panic!("threads: expected PeCrashed, got ok={}", other.is_ok()),
     }
@@ -110,10 +108,9 @@ fn seeded_fault_plans_are_deterministic() {
     let cost = CostModel::paper_cluster();
     let plan = FaultPlan::seeded(0xFEED, 3);
 
-    let one = run_navp_sim_faulted(NavpStage::Dsc1D, &cfg, grid, &cost, plan.clone())
-        .expect("first seeded run");
-    let two = run_navp_sim_faulted(NavpStage::Dsc1D, &cfg, grid, &cost, plan)
-        .expect("second seeded run");
+    let run = || Run::on(On::Sim(&cost)).plan(Some(plan.clone()));
+    let one = run_navp(NavpStage::Dsc1D, &cfg, grid, run()).expect("first seeded run");
+    let two = run_navp(NavpStage::Dsc1D, &cfg, grid, run()).expect("second seeded run");
     assert_eq!(one.verified, Some(true));
     assert_eq!(one.virt_seconds, two.virt_seconds, "virtual time must repeat");
     assert_eq!(one.faults, two.faults, "fault counters must repeat");
@@ -129,8 +126,8 @@ fn recovery_makespan_accounts_for_the_outage() {
     let cost = CostModel::paper_cluster();
     let clean = run_navp_sim(NavpStage::Dsc1D, &cfg, grid, &cost, false).expect("clean");
     let plan = FaultPlan::new().crash_pe(1, 1).with_recovery_seconds(2.0);
-    let faulted =
-        run_navp_sim_faulted(NavpStage::Dsc1D, &cfg, grid, &cost, plan).expect("faulted");
+    let sim = Run::on(On::Sim(&cost)).plan(Some(plan));
+    let faulted = run_navp(NavpStage::Dsc1D, &cfg, grid, sim).expect("faulted");
     assert!(
         faulted.virt_seconds.unwrap() >= clean.virt_seconds.unwrap() + 1.999,
         "faulted {:?} vs clean {:?}",

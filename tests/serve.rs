@@ -9,7 +9,7 @@
 
 use navp_repro::navp_matrix::Grid2D;
 use navp_repro::navp_mm::config::Payload;
-use navp_repro::navp_mm::runner::run_navp_threads;
+use navp_repro::navp_mm::runner::{run_navp, On, Run};
 use navp_repro::navp_mm::MmConfig;
 use navp_repro::navp_serve::{
     client, gemm_runner, product_checksum, serve, JobSpec, JobState, MeshOpts, SchedConfig,
@@ -89,7 +89,7 @@ fn reference_checksum(spec: &JobSpec) -> u64 {
         seed_b: spec.seed_b,
     };
     let grid = Grid2D::new(spec.rows as usize, spec.cols as usize).expect("grid");
-    let out = run_navp_threads(stage, &cfg, grid).expect("reference run");
+    let out = run_navp(stage, &cfg, grid, Run::on(On::Threads)).expect("reference run");
     assert_eq!(out.verified, Some(true));
     product_checksum(&out.c.expect("reference product"))
 }

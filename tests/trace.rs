@@ -5,17 +5,15 @@
 //! an untraced run carries no trace at all).
 
 use navp_repro::navp_matrix::Grid2D;
-use navp_repro::navp_mm::runner::{
-    run_navp_net, run_navp_sim, run_navp_threads, NavpStage, NetOpts, RunOutput,
-};
+use navp_repro::navp_mm::runner::{run_navp, run_navp_sim, NavpStage, NetOpts, On, Run, RunOutput};
 use navp_repro::navp_mm::MmConfig;
 use navp_repro::navp_sim::CostModel;
 use navp_repro::navp_trace::{validate_chrome_json, ChromeTrace, Trace, TraceKind};
 use std::time::Duration;
 
-fn cfg(n: usize, ab: usize) -> MmConfig {
+fn run(on: On<'_>) -> Run<'_> {
     // Generous watchdog: CI machines can be slow to spawn 4 processes.
-    MmConfig::real(n, ab).with_watchdog(Duration::from_secs(60))
+    Run::on(on).watchdog(Some(Duration::from_secs(60)))
 }
 
 /// The `navp-pe` daemon this crate ships, resolved by Cargo.
@@ -27,8 +25,13 @@ fn net_opts() -> NetOpts {
 }
 
 fn traced_threads(stage: NavpStage, grid: Grid2D) -> RunOutput {
-    run_navp_threads(stage, &cfg(16, 2).with_trace(true), grid)
-        .unwrap_or_else(|e| panic!("{} traced threads: {e}", stage.name()))
+    run_navp(
+        stage,
+        &MmConfig::real(16, 2),
+        grid,
+        run(On::Threads).traced(true),
+    )
+    .unwrap_or_else(|e| panic!("{} traced threads: {e}", stage.name()))
 }
 
 /// Inter-PE transfer spans (self-hops excluded).
@@ -43,7 +46,13 @@ fn inter_pe_transfers(trace: &Trace) -> usize {
 #[test]
 fn untraced_runs_carry_no_trace() {
     let grid = Grid2D::line(4).expect("grid");
-    let out = run_navp_threads(NavpStage::Dsc1D, &cfg(16, 2), grid).expect("untraced run");
+    let out = run_navp(
+        NavpStage::Dsc1D,
+        &MmConfig::real(16, 2),
+        grid,
+        run(On::Threads),
+    )
+    .expect("untraced run");
     assert!(out.trace.is_none(), "tracing must be off by default");
     assert!(out.trace_report.is_none());
     assert_eq!(out.verified, Some(true));
@@ -52,7 +61,13 @@ fn untraced_runs_carry_no_trace() {
 #[test]
 fn tracing_does_not_perturb_the_product() {
     let grid = Grid2D::new(2, 2).expect("grid");
-    let plain = run_navp_threads(NavpStage::Pipe2D, &cfg(16, 2), grid).expect("untraced");
+    let plain = run_navp(
+        NavpStage::Pipe2D,
+        &MmConfig::real(16, 2),
+        grid,
+        run(On::Threads),
+    )
+    .expect("untraced");
     let traced = traced_threads(NavpStage::Pipe2D, grid);
     let (a, b) = (plain.c.expect("untraced c"), traced.c.expect("traced c"));
     assert_eq!(
@@ -112,7 +127,7 @@ fn threads_exec_spans_are_monotone_and_cover_every_pe() {
 #[test]
 fn sim_and_threads_trace_shapes_agree_on_dsc1d() {
     let grid = Grid2D::line(4).expect("grid");
-    let config = cfg(16, 2);
+    let config = MmConfig::real(16, 2);
     let sim = run_navp_sim(
         NavpStage::Dsc1D,
         &config,
@@ -163,13 +178,10 @@ fn chrome_export_roundtrips_through_the_validator() {
 #[test]
 fn traced_net_run_covers_every_pe() {
     let grid = Grid2D::new(2, 2).expect("grid");
-    let out = run_navp_net(
-        NavpStage::Pipe2D,
-        &cfg(16, 2).with_trace(true),
-        grid,
-        &net_opts(),
-    )
-    .expect("traced net run");
+    let opts = net_opts();
+    let traced = run(On::Net(&opts)).traced(true);
+    let out =
+        run_navp(NavpStage::Pipe2D, &MmConfig::real(16, 2), grid, traced).expect("traced net run");
     assert_eq!(out.verified, Some(true), "tracing must not corrupt the product");
     let trace = out.trace.expect("net trace shipped back");
 
