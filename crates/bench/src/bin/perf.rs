@@ -9,20 +9,26 @@
 //!
 //! Usage: `cargo run --release -p navp-bench --bin perf [-- --kv] [-- --quick] [-- --check]`
 //!
-//! `--quick` trims sample counts and the stage problem size so the CI
-//! perf smoke job finishes in a couple of minutes; the acceptance gate
-//! (packed kernel strictly faster than naive at 256³) is checked in
-//! both modes and failure exits non-zero.
+//! `--quick` skips the 128³ kernel and times the stages at n=256
+//! instead of n=384, so the CI perf smoke job finishes in seconds.
+//! Every entry a quick run shares with the committed baseline takes
+//! the same number of samples as the full run, so `--check` compares a
+//! fastest-of-k with a fastest-of-k. The acceptance gate (packed
+//! kernel strictly faster than naive at 256³) is checked in both modes
+//! and failure exits non-zero.
 //!
 //! `--check` flips the binary from baseline *writer* to regression
 //! *gate*: the committed `BENCH_*.json` files are loaded, the benches
 //! re-run (nothing is overwritten), and the run fails with a
 //! per-metric delta table when a throughput entry drops or a wall
-//! entry grows by more than 15%. `--check --quick` gates the subset of
-//! entries the quick run shares with the full committed baseline.
+//! entry grows by more than 15%, comparing each entry's fastest sample
+//! (see [`navp_bench::check`]). Both sides take that figure from the
+//! median of several whole runs ([`ROUNDS`], [`KV_ROUNDS`]).
+//! `--check --quick` gates the subset of entries the quick run shares
+//! with the full committed baseline.
 
-use navp_bench::check::{compare, parse_baseline, render_table, BenchEntry};
-use navp_bench::timing::{write_groups_json, Entry, Group, Metric};
+use navp_bench::check::{compare, entries_of, parse_baseline, render_table, BenchEntry};
+use navp_bench::timing::{rounds, write_groups_json, Entry, Group, Metric};
 use navp_kv::{run_kv, KvConfig, KvStage};
 use navp_matrix::gen::seeded_matrix;
 use navp_matrix::kernel::{gemm_acc, gemm_acc_naive, gemm_flops};
@@ -69,27 +75,21 @@ fn parse_opts() -> Opts {
 
 /// Kernel section: packed vs naive at the paper block orders plus a
 /// 512³ point where the working set is far beyond L2 and the packing
-/// pays off hardest. Returns (groups, gate_ok) where the gate is
-/// "packed strictly faster than naive at 256³".
-fn bench_kernel(opts: &Opts) -> (Vec<Group>, bool) {
+/// pays off hardest.
+fn bench_kernel(opts: &Opts) -> Vec<Group> {
     let orders: &[usize] = if opts.quick {
         &[256, 512]
     } else {
         &[128, 256, 512]
     };
     let mut groups = Vec::new();
-    let mut gate_ok = true;
     for &n in orders {
         let a = seeded_matrix(n, 1);
         let b = seeded_matrix(n, 2);
         let mut out = vec![0.0f64; n * n];
         // Bigger orders take longer per iteration; scale samples down
         // so the full run stays under a few minutes.
-        let samples = match (opts.quick, n) {
-            (true, _) => 5,
-            (false, 512) => 7,
-            (false, _) => 15,
-        };
+        let samples = if n == 512 { 7 } else { 15 };
         let mut g = Group::new(&format!("kernel_{n}"))
             .sample_size(samples)
             .warmup(2)
@@ -108,12 +108,22 @@ fn bench_kernel(opts: &Opts) -> (Vec<Group>, bool) {
             .clone();
         let speedup = naive.median_ns as f64 / packed.median_ns.max(1) as f64;
         println!("kernel_{n}: packed is {speedup:.2}x naive (median)");
-        if n == 256 && packed.median_ns >= naive.median_ns {
-            gate_ok = false;
-        }
         groups.push(g);
     }
-    (groups, gate_ok)
+    groups
+}
+
+/// The acceptance gate: packed strictly faster than naive at 256³.
+fn packed_beats_naive(groups: &[Group]) -> bool {
+    let median = |label: &str| {
+        groups
+            .iter()
+            .filter(|g| g.name() == "kernel_256")
+            .flat_map(|g| g.entries())
+            .find(|e| e.label == label)
+            .map(|e| e.median_ns)
+    };
+    matches!((median("packed_256"), median("naive_256")), (Some(p), Some(n)) if p < n)
 }
 
 /// Stage section: each NavP pipeline stage timed wall-clock on real
@@ -169,12 +179,10 @@ fn bench_stages(opts: &Opts) -> Vec<Group> {
 /// contract is to be an *observer* — `tests/obs.rs` pins the products
 /// bitwise identical — and this group pins the cost side: the
 /// committed `flight_on` / `flight_off` rows let `perf --check` catch
-/// a future event that silently makes recording expensive. The
-/// measured delta (kept well under 2%) is what justifies shipping the
-/// recorder always-on.
-fn bench_recorder_overhead(opts: &Opts) -> Group {
+/// a future event that silently makes recording expensive.
+fn bench_recorder_overhead() -> Group {
     let (n, ab) = (256, 32);
-    let samples = if opts.quick { 3 } else { 9 };
+    let samples = 9;
     let cfg = MmConfig::real(n, ab);
     let grid = Grid2D::line(4).expect("grid");
     let mut g = Group::new(&format!("recorder_overhead_n{n}"))
@@ -215,12 +223,12 @@ fn bench_recorder_overhead(opts: &Opts) -> Group {
 /// many-small-frames regime the batching event loop exists for. Wall
 /// entries report GFLOP/s; the companion group re-expresses the same
 /// measured walls as effective hop bandwidth from the deterministic
-/// byte traffic of a verified probe run. Quick mode only trims
-/// samples (the problem is already CI-sized), so `--check --quick`
+/// byte traffic of a verified probe run. The problem is already
+/// CI-sized, so quick and full runs are the same and `--check --quick`
 /// shares every scaling entry with the full committed baseline.
-fn bench_net_scaling(opts: &Opts) -> Vec<Group> {
+fn bench_net_scaling() -> Vec<Group> {
     let n = 256usize;
-    let samples = if opts.quick { 3 } else { 5 };
+    let samples = 5;
     let net_opts = NetOpts::default();
     let mut wall = Group::new(&format!("wall_net_scaling_n{n}"))
         .sample_size(samples)
@@ -269,11 +277,11 @@ fn bench_net_scaling(opts: &Opts) -> Vec<Group> {
 /// returned by scans times the value payload, over the same measured
 /// wall times — from a verified probe run, since a config's scan
 /// traffic is deterministic. The workload is small enough that quick
-/// mode only trims samples, so `--check --quick` shares every entry
+/// and full runs are the same, so `--check --quick` shares every entry
 /// with the full committed baseline.
-fn bench_kv(opts: &Opts) -> Vec<Group> {
+fn bench_kv() -> Vec<Group> {
     let (ops, batches) = (4_000, 16);
-    let samples = if opts.quick { 3 } else { 9 };
+    let samples = 9;
     let cfg = KvConfig::new(ops, batches).with_seed(0x5EED_CAFE);
     let mut wall = Group::new(&format!("kv_journey_ops{ops}"))
         .sample_size(samples)
@@ -317,22 +325,6 @@ fn bench_kv(opts: &Opts) -> Vec<Group> {
     vec![wall, scans]
 }
 
-/// Flatten fresh groups into the flat entry shape the gate compares.
-fn current_entries(groups: &[Group]) -> Vec<BenchEntry> {
-    groups
-        .iter()
-        .flat_map(|g| {
-            g.entries().iter().map(|e| BenchEntry {
-                group: g.name().to_string(),
-                label: e.label.clone(),
-                median_ns: e.median_ns as f64,
-                rate: e.rate().map(|(v, _)| v),
-                rate_unit: e.rate().map(|(_, u)| u.to_string()),
-            })
-        })
-        .collect()
-}
-
 /// Load one committed baseline, exiting with a usage hint if absent.
 fn load_baseline(path: &Path) -> Vec<BenchEntry> {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -352,6 +344,51 @@ fn load_baseline(path: &Path) -> Vec<BenchEntry> {
 /// growth against the committed baseline.
 const TOLERANCE: f64 = 0.15;
 
+/// Rounds of measurement behind every gated figure. Wall-clock
+/// samples on a shared host come in slow phases (memory-bandwidth
+/// contention that comes and goes over seconds) longer than one
+/// entry's samples, and oversubscribed thread runs now and then land a
+/// rare lucky schedule, so one round's fastest sample is not
+/// repeatable. Baselines and checks alike run the whole bench this many
+/// times and keep each entry's median round ([`rounds`]).
+const ROUNDS: usize = 7;
+
+/// Rounds of the kv bench. One kv round takes about a second, against
+/// several for the GEMM bench, so it takes more rounds to span the
+/// same stretch of the host's slow and fast phases.
+const KV_ROUNDS: usize = 15;
+
+/// Gate `fresh` against `baseline`: print the per-entry delta table
+/// and exit 1 when no entry is shared (re-write the baseline with
+/// `rewrite`) or any entry regressed past [`TOLERANCE`].
+fn gate(baseline: &[BenchEntry], fresh: &[BenchEntry], rewrite: &str) {
+    let deltas = compare(baseline, fresh, TOLERANCE);
+    if deltas.is_empty() {
+        eprintln!(
+            "FAIL: no (group, label) pairs shared with the committed baseline — \
+             re-write it with `{rewrite}`"
+        );
+        std::process::exit(1);
+    }
+    println!(
+        "\nregression gate: {} shared entries, fastest sample of the median round, \
+         tolerance {:.0}%\n",
+        deltas.len(),
+        TOLERANCE * 100.0
+    );
+    print!("{}", render_table(&deltas));
+    let failed = deltas.iter().filter(|d| d.fail).count();
+    if failed > 0 {
+        eprintln!(
+            "\nFAIL: {failed} of {} entries regressed past {:.0}%",
+            deltas.len(),
+            TOLERANCE * 100.0
+        );
+        std::process::exit(1);
+    }
+    println!("\nOK: no entry regressed past {:.0}%", TOLERANCE * 100.0);
+}
+
 /// The `--kv` path: bench the key-value workload against its own
 /// baseline file and exit. Mirrors the GEMM flow minus the kernel
 /// gate — the acceptance bar for kv is that every step verifies,
@@ -359,37 +396,14 @@ const TOLERANCE: f64 = 0.15;
 fn kv_main(opts: &Opts, root: &Path) -> ! {
     let kv_path = root.join("BENCH_kv.json");
     let baseline = opts.check.then(|| load_baseline(&kv_path));
-    let groups = bench_kv(opts);
-    if let Some(baseline) = baseline {
-        let fresh = current_entries(&groups);
-        let deltas = compare(&baseline, &fresh, TOLERANCE);
-        if deltas.is_empty() {
-            eprintln!(
-                "FAIL: no (group, label) pairs shared with the committed baseline — \
-                 re-write it with `perf --kv`"
-            );
-            std::process::exit(1);
+    let groups = rounds(KV_ROUNDS, bench_kv);
+    match baseline {
+        Some(baseline) => gate(&baseline, &entries_of(&groups), "perf --kv"),
+        None => {
+            write_groups_json(&kv_path, &groups).expect("write BENCH_kv.json");
+            println!("\nwrote {}", kv_path.display());
         }
-        println!(
-            "\nregression gate: {} shared entries, tolerance {:.0}%\n",
-            deltas.len(),
-            TOLERANCE * 100.0
-        );
-        print!("{}", render_table(&deltas));
-        let failed = deltas.iter().filter(|d| d.fail).count();
-        if failed > 0 {
-            eprintln!(
-                "\nFAIL: {failed} of {} entries regressed past {:.0}%",
-                deltas.len(),
-                TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
-        println!("\nOK: no entry regressed past {:.0}%", TOLERANCE * 100.0);
-        std::process::exit(0);
     }
-    write_groups_json(&kv_path, &groups).expect("write BENCH_kv.json");
-    println!("\nwrote {}", kv_path.display());
     std::process::exit(0);
 }
 
@@ -416,53 +430,27 @@ fn main() {
         b
     });
 
-    let (kernel_groups, gate_ok) = bench_kernel(&opts);
-    let mut stage_groups = bench_stages(&opts);
-    stage_groups.push(bench_recorder_overhead(&opts));
-    stage_groups.extend(bench_net_scaling(&opts));
-
-    if let Some(baseline) = baseline {
-        let mut fresh = current_entries(&kernel_groups);
-        fresh.extend(current_entries(&stage_groups));
-        let deltas = compare(&baseline, &fresh, TOLERANCE);
-        if deltas.is_empty() {
-            eprintln!(
-                "FAIL: no (group, label) pairs shared with the committed baseline — \
-                 re-write it with `perf`{}",
-                if opts.quick { " (full mode)" } else { "" }
-            );
-            std::process::exit(1);
+    let groups = rounds(ROUNDS, || {
+        let mut groups = bench_kernel(&opts);
+        groups.extend(bench_stages(&opts));
+        groups.push(bench_recorder_overhead());
+        groups.extend(bench_net_scaling());
+        groups
+    });
+    let packed_ok = packed_beats_naive(&groups);
+    match baseline {
+        Some(baseline) => gate(&baseline, &entries_of(&groups), "perf"),
+        None => {
+            let (kernel, stages): (Vec<Group>, Vec<Group>) = groups
+                .into_iter()
+                .partition(|g| g.name().starts_with("kernel_"));
+            write_groups_json(&kernel_path, &kernel).expect("write BENCH_kernel.json");
+            println!("\nwrote {}", kernel_path.display());
+            write_groups_json(&stages_path, &stages).expect("write BENCH_stages.json");
+            println!("wrote {}", stages_path.display());
         }
-        println!(
-            "\nregression gate: {} shared entries, tolerance {:.0}%\n",
-            deltas.len(),
-            TOLERANCE * 100.0
-        );
-        print!("{}", render_table(&deltas));
-        let failed: Vec<_> = deltas.iter().filter(|d| d.fail).collect();
-        if !gate_ok {
-            eprintln!("FAIL: packed kernel is not faster than naive at 256^3");
-            std::process::exit(1);
-        }
-        if !failed.is_empty() {
-            eprintln!(
-                "\nFAIL: {} of {} entries regressed past {:.0}%",
-                failed.len(),
-                deltas.len(),
-                TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
-        println!("\nOK: no entry regressed past {:.0}%", TOLERANCE * 100.0);
-        return;
     }
-
-    write_groups_json(&kernel_path, &kernel_groups).expect("write BENCH_kernel.json");
-    println!("\nwrote {}", kernel_path.display());
-    write_groups_json(&stages_path, &stage_groups).expect("write BENCH_stages.json");
-    println!("wrote {}", stages_path.display());
-
-    if !gate_ok {
+    if !packed_ok {
         eprintln!("FAIL: packed kernel is not faster than naive at 256^3");
         std::process::exit(1);
     }

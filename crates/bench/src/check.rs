@@ -5,10 +5,15 @@
 //! `--check` re-runs the same benches, joins old and new entries on
 //! `(group, label)`, and fails when the fresh numbers regress past a
 //! tolerance — throughput entries (a `rate` in GFLOP/s or MiB/s) gate
-//! on the rate dropping, plain wall entries gate on the median time
-//! growing. The comparison is pure (no I/O), so the injected-slowdown
-//! tests below prove the gate actually fires.
+//! on the rate dropping, plain wall entries gate on the time growing.
+//! Both compare the *fastest* sample (`min_ns`), not the median: on a
+//! shared host interference only ever adds time, so the minimum is the
+//! sample closest to the code's own cost and the one that does not
+//! move between runs of unchanged code. The comparison is pure (no
+//! I/O), so the injected-slowdown tests below prove the gate actually
+//! fires.
 
+use crate::timing::Group;
 use navp_trace::json::Json;
 use std::fmt::Write as _;
 
@@ -20,12 +25,39 @@ pub struct BenchEntry {
     pub group: String,
     /// Entry label within the group.
     pub label: String,
+    /// Fastest wall time per iteration, ns — what the gate compares.
+    pub min_ns: f64,
     /// Median wall time per iteration, ns.
     pub median_ns: f64,
     /// Throughput at the median, when the entry declares work.
     pub rate: Option<f64>,
     /// Unit of `rate` (`"GFLOP/s"`, `"MiB/s"`, …).
     pub rate_unit: Option<String>,
+}
+
+impl BenchEntry {
+    /// Throughput at the fastest sample: the same work over `min_ns`.
+    pub fn best_rate(&self) -> Option<f64> {
+        self.rate
+            .map(|r| r * self.median_ns / self.min_ns.max(f64::MIN_POSITIVE))
+    }
+}
+
+/// Flatten fresh groups into the entry shape the gate compares.
+pub fn entries_of(groups: &[Group]) -> Vec<BenchEntry> {
+    groups
+        .iter()
+        .flat_map(|g| {
+            g.entries().iter().map(|e| BenchEntry {
+                group: g.name().to_string(),
+                label: e.label.clone(),
+                min_ns: e.min_ns as f64,
+                median_ns: e.median_ns as f64,
+                rate: e.rate().map(|(v, _)| v),
+                rate_unit: e.rate().map(|(_, u)| u.to_string()),
+            })
+        })
+        .collect()
 }
 
 /// Parse the `{"groups":[{"group","entries":[…]}]}` document written by
@@ -53,14 +85,16 @@ pub fn parse_baseline(text: &str) -> Result<Vec<BenchEntry>, String> {
                 .and_then(|s| s.as_str())
                 .ok_or("entry missing \"label\"")?
                 .to_string();
-            let median_ns = e
-                .get("median_ns")
-                .and_then(|n| n.as_num())
-                .ok_or("entry missing \"median_ns\"")?;
+            let num = |key: &str| {
+                e.get(key)
+                    .and_then(|n| n.as_num())
+                    .ok_or_else(|| format!("entry missing \"{key}\""))
+            };
             out.push(BenchEntry {
                 group: group.clone(),
                 label,
-                median_ns,
+                min_ns: num("min_ns")?,
+                median_ns: num("median_ns")?,
                 rate: e.get("rate").and_then(|n| n.as_num()),
                 rate_unit: e
                     .get("rate_unit")
@@ -75,10 +109,10 @@ pub fn parse_baseline(text: &str) -> Result<Vec<BenchEntry>, String> {
 /// How one joined entry was gated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate {
-    /// Throughput entry: fails when the new rate drops below
-    /// `old * (1 - tolerance)`.
+    /// Throughput entry: fails when the new best-sample rate drops
+    /// below `old * (1 - tolerance)`.
     Rate,
-    /// Wall-time entry: fails when the new median exceeds
+    /// Wall-time entry: fails when the new fastest sample exceeds
     /// `old * (1 + tolerance)`.
     Wall,
 }
@@ -92,7 +126,8 @@ pub struct Delta {
     pub label: String,
     /// Which quantity was gated.
     pub gate: Gate,
-    /// Baseline value (rate, or median seconds for wall gates).
+    /// Baseline value (best-sample rate, or fastest-sample seconds for
+    /// wall gates).
     pub old: f64,
     /// Fresh value in the same unit as `old`.
     pub new: f64,
@@ -118,7 +153,7 @@ pub fn compare(old: &[BenchEntry], new: &[BenchEntry], tolerance: f64) -> Vec<De
         };
         // Gate on throughput when both sides report a rate in the same
         // unit; otherwise fall back to the wall-time gate.
-        let rates = match (o.rate, n.rate) {
+        let rates = match (o.best_rate(), n.best_rate()) {
             (Some(or), Some(nr)) if o.rate_unit == n.rate_unit => Some((or, nr)),
             _ => None,
         };
@@ -134,15 +169,15 @@ pub fn compare(old: &[BenchEntry], new: &[BenchEntry], tolerance: f64) -> Vec<De
                 fail: change < -tolerance,
             }
         } else {
-            let change = o.median_ns / n.median_ns.max(f64::MIN_POSITIVE) - 1.0;
+            let change = o.min_ns / n.min_ns.max(f64::MIN_POSITIVE) - 1.0;
             Delta {
                 group: n.group.clone(),
                 label: n.label.clone(),
                 gate: Gate::Wall,
-                old: o.median_ns / 1e9,
-                new: n.median_ns / 1e9,
+                old: o.min_ns / 1e9,
+                new: n.min_ns / 1e9,
                 change,
-                fail: n.median_ns > o.median_ns * (1.0 + tolerance),
+                fail: n.min_ns > o.min_ns * (1.0 + tolerance),
             }
         };
         out.push(d);
@@ -205,6 +240,7 @@ mod tests {
         BenchEntry {
             group: group.into(),
             label: label.into(),
+            min_ns: median_ns,
             median_ns,
             rate,
             rate_unit: rate.map(|_| "GFLOP/s".to_string()),
@@ -226,6 +262,8 @@ mod tests {
         assert_eq!(got[0].rate_unit.as_deref(), Some("GFLOP/s"));
         assert_eq!(got[1].label, "naive_256");
         assert_eq!(got[1].rate, None);
+        assert_eq!(got[0].min_ns, 100.0);
+        assert_eq!(got[0].best_rate(), Some(15.0), "12.5 GFLOP/s at the median");
         assert!(parse_baseline("{}").is_err());
         assert!(parse_baseline("not json").is_err());
     }
@@ -257,6 +295,39 @@ mod tests {
         assert!(d[0].change < 0.0, "negative change = worse");
         let fine = vec![entry("wall", "NavP (2D phase)", 1_100_000.0, None)];
         assert!(!compare(&old, &fine, 0.15)[0].fail);
+    }
+
+    #[test]
+    fn gate_compares_the_fastest_sample_not_the_median() {
+        let old = vec![
+            entry("wall", "stage", 1_000_000.0, None),
+            entry("kernel_256", "packed_256", 1_000_000.0, Some(20.0)),
+        ];
+        // Interference doubled the medians, but the fastest samples
+        // are unchanged: no regression.
+        let noisy: Vec<BenchEntry> = old
+            .iter()
+            .map(|e| BenchEntry {
+                median_ns: 2.0 * e.median_ns,
+                rate: e.rate.map(|r| r / 2.0),
+                ..e.clone()
+            })
+            .collect();
+        assert!(compare(&old, &noisy, 0.15).iter().all(|d| !d.fail));
+        // A 20% slower fastest sample fails both gates, whatever the
+        // median did.
+        let slower: Vec<BenchEntry> = old
+            .iter()
+            .map(|e| BenchEntry {
+                min_ns: 1.2 * e.min_ns,
+                median_ns: 1.2 * e.median_ns,
+                rate: e.rate.map(|r| r / 1.2),
+                ..e.clone()
+            })
+            .collect();
+        let d = compare(&old, &slower, 0.15);
+        assert_eq!((d[0].gate, d[1].gate), (Gate::Wall, Gate::Rate));
+        assert!(d.iter().all(|d| d.fail), "{d:?}");
     }
 
     #[test]

@@ -249,12 +249,68 @@ impl Group {
     }
 }
 
+/// Run `measure` (a whole bench) `count` times and keep each entry's
+/// median round ([`median_round`]).
+pub fn rounds(count: usize, mut measure: impl FnMut() -> Vec<Group>) -> Vec<Group> {
+    median_round(
+        (1..=count)
+            .map(|round| {
+                println!("\n-- round {round} of {count} --");
+                measure()
+            })
+            .collect(),
+    )
+}
+
+/// Combine repeated runs (rounds) of the same benches: per
+/// `(group, label)`, keep the entry of the median round, ranked by its
+/// fastest sample (`min_ns`). One lucky round (a rare favourable
+/// schedule) or one round in a slow phase of a shared host does not
+/// move the result; an odd round count picks a real round.
+pub fn median_round(mut rounds: Vec<Vec<Group>>) -> Vec<Group> {
+    let mut out = rounds.pop().expect("at least one round");
+    for (gi, g) in out.iter_mut().enumerate() {
+        for e in &mut g.entries {
+            let mut same: Vec<&Entry> = rounds
+                .iter()
+                .filter_map(|r| r.get(gi))
+                .filter_map(|rg| rg.entries.iter().find(|o| o.label == e.label))
+                .collect();
+            same.push(e);
+            same.sort_by_key(|c| c.min_ns);
+            *e = same[same.len() / 2].clone();
+        }
+    }
+    out
+}
+
+/// The host a baseline was measured on, as a JSON object: logical
+/// cores, CPU model, and the compiler that built the bench.
+pub fn host_json() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    format!(
+        "{{\"cores\":{cores},\"cpu\":{},\"rustc\":{}}}",
+        json_str(&cpu),
+        json_str(env!("NAVP_BENCH_RUSTC"))
+    )
+}
+
 /// Write `groups` as one machine-readable JSON document:
-/// `{"groups":[{"group":...,"entries":[...]}, ...]}` — the format of
-/// the `BENCH_*.json` files at the repo root.
+/// `{"host":{...},"groups":[{"group":...,"entries":[...]}, ...]}` — the
+/// format of the `BENCH_*.json` files at the repo root, with the
+/// [`host_json`] they were measured on.
 pub fn write_groups_json(path: &std::path::Path, groups: &[Group]) -> io::Result<()> {
     let mut buf = Vec::new();
-    write!(buf, "{{\"groups\":[")?;
+    write!(buf, "{{\"host\":{},\"groups\":[", host_json())?;
     for (i, g) in groups.iter().enumerate() {
         if i > 0 {
             write!(buf, ",")?;
@@ -298,6 +354,52 @@ fn fmt_dur(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_round_keeps_each_entrys_middle_round() {
+        let entry = |label: &str, min_ns| Entry {
+            label: label.into(),
+            samples: 3,
+            min_ns,
+            median_ns: min_ns + 10,
+            p90_ns: min_ns + 20,
+            metric: None,
+        };
+        let round = |a, b| {
+            let mut g = Group::new("g");
+            g.record(entry("a", a));
+            g.record(entry("b", b));
+            vec![g]
+        };
+        // `a`: one lucky round (50) and one slow one (300) are both
+        // outvoted; `b` ranks its rounds independently.
+        let kept = median_round(vec![round(100, 200), round(50, 400), round(300, 250)]);
+        let got: Vec<(u64, u64)> = kept[0]
+            .entries()
+            .iter()
+            .map(|e| (e.min_ns, e.median_ns))
+            .collect();
+        assert_eq!(got, vec![(100, 110), (250, 260)]);
+    }
+
+    #[test]
+    fn baselines_record_their_host_and_still_parse() {
+        let mut g = Group::new("t").sample_size(3).warmup(0).flops(1_000);
+        g.bench("spin", || std::hint::black_box((0..100).sum::<u64>()));
+        let path =
+            std::env::temp_dir().join(format!("navp-bench-host-{}.json", std::process::id()));
+        write_groups_json(&path, &[g]).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let doc = navp_trace::json::Json::parse(&text).unwrap();
+        let host = doc.get("host").expect("host object");
+        assert!(host.get("cores").and_then(|c| c.as_num()).unwrap() >= 1.0);
+        assert!(host.get("cpu").and_then(|c| c.as_str()).is_some());
+        assert!(host.get("rustc").and_then(|c| c.as_str()).is_some());
+        let entries = crate::check::parse_baseline(&text).unwrap();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].label, "spin");
+    }
 
     #[test]
     fn entries_record_order_statistics_and_rates() {

@@ -87,14 +87,21 @@ struct Shared {
     /// Durable checkpoint sink, `None` unless requested — durable-off
     /// runs perform zero filesystem syscalls.
     durable: Option<Mutex<Spill>>,
+    /// The thread that called [`ThreadExecutor::run`]; it parks until
+    /// the run completes or fails and is unparked by `shutdown_all`.
+    main: std::thread::Thread,
 }
 
 impl Shared {
+    /// Stop every daemon and wake the main thread. Both completion (the
+    /// last `done`) and every failure come through here, so the run
+    /// ends on the event itself, never on the watchdog's timer.
     fn shutdown_all(&self) {
         for ch in &self.chans {
             // Ignore send failures: a daemon that already exited is fine.
             let _ = ch.send(DaemonMsg::Shutdown);
         }
+        self.main.unpark();
     }
 
     fn fail(&self, err: RunError) {
@@ -129,7 +136,8 @@ impl Shared {
                     let hold = r.hop_fault(dst, lane, 0)?;
                     if !hold.is_empty() {
                         drop(r);
-                        // Keep the watchdog fed through injected latency.
+                        // Keep the watchdog fed through injected latency;
+                        // the sleep is the planned hop delay, not a poll.
                         self.progress.fetch_add(1, Ordering::Relaxed);
                         std::thread::sleep(hold.wall());
                         r = self.recovery().expect("recovery is on");
@@ -458,6 +466,7 @@ impl ThreadExecutor {
             failure: Mutex::new(None),
             recovery: setup.rec.map(Mutex::new),
             durable: setup.spill.map(Mutex::new),
+            main: std::thread::current(),
         };
 
         let start = Instant::now();
@@ -470,8 +479,8 @@ impl ThreadExecutor {
                 .map(|(core, rx)| {
                     s.spawn(move || {
                         // Report a messenger panic through the failure
-                        // slot immediately, so the main loop stops at its
-                        // next tick instead of waiting out the watchdog.
+                        // slot immediately, which unparks the main loop
+                        // instead of leaving it to the watchdog.
                         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             daemon(core, rx, shared)
                         }));
@@ -486,10 +495,14 @@ impl ThreadExecutor {
                 })
                 .collect();
 
-            // Watchdog: abort when no step/signal happens for `watchdog`.
+            // Park until `shutdown_all` unparks us (completion or
+            // failure). The tick is only the watchdog's timer: abort when
+            // no step/signal happens for `watchdog`. `park_timeout` may
+            // return early or spuriously, so stagnation is measured from
+            // the last observed progress, not by summing ticks.
             let tick = Duration::from_millis(20).min(self.watchdog);
             let mut last = shared.progress.load(Ordering::Relaxed);
-            let mut stagnant = Duration::ZERO;
+            let mut since = Instant::now();
             loop {
                 if shared.live.load(Ordering::SeqCst) == 0 {
                     break;
@@ -497,19 +510,16 @@ impl ThreadExecutor {
                 if shared.failure.lock().unwrap().is_some() {
                     break;
                 }
-                std::thread::sleep(tick);
+                std::thread::park_timeout(tick);
                 let now = shared.progress.load(Ordering::Relaxed);
-                if now == last {
-                    stagnant += tick;
-                    if stagnant >= self.watchdog {
-                        shared.fail(RunError::Stalled {
-                            live: shared.live.load(Ordering::SeqCst),
-                        });
-                        break;
-                    }
-                } else {
+                if now != last {
                     last = now;
-                    stagnant = Duration::ZERO;
+                    since = Instant::now();
+                } else if since.elapsed() >= self.watchdog {
+                    shared.fail(RunError::Stalled {
+                        live: shared.live.load(Ordering::SeqCst),
+                    });
+                    break;
                 }
             }
 
@@ -681,13 +691,37 @@ mod tests {
     fn worker_panic_reported() {
         let mut c = Cluster::new(1).unwrap();
         c.inject(0, Script::new("boom").then(|_| panic!("kapow")));
-        match ThreadExecutor::new()
-            .with_watchdog(Duration::from_millis(500))
-            .run(c)
-        {
+        let watchdog = Duration::from_secs(5);
+        let t0 = Instant::now();
+        match ThreadExecutor::new().with_watchdog(watchdog).run(c) {
             Err(RunError::WorkerPanic(msg)) => assert!(msg.contains("kapow")),
             other => panic!("expected panic error, got {:?}", other.is_ok()),
         }
+        let took = t0.elapsed();
+        assert!(
+            took < watchdog / 5,
+            "the panic must wake the run, not the watchdog: took {took:?}"
+        );
+    }
+
+    #[test]
+    fn completion_is_not_floored_by_the_watchdog_tick() {
+        // The last `done` unparks the main thread, so a one-step run
+        // costs thread spawn and join, not a 20 ms completion tick.
+        let fastest = (0..10)
+            .map(|_| {
+                let mut c = Cluster::new(1).unwrap();
+                c.inject(0, Script::new("quick").then(|_| Effect::Done));
+                let t0 = Instant::now();
+                ThreadExecutor::new().run(c).unwrap();
+                t0.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            fastest < Duration::from_millis(5),
+            "fastest one-step run took {fastest:?}"
+        );
     }
 
     #[test]

@@ -19,7 +19,9 @@
 use crate::cluster::{event_home, resolve_pe_bin, spawn_pe};
 use crate::frame::Frame;
 use crate::netloop::{IoHandle, IoLoop};
+use crate::pe::connect_with_retries;
 use crate::registry::{decode_store, encode_messenger, encode_store};
+use crate::sys::{kill_process, Acceptor};
 use navp::{Cluster, FaultStats, NodeStore, RunError, WireSnapshot};
 use navp_metrics::MetricsSnapshot;
 use navp_trace::{merge_pe_traces, PeLog, Trace};
@@ -154,6 +156,44 @@ impl Default for NetExecutor {
 
 enum DriverMsg {
     FromPe(usize, std::io::Result<Frame>),
+}
+
+/// How often the driver's accept wait checks for a spawned PE that
+/// died before connecting back.
+const REAP_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Wait up to `grace` for every child to exit after its `Shutdown`,
+/// then kill the stragglers. Each child is waited on by a blocking
+/// `wait` on its own helper thread, so teardown ends when the last
+/// child exits, not on a poll.
+fn reap_children(children: Vec<Child>, grace: Duration) {
+    let deadline = Instant::now() + grace;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut pending: Vec<u32> = children.iter().map(Child::id).collect();
+    std::thread::scope(|s| {
+        for mut child in children {
+            let tx = tx.clone();
+            s.spawn(move || {
+                let _ = child.wait();
+                let _ = tx.send(child.id());
+            });
+        }
+        while !pending.is_empty() {
+            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(pid) => pending.retain(|&p| p != pid),
+                Err(_) => {
+                    // Grace expired: kill the rest, whose helpers then
+                    // reap them. A helper may reap its child just before
+                    // the kill lands; the kernel hands that pid out again
+                    // only after cycling through the pid space.
+                    for &pid in &pending {
+                        let _ = kill_process(pid);
+                    }
+                    break;
+                }
+            }
+        }
+    });
 }
 
 struct Links {
@@ -338,22 +378,7 @@ impl NetExecutor {
         for conn in &links.conns {
             conn.shutdown();
         }
-        for child in &mut links.children {
-            let deadline = Instant::now() + self.grace;
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(5))
-                    }
-                    _ => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                }
-            }
-        }
+        reap_children(std::mem::take(&mut links.children), self.grace);
         let mut report = run?;
         report.wall = start.elapsed();
         Ok(report)
@@ -380,42 +405,37 @@ impl NetExecutor {
             for _ in 0..pes {
                 children.push(spawn_pe(&bin, &addr, self.durable_dir.as_deref())?);
             }
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| RunError::Transport {
-                    detail: format!("driver listener: {e}"),
-                })?;
+            let mut acceptor = Acceptor::new(listener).map_err(|e| RunError::Transport {
+                detail: format!("driver listener: {e}"),
+            })?;
             let deadline = Instant::now() + self.handshake_window();
             while streams.len() < pes {
-                match listener.accept() {
-                    Ok((s, _)) => {
-                        s.set_nonblocking(false).map_err(|e| RunError::Transport {
-                            detail: format!("control stream: {e}"),
-                        })?;
-                        streams.push(s);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if let Some(dead) = Self::reap_dead_child(&mut children) {
-                            Self::cleanup(&mut children);
-                            return Err(dead);
-                        }
-                        if Instant::now() >= deadline {
-                            Self::cleanup(&mut children);
-                            return Err(RunError::Transport {
-                                detail: format!(
-                                    "only {}/{pes} PE processes connected back",
-                                    streams.len()
-                                ),
-                            });
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
+                // Wake on each connection. The cap only paces the check
+                // for a PE process that died before connecting back (a
+                // failure detector, not a completion floor).
+                let left = deadline.saturating_duration_since(Instant::now());
+                match acceptor.accept(left.min(REAP_INTERVAL)) {
+                    Ok(Some(s)) => streams.push(s),
+                    Ok(None) => {}
                     Err(e) => {
                         Self::cleanup(&mut children);
                         return Err(RunError::Transport {
                             detail: format!("driver accept: {e}"),
                         });
                     }
+                }
+                if let Some(dead) = Self::reap_dead_child(&mut children) {
+                    Self::cleanup(&mut children);
+                    return Err(dead);
+                }
+                if streams.len() < pes && Instant::now() >= deadline {
+                    Self::cleanup(&mut children);
+                    return Err(RunError::Transport {
+                        detail: format!(
+                            "only {}/{pes} PE processes connected back",
+                            streams.len()
+                        ),
+                    });
                 }
             }
         } else {
@@ -427,11 +447,10 @@ impl NetExecutor {
                     ),
                 });
             }
+            // A daemon spawned moments ago may not be listening yet.
+            let deadline = Instant::now() + self.handshake_window();
             for addr in &self.join {
-                let s = std::net::TcpStream::connect(addr).map_err(|e| RunError::Transport {
-                    detail: format!("join {addr}: {e}"),
-                })?;
-                streams.push(s);
+                streams.push(connect_with_retries(addr, deadline)?);
             }
         }
         // Every control socket joins the process-global event loop:
@@ -479,6 +498,7 @@ impl NetExecutor {
         None
     }
 
+    /// Kill and reap every child (handshake failure path).
     fn cleanup(children: &mut [Child]) {
         for child in children {
             let _ = child.kill();
@@ -499,7 +519,9 @@ impl NetExecutor {
             // The socket EOF can outrun process teardown; poll briefly
             // so the exit status makes it into the error. When the PE
             // died before its Hello mapped it to a child, any child
-            // that already exited is the best witness.
+            // that already exited is the best witness. This probe runs
+            // only on the `PeerDisconnected` error path, never on a
+            // healthy run's completion.
             let idx = links.pe_child.get(pe).copied().flatten();
             let deadline = Instant::now() + grace;
             loop {
@@ -633,10 +655,17 @@ impl NetExecutor {
             if quiet && prev.as_ref() == Some(&acks) {
                 break; // two identical quiet rounds: terminated
             }
+            // A quiet round is confirmed by an immediate second one. A
+            // busy round waits for the next frame (the deltas of the
+            // in-flight work landing), bounded by one tick.
+            if !quiet {
+                if let Some((pe, other)) = self.next_frame(links, Instant::now() + self.tick())? {
+                    return Err(transport(format!(
+                        "PE {pe}: unexpected frame {other:?} during run"
+                    )));
+                }
+            }
             prev = Some(acks);
-            // Damp the reprobe rate while the cluster settles; in-flight
-            // frames land within a few milliseconds on any sane network.
-            std::thread::sleep(Duration::from_millis(2));
         }
 
         // End the run with one exchange: every PE is asked at once and

@@ -27,6 +27,7 @@ use crate::durable::{register_durable, RegistryCodec};
 use crate::frame::Frame;
 use crate::netloop::{IoHandle, IoLoop};
 use crate::registry::{decode_messenger, decode_store, encode_messenger, encode_store};
+use crate::sys::Acceptor;
 use navp::durable::{self as core_durable, OutFrame};
 use navp::pe_core::{
     pe_lane, Arrival, Durable, EventTable, HopHold, Host, Parked, PeCore, PeIo, Recovery, RunOpts,
@@ -447,6 +448,7 @@ impl NetIo {
         };
         if !hold.is_empty() {
             self.heartbeat();
+            // Fault injection: the planned hop delay, not a poll.
             std::thread::sleep(hold.wall());
         }
         let m = decode_messenger(&snap).map_err(|e| RunError::Transport {
@@ -613,6 +615,8 @@ struct Daemon {
     io: NetIo,
     /// The core's tally as of the last `Delta` sent to the driver.
     flushed: Tally,
+    /// `io.t_peer_recv` as of the last `Delta`.
+    flushed_recv: u64,
 }
 
 impl Daemon {
@@ -635,9 +639,14 @@ impl Daemon {
 
     fn flush_delta(&mut self) -> Result<(), RunError> {
         let (t, f) = (self.core.tally, self.flushed);
-        if t == f && self.io.d_wire == 0 {
+        // A received peer frame always reaches the driver, even one
+        // that ran no step (a signal banked for a later wait): a
+        // driver whose probe round saw that frame in flight waits for
+        // exactly this `Delta` before it probes again.
+        if t == f && self.io.d_wire == 0 && self.io.t_peer_recv == self.flushed_recv {
             return Ok(());
         }
+        self.flushed_recv = self.io.t_peer_recv;
         let frame = Frame::Delta {
             spawned: t.spawned - f.spawned,
             finished: t.finished - f.finished,
@@ -796,7 +805,9 @@ impl Daemon {
     }
 }
 
-fn connect_with_retries(addr: &str, deadline: Instant) -> Result<TcpStream, RunError> {
+/// Connect to `addr`, retrying until `deadline` while nothing listens
+/// there yet.
+pub(crate) fn connect_with_retries(addr: &str, deadline: Instant) -> Result<TcpStream, RunError> {
     loop {
         match TcpStream::connect(addr) {
             Ok(s) => return Ok(s),
@@ -806,6 +817,12 @@ fn connect_with_retries(addr: &str, deadline: Instant) -> Result<TcpStream, RunE
                         detail: format!("connect to {addr} failed: {e}"),
                     });
                 }
+                // Failure path only: the driver binds its listener
+                // before spawning PEs, and every peer binds its own
+                // before its `Hello`, so on a healthy mesh the first
+                // connect succeeds and this back-off never runs. A
+                // driver joining `--listen` daemons retries only while
+                // a freshly started one has not bound yet.
                 std::thread::sleep(Duration::from_millis(10));
             }
         }
@@ -823,60 +840,34 @@ fn accept_peers(
     run: u64,
     deadline: Instant,
 ) -> Result<Vec<(usize, TcpStream)>, RunError> {
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| RunError::Transport {
-            detail: format!("listener nonblocking: {e}"),
-        })?;
+    let transport = |detail: String| RunError::Transport { detail };
+    let mut acceptor =
+        Acceptor::new(listener).map_err(|e| transport(format!("peer listener: {e}")))?;
     let mut got = Vec::new();
     while got.len() < need {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream
-                    .set_nonblocking(false)
-                    .map_err(|e| RunError::Transport {
-                        detail: format!("peer stream blocking: {e}"),
-                    })?;
-                let mut stream = stream;
-                match read_frame(&mut stream) {
-                    Ok(Frame::PeerHello { pe, run: r }) if r == run => {
-                        got.push((pe as usize, stream))
-                    }
-                    Ok(Frame::PeerHello { pe, run: r }) => {
-                        return Err(RunError::Transport {
-                            detail: format!(
-                                "PeerHello from PE {pe} of run {r}, this session is run {run}"
-                            ),
-                        })
-                    }
-                    Ok(other) => {
-                        return Err(RunError::Transport {
-                            detail: format!("expected PeerHello, got {other:?}"),
-                        })
-                    }
-                    Err(e) => {
-                        return Err(RunError::Transport {
-                            detail: format!("peer handshake read: {e}"),
-                        })
-                    }
-                }
+        // Sleeps until a peer connects, bounded by the handshake deadline.
+        let left = deadline.saturating_duration_since(Instant::now());
+        let accepted = acceptor
+            .accept(left)
+            .map_err(|e| transport(format!("peer accept: {e}")))?;
+        let Some(mut stream) = accepted else {
+            if Instant::now() >= deadline {
+                return Err(transport(format!(
+                    "timed out waiting for {} peer connection(s)",
+                    need - got.len()
+                )));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(RunError::Transport {
-                        detail: format!(
-                            "timed out waiting for {} peer connection(s)",
-                            need - got.len()
-                        ),
-                    });
-                }
-                std::thread::sleep(Duration::from_millis(5));
+            continue;
+        };
+        match read_frame(&mut stream) {
+            Ok(Frame::PeerHello { pe, run: r }) if r == run => got.push((pe as usize, stream)),
+            Ok(Frame::PeerHello { pe, run: r }) => {
+                return Err(transport(format!(
+                    "PeerHello from PE {pe} of run {r}, this session is run {run}"
+                )))
             }
-            Err(e) => {
-                return Err(RunError::Transport {
-                    detail: format!("peer accept: {e}"),
-                })
-            }
+            Ok(other) => return Err(transport(format!("expected PeerHello, got {other:?}"))),
+            Err(e) => return Err(transport(format!("peer handshake read: {e}"))),
         }
     }
     Ok(got)
@@ -1337,6 +1328,7 @@ fn pe_run(
         },
         core,
         flushed: Tally::default(),
+        flushed_recv: 0,
     };
     daemon
         .io

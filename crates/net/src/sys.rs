@@ -6,17 +6,21 @@
 //! libc crate, matching the raw `signal(2)` shim in [`crate::pe`]. The
 //! surface is deliberately tiny: the event loop in [`crate::netloop`]
 //! needs exactly "tell me which fds are readable/writable", "wake the
-//! loop from another thread", and "size the kernel socket buffers".
+//! loop from another thread", and "size the kernel socket buffers";
+//! the handshakes add "wait for a connection" ([`Acceptor`]) and the
+//! driver's teardown "kill a process by pid" ([`kill_process`]).
 
 use std::io;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::os::raw::{c_int, c_void};
 use std::os::unix::io::{AsRawFd, RawFd};
+use std::time::Duration;
 
 extern "C" {
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
+    fn kill(pid: c_int, sig: c_int) -> c_int;
     fn setsockopt(
         fd: c_int,
         level: c_int,
@@ -348,6 +352,59 @@ impl Drop for Waker {
     }
 }
 
+// ------------------------------------------------- accept readiness
+
+/// A nonblocking listener watched by its own [`Poller`], so an accept
+/// loop sleeps until a connection arrives or its deadline passes —
+/// never on a fixed timer.
+pub struct Acceptor {
+    listener: TcpListener,
+    poller: Poller,
+    ready: Vec<Readiness>,
+}
+
+impl Acceptor {
+    /// Watch `listener` (switched to nonblocking).
+    pub fn new(listener: TcpListener) -> io::Result<Acceptor> {
+        listener.set_nonblocking(true)?;
+        let mut poller = Poller::new()?;
+        poller.add(listener.as_raw_fd(), false)?;
+        Ok(Acceptor {
+            listener,
+            poller,
+            ready: Vec::new(),
+        })
+    }
+
+    /// Accept one connection, waiting up to `timeout` for it to arrive;
+    /// `Ok(None)` when none did. The stream comes back blocking.
+    pub fn accept(&mut self, timeout: Duration) -> io::Result<Option<TcpStream>> {
+        for waited in [false, true] {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    stream.set_nonblocking(false)?;
+                    return Ok(Some(stream));
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(e),
+            }
+            if !waited {
+                // Round up, so a sub-millisecond remainder still blocks.
+                let ms = timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128);
+                self.ready.clear();
+                self.poller.wait(&mut self.ready, ms as i32)?;
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// Send `SIGKILL` to process `pid`.
+pub fn kill_process(pid: u32) -> io::Result<()> {
+    const SIGKILL: c_int = 9;
+    os_err(unsafe { kill(pid as c_int, SIGKILL) })
+}
+
 // --------------------------------------------------- socket options
 
 /// Size a socket's kernel buffers explicitly (`SO_SNDBUF` /
@@ -389,7 +446,6 @@ pub fn set_socket_buffers(stream: &TcpStream, snd_bytes: usize, rcv_bytes: usize
 mod tests {
     use super::*;
     use std::io::Write as _;
-    use std::net::{TcpListener, TcpStream};
 
     #[test]
     fn waker_wakes_poller() {
@@ -436,6 +492,25 @@ mod tests {
             .expect("pending byte reports");
         assert!(r.readable && !r.writable, "write interest was dropped");
         p.delete(client.as_raw_fd()).unwrap();
+    }
+
+    #[test]
+    fn acceptor_wakes_on_a_connection_and_times_out_without_one() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut acceptor = Acceptor::new(listener).unwrap();
+        let t0 = std::time::Instant::now();
+        let none = acceptor.accept(Duration::from_millis(20)).unwrap();
+        assert!(none.is_none());
+        assert!(t0.elapsed() >= Duration::from_millis(20), "waits out the timeout");
+        let connect = std::thread::spawn(move || TcpStream::connect(addr).unwrap());
+        let t0 = std::time::Instant::now();
+        acceptor
+            .accept(Duration::from_secs(30))
+            .unwrap()
+            .expect("connection accepted");
+        assert!(t0.elapsed() < Duration::from_secs(10), "woke on readiness");
+        drop(connect.join().unwrap());
     }
 
     #[test]

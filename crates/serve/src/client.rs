@@ -45,9 +45,11 @@ pub fn submit(addr: &str, spec: JobSpec) -> io::Result<Result<u64, RejectReason>
     }
 }
 
-/// Poll `Result` until the job reaches a terminal state, up to
-/// `timeout`; `TimedOut` errors mean the *client* gave up waiting,
-/// not that the job failed.
+/// Wait until the job reaches a terminal state, up to `timeout`;
+/// `TimedOut` errors mean the *client* gave up waiting, not that the
+/// job failed. Each `Wait` request blocks on the server until the job
+/// is terminal or the server's cap ([`crate::server::MAX_WAIT`]) ends
+/// it, so the answer arrives when the job finishes, not on a timer.
 pub fn wait_terminal(
     addr: &str,
     id: u64,
@@ -56,7 +58,9 @@ pub fn wait_terminal(
     let deadline = Instant::now() + timeout;
     let mut client = Client::connect(addr)?;
     loop {
-        match client.request(&Request::Result { id })? {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let timeout_ms = left.as_millis().min(u64::MAX as u128) as u64;
+        match client.request(&Request::Wait { id, timeout_ms })? {
             Response::Outcome { info, outcome } => {
                 if info.state.is_terminal() {
                     return Ok((info, outcome));
@@ -73,7 +77,6 @@ pub fn wait_terminal(
                 format!("job {id} not terminal within {timeout:?}"),
             ));
         }
-        std::thread::sleep(Duration::from_millis(15));
     }
 }
 

@@ -417,6 +417,17 @@ pub enum Request {
         /// Which job.
         id: u64,
     },
+    /// Block until a job is terminal, then answer like `Result`:
+    /// `Outcome` (non-terminal when the wait timed out) or `Error` for
+    /// unknown ids. The server caps the wait (see
+    /// [`crate::server::MAX_WAIT`]); clients re-issue it until their
+    /// own deadline.
+    Wait {
+        /// Which job.
+        id: u64,
+        /// How long the server may hold the answer back.
+        timeout_ms: u64,
+    },
 }
 
 const Q_SUBMIT: u8 = 1;
@@ -425,6 +436,7 @@ const Q_RESULT: u8 = 3;
 const Q_CANCEL: u8 = 4;
 const Q_LIST: u8 = 5;
 const Q_TRACE: u8 = 6;
+const Q_WAIT: u8 = 7;
 
 impl Request {
     /// Encode to a message body (no length prefix).
@@ -452,6 +464,11 @@ impl Request {
                 w.put_u8(Q_TRACE);
                 w.put_u64(*id);
             }
+            Request::Wait { id, timeout_ms } => {
+                w.put_u8(Q_WAIT);
+                w.put_u64(*id);
+                w.put_u64(*timeout_ms);
+            }
         }
         w.into_vec()
     }
@@ -468,6 +485,10 @@ impl Request {
             Q_CANCEL => Request::Cancel { id: r.get_u64()? },
             Q_LIST => Request::List,
             Q_TRACE => Request::Trace { id: r.get_u64()? },
+            Q_WAIT => Request::Wait {
+                id: r.get_u64()?,
+                timeout_ms: r.get_u64()?,
+            },
             k => return Err(DecodeError::UnknownTag(format!("request kind {k}"))),
         };
         if r.remaining() != 0 {
@@ -706,6 +727,14 @@ mod tests {
             Request::Cancel { id: 0 },
             Request::List,
             Request::Trace { id: 12 },
+            Request::Wait {
+                id: 3,
+                timeout_ms: 1_000,
+            },
+            Request::Wait {
+                id: u64::MAX,
+                timeout_ms: u64::MAX,
+            },
             Request::Submit {
                 spec: JobSpec {
                     trace: true,
@@ -891,6 +920,23 @@ mod tests {
         assert!(Response::decode(&body).is_err());
         assert!(Response::decode(&[200]).is_err());
         assert!(Request::decode(&[]).is_err(), "empty body is truncated");
+    }
+
+    #[test]
+    fn wait_requests_reject_truncation_and_trailing_bytes() {
+        let body = Request::Wait {
+            id: 5,
+            timeout_ms: 250,
+        }
+        .encode();
+        assert_eq!(body.len(), 17, "tag + id + timeout");
+        assert_eq!(body[0], 7, "Wait is request tag 7");
+        for cut in 0..body.len() {
+            assert!(Request::decode(&body[..cut]).is_err(), "cut {cut}");
+        }
+        let mut long = body.clone();
+        long.push(0);
+        assert!(Request::decode(&long).is_err(), "trailing byte");
     }
 
     #[test]

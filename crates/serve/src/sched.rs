@@ -17,7 +17,7 @@ use crate::metrics::ServeMetrics;
 use crate::proto::{JobInfo, JobOutcome, JobSpec, JobState, RejectReason};
 use navp_obs::{EventKind as ObsKind, Lane as ObsLane};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,10 +55,10 @@ pub struct JobFailure {
 /// [`crate::gemm::gemm_runner`]; tests inject fakes.
 pub type RunnerFn = dyn Fn(&JobSpec, u64) -> Result<JobOutcome, JobFailure> + Send + Sync;
 
-/// Called after a job reaches a terminal state, *outside* the
-/// scheduler lock, with the finished id and the set of still-live
-/// (queued or running) ids — the server's checkpoint GC hook, which
-/// must never prune a live run's directory.
+/// Called when a job reaches a terminal state, *outside* the scheduler
+/// lock and before that state is published, with the finished id and
+/// the set of still-live (queued or running) ids — the server's
+/// checkpoint GC hook, which must never prune a live run's directory.
 pub type FinishHook = dyn Fn(u64, &HashSet<u64>) + Send + Sync;
 
 struct Job {
@@ -77,6 +77,10 @@ struct State {
     draining: bool,
     stopping: bool,
     inflight: usize,
+    /// Jobs whose run is over but whose terminal state is not published
+    /// yet: their record is being journaled and the retention hook run.
+    /// They are no longer live, and the scheduler is not idle.
+    finishing: HashSet<u64>,
 }
 
 struct Inner {
@@ -96,33 +100,77 @@ struct Inner {
 }
 
 impl Inner {
-    /// Append `id`'s terminal record to the journal (no-op without
-    /// one). Called *outside* the state lock — the journal has its own
-    /// — so a slow fsync never stalls submits or status polls.
-    fn journal_terminal(&self, entry: Option<JournalEntry>) {
-        let (Some(journal), Some(entry)) = (&self.journal, entry) else {
-            return;
-        };
-        if let Err(e) = journal.lock().unwrap().append(&entry) {
-            eprintln!(
-                "navp-serve: job journal append failed for job {}: {e}",
-                entry.info.id
-            );
-        }
+    fn now_ms(&self) -> u64 {
+        self.epoch.elapsed().as_millis() as u64
     }
-}
 
-/// The terminal record for `id`, cloned out of the table while the
-/// lock is held; `None` when no journal is configured.
-fn journal_entry(journaling: bool, st: &State, id: u64) -> Option<JournalEntry> {
-    if !journaling {
-        return None;
+    /// Make `id` terminal (`Done` carries its outcome, the others a
+    /// detail). The terminal record is journaled and the retention hook
+    /// run *before* the state is published and waiters are notified, so
+    /// whoever wakes on a terminal job finds it journaled and its
+    /// completed run pruned. Both run outside the lock — a slow fsync
+    /// never stalls submits or status polls — with `id` parked in
+    /// `finishing` meanwhile.
+    fn finish(
+        &self,
+        mut st: MutexGuard<'_, State>,
+        id: u64,
+        state: JobState,
+        outcome: Option<JobOutcome>,
+        detail: Option<String>,
+    ) {
+        let now = self.now_ms();
+        let job = st.jobs.get(&id).expect("finished id is in the table");
+        let mut info = job.info.clone();
+        info.state = state;
+        info.finished_ms = now;
+        if let Some(detail) = detail {
+            info.detail = detail;
+        }
+        let entry = self.journal.as_ref().map(|_| JournalEntry {
+            spec: job.spec.clone(),
+            info: info.clone(),
+            outcome: outcome.clone(),
+        });
+        let kind = job.spec.kind;
+        st.finishing.insert(id);
+        let live = live_set(&st);
+        drop(st);
+
+        if let (Some(journal), Some(entry)) = (&self.journal, entry) {
+            if let Err(e) = journal.lock().unwrap().append(&entry) {
+                eprintln!("navp-serve: job journal append failed for job {id}: {e}");
+            }
+        }
+        if let Some(hook) = &self.on_finish {
+            hook(id, &live);
+        }
+
+        let mut st = self.state.lock().unwrap();
+        st.finishing.remove(&id);
+        let m = &self.metrics;
+        let job = st.jobs.get_mut(&id).expect("finished id is in the table");
+        let was_running = job.info.state == JobState::Running;
+        let ran_ms = if was_running {
+            now.saturating_sub(info.started_ms)
+        } else {
+            0
+        };
+        m.latency_ms.observe(now.saturating_sub(info.queued_ms));
+        m.jobs_total(state, kind).inc();
+        if let Some(o) = &outcome {
+            m.observe_job_wall(id, o.wall_ms);
+        }
+        job.info = info;
+        job.outcome = outcome;
+        if was_running {
+            st.inflight -= 1;
+            m.inflight.set(st.inflight as i64);
+        }
+        self.flight
+            .record(ObsKind::JobFinish, 0, id, state.to_u8() as u64, ran_ms);
+        self.cv.notify_all();
     }
-    st.jobs.get(&id).map(|j| JournalEntry {
-        spec: j.spec.clone(),
-        info: j.info.clone(),
-        outcome: j.outcome.clone(),
-    })
 }
 
 /// The scheduler: owns the queue, the job table and the worker pool.
@@ -194,6 +242,7 @@ impl Scheduler {
                 draining: false,
                 stopping: false,
                 inflight: 0,
+                finishing: HashSet::new(),
             }),
             cv: Condvar::new(),
             epoch: Instant::now(),
@@ -239,7 +288,7 @@ impl Scheduler {
             id,
             state: JobState::Queued,
             priority: spec.priority,
-            queued_ms: self.inner.epoch.elapsed().as_millis() as u64,
+            queued_ms: self.inner.now_ms(),
             started_ms: 0,
             finished_ms: 0,
             detail: String::new(),
@@ -258,7 +307,8 @@ impl Scheduler {
         self.inner
             .flight
             .record(ObsKind::JobAdmit, 0, id, priority as u64, kind.to_wire() as u64);
-        self.inner.cv.notify_one();
+        // All, not one: result waiters share the condvar with workers.
+        self.inner.cv.notify_all();
         Ok(id)
     }
 
@@ -270,43 +320,21 @@ impl Scheduler {
 
     /// A job's info plus its outcome (present once `Done`).
     pub fn result(&self, id: u64) -> Option<(JobInfo, Option<JobOutcome>)> {
-        let st = self.inner.state.lock().unwrap();
-        st.jobs.get(&id).map(|j| (j.info.clone(), j.outcome.clone()))
+        self.wait_result(id, Duration::ZERO)
     }
 
     /// Cancel a queued job. `None` for unknown ids, `Some(false)` when
     /// the job already started (a run on the mesh is not torn down
     /// mid-flight), `Some(true)` when it was dequeued and cancelled.
     pub fn cancel(&self, id: u64) -> Option<bool> {
-        let (live, entry) = {
-            let mut st = self.inner.state.lock().unwrap();
-            let job = st.jobs.get(&id)?;
-            if job.info.state != JobState::Queued {
-                return Some(false);
-            }
-            let kind = job.spec.kind;
-            st.queue.retain(|&q| q != id);
-            let now = self.inner.epoch.elapsed().as_millis() as u64;
-            let m = &self.inner.metrics;
-            m.queue_depth.set(st.queue.len() as i64);
-            m.jobs_total(JobState::Cancelled, kind).inc();
-            let job = st.jobs.get_mut(&id).expect("checked above");
-            job.info.state = JobState::Cancelled;
-            job.info.finished_ms = now;
-            m.latency_ms.observe(now.saturating_sub(job.info.queued_ms));
-            self.inner
-                .flight
-                .record(ObsKind::JobFinish, 0, id, JobState::Cancelled.to_u8() as u64, 0);
-            self.inner.cv.notify_all();
-            (
-                live_set(&st),
-                journal_entry(self.inner.journal.is_some(), &st, id),
-            )
-        };
-        self.inner.journal_terminal(entry);
-        if let Some(hook) = &self.inner.on_finish {
-            hook(id, &live);
+        let mut st = self.inner.state.lock().unwrap();
+        let job = st.jobs.get(&id)?;
+        if job.info.state != JobState::Queued || st.finishing.contains(&id) {
+            return Some(false);
         }
+        st.queue.retain(|&q| q != id);
+        self.inner.metrics.queue_depth.set(st.queue.len() as i64);
+        self.inner.finish(st, id, JobState::Cancelled, None, None);
         Some(true)
     }
 
@@ -326,10 +354,9 @@ impl Scheduler {
         self.inner.cv.notify_all();
     }
 
-    /// `true` when nothing is queued or running.
+    /// `true` when nothing is queued, running or finishing.
     pub fn idle(&self) -> bool {
-        let st = self.inner.state.lock().unwrap();
-        st.queue.is_empty() && st.inflight == 0
+        is_idle(&self.inner.state.lock().unwrap())
     }
 
     /// Block until idle, up to `timeout`. Returns whether it got there.
@@ -337,13 +364,35 @@ impl Scheduler {
         let deadline = Instant::now() + timeout;
         let mut st = self.inner.state.lock().unwrap();
         loop {
-            if st.queue.is_empty() && st.inflight == 0 {
+            if is_idle(&st) {
                 return true;
             }
             let left = match deadline.checked_duration_since(Instant::now()) {
                 Some(d) if !d.is_zero() => d,
                 _ => return false,
             };
+            let (guard, _) = self.inner.cv.wait_timeout(st, left).unwrap();
+            st = guard;
+        }
+    }
+
+    /// Block until job `id` is terminal, up to `timeout`, then return
+    /// what [`Scheduler::result`] would: a terminal state is published
+    /// only once it is journaled and pruned. At timeout the job's
+    /// current, non-terminal info comes back; `None` for unknown ids.
+    pub fn wait_result(
+        &self,
+        id: u64,
+        timeout: Duration,
+    ) -> Option<(JobInfo, Option<JobOutcome>)> {
+        let deadline = Instant::now() + timeout;
+        let mut st = self.inner.state.lock().unwrap();
+        loop {
+            let job = st.jobs.get(&id)?;
+            let left = deadline.saturating_duration_since(Instant::now());
+            if job.info.state.is_terminal() || left.is_zero() {
+                return Some((job.info.clone(), job.outcome.clone()));
+            }
             let (guard, _) = self.inner.cv.wait_timeout(st, left).unwrap();
             st = guard;
         }
@@ -370,12 +419,17 @@ impl Scheduler {
     }
 }
 
+/// Queued or running jobs, not counting those already finishing.
 fn live_set(st: &State) -> HashSet<u64> {
     st.jobs
         .values()
-        .filter(|j| !j.info.state.is_terminal())
+        .filter(|j| !j.info.state.is_terminal() && !st.finishing.contains(&j.info.id))
         .map(|j| j.info.id)
         .collect()
+}
+
+fn is_idle(st: &State) -> bool {
+    st.queue.is_empty() && st.inflight == 0 && st.finishing.is_empty()
 }
 
 /// The queued job a freed worker should take: highest priority first,
@@ -407,7 +461,7 @@ fn worker(inner: Arc<Inner>) {
             };
             let id = st.queue.remove(pos);
             st.inflight += 1;
-            let now = inner.epoch.elapsed().as_millis() as u64;
+            let now = inner.now_ms();
             let m = &inner.metrics;
             m.queue_depth.set(st.queue.len() as i64);
             m.inflight.set(st.inflight as i64);
@@ -422,46 +476,17 @@ fn worker(inner: Arc<Inner>) {
 
         let res = (inner.runner)(&spec, id);
 
-        // Record the terminal state; journal and hook run outside the
-        // lock.
-        let (live, entry) = {
-            let mut st = inner.state.lock().unwrap();
-            st.inflight -= 1;
-            let now = inner.epoch.elapsed().as_millis() as u64;
-            let m = &inner.metrics;
-            m.inflight.set(st.inflight as i64);
-            let job = st.jobs.get_mut(&id).expect("running id is in the table");
-            job.info.finished_ms = now;
-            m.latency_ms.observe(now.saturating_sub(job.info.queued_ms));
-            match res {
-                Ok(outcome) => {
-                    job.info.state = JobState::Done;
-                    m.observe_job_wall(id, outcome.wall_ms);
-                    job.outcome = Some(outcome);
-                }
-                Err(fail) => {
-                    job.info.state = if fail.timed_out {
-                        JobState::TimedOut
-                    } else {
-                        JobState::Failed
-                    };
-                    job.info.detail = fail.detail;
-                }
+        let st = inner.state.lock().unwrap();
+        match res {
+            Ok(outcome) => inner.finish(st, id, JobState::Done, Some(outcome), None),
+            Err(fail) => {
+                let state = if fail.timed_out {
+                    JobState::TimedOut
+                } else {
+                    JobState::Failed
+                };
+                inner.finish(st, id, state, None, Some(fail.detail));
             }
-            m.jobs_total(job.info.state, spec.kind).inc();
-            inner.flight.record(
-                ObsKind::JobFinish,
-                0,
-                id,
-                job.info.state.to_u8() as u64,
-                now.saturating_sub(job.info.started_ms),
-            );
-            inner.cv.notify_all();
-            (live_set(&st), journal_entry(inner.journal.is_some(), &st, id))
-        };
-        inner.journal_terminal(entry);
-        if let Some(hook) = &inner.on_finish {
-            hook(id, &live);
         }
     }
 }
@@ -685,6 +710,30 @@ mod tests {
     }
 
     #[test]
+    fn finish_hook_runs_before_the_terminal_state_is_published() {
+        // The hook (checkpoint retention) is part of finishing: while it
+        // runs, nobody may yet see the job terminal.
+        let sched: Arc<std::sync::OnceLock<std::sync::Weak<Scheduler>>> = Arc::default();
+        let seen = Arc::new(StdMutex::new(Vec::new()));
+        let (hook_sched, hook_seen) = (Arc::clone(&sched), Arc::clone(&seen));
+        let runner: Arc<RunnerFn> = Arc::new(|_, _| Ok(ok_outcome()));
+        let s = Arc::new(Scheduler::start(
+            SchedConfig::default(),
+            ServeMetrics::new(),
+            runner,
+            Some(Box::new(move |id, _live| {
+                let s = hook_sched.get().and_then(|w| w.upgrade()).expect("scheduler");
+                hook_seen.lock().unwrap().push(s.status(id).unwrap().state);
+            })),
+        ));
+        sched.set(Arc::downgrade(&s)).unwrap();
+        let id = s.submit(spec(0)).unwrap();
+        assert_eq!(s.wait_result(id, T).unwrap().0.state, JobState::Done);
+        assert_eq!(*seen.lock().unwrap(), vec![JobState::Running]);
+        s.shutdown();
+    }
+
+    #[test]
     fn ids_start_at_one_and_increase() {
         let runner: Arc<RunnerFn> = Arc::new(|_, _| Ok(ok_outcome()));
         let s = Scheduler::start(SchedConfig::default(), ServeMetrics::new(), runner, None);
@@ -696,5 +745,138 @@ mod tests {
         let listed: Vec<u64> = s.list().iter().map(|i| i.id).collect();
         assert_eq!(listed, vec![a, b]);
         s.shutdown();
+    }
+    #[test]
+    fn wait_result_wakes_on_done_failed_and_cancelled() {
+        let gate = Arc::new(AtomicBool::new(false));
+        let log = Arc::new(StdMutex::new(Vec::new()));
+        let gated = gated_runner(Arc::clone(&gate), log);
+        // Job specs with a nonzero timeout fail; the others pass the gate.
+        let runner: Arc<RunnerFn> = Arc::new(move |spec, id| {
+            if spec.timeout_ms > 0 {
+                return Err(JobFailure {
+                    timed_out: false,
+                    detail: "boom".into(),
+                });
+            }
+            gated(spec, id)
+        });
+        let s = Arc::new(Scheduler::start(
+            SchedConfig {
+                queue_cap: 8,
+                max_inflight: 1,
+            },
+            ServeMetrics::new(),
+            runner,
+            None,
+        ));
+        let done = s.submit(spec(0)).unwrap();
+        wait_running(&s, done);
+        let cancelled = s.submit(spec(0)).unwrap();
+        let failed = s
+            .submit(JobSpec {
+                timeout_ms: 1,
+                ..JobSpec::example()
+            })
+            .unwrap();
+        let waiters: Vec<_> = [done, cancelled, failed]
+            .into_iter()
+            .map(|id| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || s.wait_result(id, T).expect("known id"))
+            })
+            .collect();
+        assert_eq!(s.cancel(cancelled), Some(true));
+        gate.store(true, Ordering::SeqCst);
+        let got: Vec<_> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
+        assert_eq!(got[0].0.state, JobState::Done);
+        assert!(got[0].1.is_some(), "Done carries its outcome");
+        assert_eq!(got[1].0.state, JobState::Cancelled);
+        assert_eq!(got[2].0.state, JobState::Failed);
+        assert_eq!(got[2].0.detail, "boom");
+        s.shutdown();
+    }
+
+    #[test]
+    fn wait_result_returns_current_info_at_timeout() {
+        let gate = Arc::new(AtomicBool::new(false));
+        let log = Arc::new(StdMutex::new(Vec::new()));
+        let s = Scheduler::start(
+            SchedConfig {
+                queue_cap: 8,
+                max_inflight: 1,
+            },
+            ServeMetrics::new(),
+            gated_runner(Arc::clone(&gate), log),
+            None,
+        );
+        let running = s.submit(spec(0)).unwrap();
+        wait_running(&s, running);
+        let queued = s.submit(spec(0)).unwrap();
+        let (info, outcome) = s.wait_result(running, Duration::from_millis(30)).unwrap();
+        assert_eq!(info.state, JobState::Running);
+        assert!(outcome.is_none());
+        let (info, _) = s.wait_result(queued, Duration::ZERO).unwrap();
+        assert_eq!(info.state, JobState::Queued);
+        gate.store(true, Ordering::SeqCst);
+        assert!(s.wait_idle(T));
+        s.shutdown();
+    }
+
+    #[test]
+    fn wait_result_of_unknown_id_is_none() {
+        let runner: Arc<RunnerFn> = Arc::new(|_, _| Ok(ok_outcome()));
+        let s = Scheduler::start(SchedConfig::default(), ServeMetrics::new(), runner, None);
+        assert!(s.wait_result(999, Duration::from_millis(10)).is_none());
+        s.shutdown();
+    }
+
+    #[test]
+    fn waiter_woken_on_done_finds_the_journal_record() {
+        let path = std::env::temp_dir().join(format!(
+            "navp-sched-journal-{}-{:x}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        let (journal, restored) = Journal::open(&path).unwrap();
+        assert!(restored.is_empty());
+        let gate = Arc::new(AtomicBool::new(false));
+        let log = Arc::new(StdMutex::new(Vec::new()));
+        let s = Arc::new(Scheduler::start_with_journal(
+            SchedConfig {
+                queue_cap: 8,
+                max_inflight: 1,
+            },
+            ServeMetrics::new(),
+            gated_runner(Arc::clone(&gate), log),
+            None,
+            Some((journal, restored)),
+        ));
+        // One job at a time, so no append is in flight while the
+        // waiter reopens the journal.
+        let mut ids = Vec::new();
+        for _ in 0..20 {
+            gate.store(false, Ordering::SeqCst);
+            let id = s.submit(spec(0)).unwrap();
+            ids.push(id);
+            let waiter = {
+                let (s, path, ids) = (Arc::clone(&s), path.clone(), ids.clone());
+                std::thread::spawn(move || {
+                    let (info, _) = s.wait_result(id, T).unwrap();
+                    assert_eq!(info.state, JobState::Done);
+                    // Terminal means journaled: reopening finds the record.
+                    let (_, entries) = Journal::open(&path).unwrap();
+                    let journaled: Vec<u64> = entries.iter().map(|e| e.info.id).collect();
+                    assert_eq!(journaled, ids, "the woken waiter must find job {id}'s record");
+                })
+            };
+            gate.store(true, Ordering::SeqCst);
+            waiter.join().unwrap();
+        }
+        s.shutdown();
+        std::fs::remove_file(&path).ok();
     }
 }

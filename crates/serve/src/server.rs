@@ -3,9 +3,12 @@
 //!
 //! One thread per client connection (clients are few and chatty, not
 //! many and idle), requests answered in order on the same socket until
-//! the client hangs up. Draining keeps the listener *open* so waiting
-//! clients can still poll their jobs and new submits get a clean
-//! `Draining` rejection instead of a connection refusal.
+//! the client hangs up. The accept loop blocks in `accept`, and
+//! `Request::Wait` blocks on the scheduler until the job is terminal,
+//! so neither a connection nor a result waits on a timer. Draining
+//! keeps the listener *open* so waiting clients can still poll their
+//! jobs and new submits get a clean `Draining` rejection instead of a
+//! connection refusal.
 //!
 //! When durable checkpoints are configured, the server also owns
 //! retention: after every job reaches a terminal state it prunes
@@ -24,6 +27,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Longest a `Request::Wait` holds its connection thread before
+/// answering with the job's current state, whatever the client asked
+/// for — so a client that vanishes mid-wait never pins a thread long.
+pub const MAX_WAIT: Duration = Duration::from_secs(1);
 
 /// Server configuration: scheduler sizing plus checkpoint retention.
 #[derive(Debug, Clone, Default)]
@@ -67,7 +75,6 @@ pub fn serve(
 ) -> io::Result<Server> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let on_finish: Option<Box<crate::sched::FinishHook>> =
         match (cfg.durable_dir.clone(), cfg.durable_keep) {
@@ -123,15 +130,20 @@ pub fn serve(
     })
 }
 
+/// Block in `accept` and hand each connection its own thread, until
+/// [`Server::shutdown`] sets `stop` and connects to wake the loop.
 fn accept_loop(
     listener: TcpListener,
     sched: Arc<Scheduler>,
     traces: Option<Arc<TraceStore>>,
     stop: Arc<AtomicBool>,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for conn in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match conn {
+            Ok(stream) => {
                 let sched = Arc::clone(&sched);
                 let traces = traces.clone();
                 let _ = std::thread::Builder::new()
@@ -146,11 +158,10 @@ fn accept_loop(
                         }
                     });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
             Err(e) => {
                 eprintln!("navp-serve: accept: {e}");
+                // Failure path only (e.g. out of descriptors): back off
+                // instead of spinning on the same error.
                 std::thread::sleep(Duration::from_millis(100));
             }
         }
@@ -200,6 +211,15 @@ fn dispatch(sched: &Scheduler, traces: Option<&TraceStore>, req: Request) -> Res
                 detail: format!("no such job {id}"),
             },
         },
+        Request::Wait { id, timeout_ms } => {
+            let timeout = Duration::from_millis(timeout_ms).min(MAX_WAIT);
+            match sched.wait_result(id, timeout) {
+                Some((info, outcome)) => Response::Outcome { info, outcome },
+                None => Response::Error {
+                    detail: format!("no such job {id}"),
+                },
+            }
+        }
         Request::Cancel { id } => match sched.cancel(id) {
             Some(ok) => Response::Cancelled { id, ok },
             None => Response::Error {
@@ -260,8 +280,23 @@ impl Server {
     /// first — drain + wait for idle beforehand for a graceful stop).
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+        // Wake the blocked `accept` with a connection of our own.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        match TcpStream::connect(wake) {
+            Ok(_) => {
+                if let Some(h) = self.accept.take() {
+                    let _ = h.join();
+                }
+            }
+            // Unreachable listener: leave the accept thread detached
+            // rather than join a loop that cannot wake.
+            Err(e) => eprintln!("navp-serve: cannot wake the accept loop: {e}"),
         }
         self.sched.shutdown();
     }

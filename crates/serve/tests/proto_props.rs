@@ -95,7 +95,7 @@ fn arb_outcome(rng: &mut SplitMix64) -> JobOutcome {
 }
 
 fn arb_request(rng: &mut SplitMix64) -> Request {
-    match rng.below(6) {
+    match rng.below(7) {
         0 => Request::Submit {
             spec: arb_spec(rng),
         },
@@ -103,6 +103,10 @@ fn arb_request(rng: &mut SplitMix64) -> Request {
         2 => Request::Result { id: rng.next_u64() },
         3 => Request::Cancel { id: rng.next_u64() },
         4 => Request::Trace { id: rng.next_u64() },
+        5 => Request::Wait {
+            id: rng.next_u64(),
+            timeout_ms: rng.next_u64(),
+        },
         _ => Request::List,
     }
 }

@@ -35,11 +35,11 @@
 //!
 //! `perf` measures service throughput (runs/s) and submit-to-result
 //! latency (p50/p99) at 1, 4 and 16 concurrent clients, writes the
-//! figures as `BENCH_service.json`, and with `--check` gates a fresh
-//! run against the committed baseline at the same >15% tolerance as
-//! `perf --check` (exit 1 on regression).
+//! figures as `BENCH_service.json`, and with `--check` gates the
+//! fastest batch of a fresh run against the committed baseline at the
+//! same >15% tolerance as `perf --check` (exit 1 on regression).
 
-use navp_bench::check::{compare, parse_baseline, render_table};
+use navp_bench::check::{compare, entries_of, parse_baseline, render_table};
 use navp_bench::timing::{write_groups_json, Entry, Group, Metric};
 use navp_serve::proto::{JobKind, JobSpec, JobState, Request, Response};
 use navp_serve::{client, RejectReason};
@@ -297,17 +297,7 @@ fn cmd_perf(args: &Args) {
             eprintln!("navp-submit: {}: {e}", out.display());
             std::process::exit(2);
         });
-        let mut buf = Vec::new();
-        use std::io::Write as _;
-        write!(buf, "{{\"groups\":[").unwrap();
-        for (i, g) in groups.iter().enumerate() {
-            if i > 0 {
-                write!(buf, ",").unwrap();
-            }
-            g.write_json(&mut buf).unwrap();
-        }
-        write!(buf, "]}}").unwrap();
-        let new = parse_baseline(&String::from_utf8(buf).unwrap()).expect("own JSON parses");
+        let new = entries_of(&groups);
         let deltas = compare(&old, &new, 0.15);
         println!("\n{}", render_table(&deltas));
         if deltas.iter().any(|d| d.fail) {
