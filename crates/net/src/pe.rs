@@ -57,7 +57,8 @@ pub const CRASH_EXIT: i32 = 113;
 pub const GRACEFUL_EXIT: i32 = 114;
 
 /// Set by the SIGTERM/SIGINT handler; polled by the daemon's event
-/// loop between atomic units (runs / frame handlings).
+/// loop between atomic units (runs / frame handlings) and by an idle
+/// `--listen` accept loop.
 static STOP_REQUESTED: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_stop_signal(_sig: i32) {
@@ -927,7 +928,8 @@ impl Obs {
 /// `/metrics`/`/healthz` endpoint, when `--metrics-addr` is given)
 /// alive across and shared between runs. Fatal errors are reported to
 /// the driver before returning (or, in listen mode, logged and
-/// survived).
+/// survived). A stop signal with no session in flight exits a listen
+/// daemon with [`GRACEFUL_EXIT`].
 pub fn pe_main(mode: PeMode, opts: PeOptions) -> Result<(), RunError> {
     // Durable wrapper types must decode wherever restored injections
     // can arrive, and every PE honours SIGTERM/SIGINT with a clean
@@ -942,16 +944,29 @@ pub fn pe_main(mode: PeMode, opts: PeOptions) -> Result<(), RunError> {
             driver_session(&opts, &obs, stream, deadline)
         }
         PeMode::Listen(bind) => {
-            let listener = TcpListener::bind(bind).map_err(|e| RunError::Transport {
-                detail: format!("bind {bind}: {e}"),
-            })?;
+            let transport = |detail: String| RunError::Transport { detail };
+            let listener =
+                TcpListener::bind(bind).map_err(|e| transport(format!("bind {bind}: {e}")))?;
+            let mut acceptor = Acceptor::new(listener)
+                .map_err(|e| transport(format!("listen on {bind}: {e}")))?;
+            // Each session thread holds a clone until it ends, however it
+            // ends, so the count above one is the sessions in flight.
+            let sessions = Arc::new(());
             loop {
-                let (stream, _) = listener.accept().map_err(|e| RunError::Transport {
-                    detail: format!("accept driver on {bind}: {e}"),
-                })?;
+                // A session in flight stops the process itself (flush,
+                // `PeStopped`, exit); an idle daemon has nothing to flush.
+                if stop_requested() && Arc::strong_count(&sessions) == 1 {
+                    std::process::exit(GRACEFUL_EXIT);
+                }
+                let accepted = acceptor
+                    .accept(STOP_CHECK)
+                    .map_err(|e| transport(format!("accept driver on {bind}: {e}")))?;
+                let Some(stream) = accepted else { continue };
                 let opts = opts.clone();
                 let obs = Arc::clone(&obs);
+                let session = Arc::clone(&sessions);
                 std::thread::spawn(move || {
+                    let _session = session;
                     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
                     if let Err(err) = driver_session(&opts, &obs, stream, deadline) {
                         eprintln!("navp-pe: driver session failed: {err}");
@@ -976,6 +991,10 @@ pub fn pe_main(mode: PeMode, opts: PeOptions) -> Result<(), RunError> {
         }
     }
 }
+
+/// How long an idle `--listen` daemon waits for a driver before it
+/// checks for a stop signal again.
+const STOP_CHECK: Duration = Duration::from_millis(50);
 
 /// RAII membership in [`Obs::active_runs`]: marks the run in flight on
 /// construction, un-marks on drop — so checkpoint GC sees a consistent

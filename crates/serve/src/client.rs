@@ -28,6 +28,51 @@ impl Client {
         Response::decode(&body)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))
     }
+
+    /// Submit a job. The outer `Result` is transport; the inner one is
+    /// the server's admission verdict.
+    pub fn submit(&mut self, spec: JobSpec) -> io::Result<Result<u64, RejectReason>> {
+        match self.request(&Request::Submit { spec })? {
+            Response::Submitted { id } => Ok(Ok(id)),
+            Response::Rejected { reason } => Ok(Err(reason)),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Wait until the job reaches a terminal state, up to `timeout`;
+    /// `TimedOut` errors mean the *client* gave up waiting, not that the
+    /// job failed. Each `Wait` request blocks on the server until the
+    /// job is terminal or the server's cap ([`crate::server::MAX_WAIT`])
+    /// ends it, so the answer arrives when the job finishes, not on a
+    /// timer.
+    pub fn wait_terminal(
+        &mut self,
+        id: u64,
+        timeout: Duration,
+    ) -> io::Result<(JobInfo, Option<JobOutcome>)> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let timeout_ms = left.as_millis().min(u64::MAX as u128) as u64;
+            match self.request(&Request::Wait { id, timeout_ms })? {
+                Response::Outcome { info, outcome } => {
+                    if info.state.is_terminal() {
+                        return Ok((info, outcome));
+                    }
+                }
+                Response::Error { detail } => {
+                    return Err(io::Error::new(io::ErrorKind::NotFound, detail))
+                }
+                other => return Err(unexpected(other)),
+            }
+            if Instant::now() >= deadline {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("job {id} not terminal within {timeout:?}"),
+                ));
+            }
+        }
+    }
 }
 
 /// One-shot request over a fresh connection.
@@ -35,49 +80,18 @@ pub fn rpc(addr: &str, req: &Request) -> io::Result<Response> {
     Client::connect(addr)?.request(req)
 }
 
-/// Submit a job. The outer `Result` is transport; the inner one is the
-/// server's admission verdict.
+/// Submit a job over a fresh connection; see [`Client::submit`].
 pub fn submit(addr: &str, spec: JobSpec) -> io::Result<Result<u64, RejectReason>> {
-    match rpc(addr, &Request::Submit { spec })? {
-        Response::Submitted { id } => Ok(Ok(id)),
-        Response::Rejected { reason } => Ok(Err(reason)),
-        other => Err(unexpected(other)),
-    }
+    Client::connect(addr)?.submit(spec)
 }
 
-/// Wait until the job reaches a terminal state, up to `timeout`;
-/// `TimedOut` errors mean the *client* gave up waiting, not that the
-/// job failed. Each `Wait` request blocks on the server until the job
-/// is terminal or the server's cap ([`crate::server::MAX_WAIT`]) ends
-/// it, so the answer arrives when the job finishes, not on a timer.
+/// Wait for a job over a fresh connection; see [`Client::wait_terminal`].
 pub fn wait_terminal(
     addr: &str,
     id: u64,
     timeout: Duration,
 ) -> io::Result<(JobInfo, Option<JobOutcome>)> {
-    let deadline = Instant::now() + timeout;
-    let mut client = Client::connect(addr)?;
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        let timeout_ms = left.as_millis().min(u64::MAX as u128) as u64;
-        match client.request(&Request::Wait { id, timeout_ms })? {
-            Response::Outcome { info, outcome } => {
-                if info.state.is_terminal() {
-                    return Ok((info, outcome));
-                }
-            }
-            Response::Error { detail } => {
-                return Err(io::Error::new(io::ErrorKind::NotFound, detail))
-            }
-            other => return Err(unexpected(other)),
-        }
-        if Instant::now() >= deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("job {id} not terminal within {timeout:?}"),
-            ));
-        }
-    }
+    Client::connect(addr)?.wait_terminal(id, timeout)
 }
 
 /// Fetch the retained Chrome trace of a job submitted with the

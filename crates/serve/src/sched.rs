@@ -494,7 +494,8 @@ fn worker(inner: Arc<Inner>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::{channel, Receiver};
+    use std::sync::Condvar;
     use std::sync::Mutex as StdMutex;
 
     const T: Duration = Duration::from_secs(20);
@@ -507,19 +508,45 @@ mod tests {
         }
     }
 
-    /// Runner that blocks every job until `gate` flips, then logs the
-    /// id it ran.
+    /// A gate that gated jobs block on until the test opens it.
+    struct Gate {
+        open: StdMutex<bool>,
+        cv: Condvar,
+    }
+
+    impl Gate {
+        fn new() -> Arc<Gate> {
+            Arc::new(Gate {
+                open: StdMutex::new(false),
+                cv: Condvar::new(),
+            })
+        }
+
+        fn set(&self, open: bool) {
+            *self.open.lock().unwrap() = open;
+            self.cv.notify_all();
+        }
+
+        fn pass(&self) {
+            let open = self.open.lock().unwrap();
+            let _open = self.cv.wait_while(open, |open| !*open).unwrap();
+        }
+    }
+
+    /// Runner that reports each job on the returned channel as it
+    /// starts, blocks it until `gate` opens, then logs the id it ran.
     fn gated_runner(
-        gate: Arc<AtomicBool>,
+        gate: Arc<Gate>,
         log: Arc<StdMutex<Vec<u64>>>,
-    ) -> Arc<RunnerFn> {
-        Arc::new(move |_spec, id| {
-            while !gate.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+    ) -> (Arc<RunnerFn>, Receiver<u64>) {
+        let (started, rx) = channel();
+        let runner = Arc::new(move |_: &JobSpec, id| {
+            let _ = started.send(id);
+            gate.pass();
             log.lock().unwrap().push(id);
             Ok(ok_outcome())
-        })
+        });
+        (runner, rx)
     }
 
     fn spec(priority: u8) -> JobSpec {
@@ -529,33 +556,32 @@ mod tests {
         }
     }
 
-    fn wait_running(s: &Scheduler, id: u64) {
-        let deadline = Instant::now() + T;
-        while s.status(id).map(|i| i.state) != Some(JobState::Running) {
-            assert!(Instant::now() < deadline, "job {id} never started");
-            std::thread::sleep(Duration::from_millis(2));
-        }
+    /// Wait until the runner reports that job `id` started: the worker
+    /// marks a job `Running` before it calls the runner.
+    fn wait_running(started: &Receiver<u64>, id: u64) {
+        while started.recv_timeout(T).expect("job never started") != id {}
     }
 
     #[test]
     fn priority_order_fifo_within_priority() {
-        let gate = Arc::new(AtomicBool::new(false));
+        let gate = Gate::new();
         let log = Arc::new(StdMutex::new(Vec::new()));
+        let (runner, started) = gated_runner(Arc::clone(&gate), Arc::clone(&log));
         let s = Scheduler::start(
             SchedConfig {
                 queue_cap: 16,
                 max_inflight: 1,
             },
             ServeMetrics::new(),
-            gated_runner(Arc::clone(&gate), Arc::clone(&log)),
+            runner,
             None,
         );
         let first = s.submit(spec(0)).unwrap();
-        wait_running(&s, first); // pin the single worker
+        wait_running(&started, first); // pin the single worker
         let low = s.submit(spec(0)).unwrap();
         let hi_a = s.submit(spec(5)).unwrap();
         let hi_b = s.submit(spec(5)).unwrap();
-        gate.store(true, Ordering::SeqCst);
+        gate.set(true);
         assert!(s.wait_idle(T), "never drained");
         assert_eq!(*log.lock().unwrap(), vec![first, hi_a, hi_b, low]);
         s.shutdown();
@@ -563,20 +589,21 @@ mod tests {
 
     #[test]
     fn queue_full_rejects_with_cap() {
-        let gate = Arc::new(AtomicBool::new(false));
+        let gate = Gate::new();
         let log = Arc::new(StdMutex::new(Vec::new()));
         let metrics = ServeMetrics::new();
+        let (runner, started) = gated_runner(Arc::clone(&gate), log);
         let s = Scheduler::start(
             SchedConfig {
                 queue_cap: 2,
                 max_inflight: 1,
             },
             Arc::clone(&metrics),
-            gated_runner(Arc::clone(&gate), log),
+            runner,
             None,
         );
         let blocker = s.submit(spec(0)).unwrap();
-        wait_running(&s, blocker);
+        wait_running(&started, blocker);
         s.submit(spec(0)).unwrap();
         s.submit(spec(0)).unwrap();
         assert_eq!(
@@ -586,32 +613,33 @@ mod tests {
         );
         assert_eq!(metrics.rejects_full.get(), 1);
         assert_eq!(metrics.queue_depth.get(), 2);
-        gate.store(true, Ordering::SeqCst);
+        gate.set(true);
         assert!(s.wait_idle(T));
         s.shutdown();
     }
 
     #[test]
     fn draining_rejects_new_but_finishes_queued() {
-        let gate = Arc::new(AtomicBool::new(false));
+        let gate = Gate::new();
         let log = Arc::new(StdMutex::new(Vec::new()));
         let metrics = ServeMetrics::new();
+        let (runner, started) = gated_runner(Arc::clone(&gate), Arc::clone(&log));
         let s = Scheduler::start(
             SchedConfig {
                 queue_cap: 8,
                 max_inflight: 1,
             },
             Arc::clone(&metrics),
-            gated_runner(Arc::clone(&gate), Arc::clone(&log)),
+            runner,
             None,
         );
         let blocker = s.submit(spec(0)).unwrap();
-        wait_running(&s, blocker);
+        wait_running(&started, blocker);
         let queued = s.submit(spec(0)).unwrap();
         s.drain();
         assert_eq!(s.submit(spec(0)), Err(RejectReason::Draining));
         assert_eq!(metrics.rejects_draining.get(), 1);
-        gate.store(true, Ordering::SeqCst);
+        gate.set(true);
         assert!(s.wait_idle(T), "queued work must still finish");
         assert_eq!(s.status(blocker).unwrap().state, JobState::Done);
         assert_eq!(s.status(queued).unwrap().state, JobState::Done);
@@ -649,25 +677,26 @@ mod tests {
 
     #[test]
     fn cancel_only_works_while_queued() {
-        let gate = Arc::new(AtomicBool::new(false));
+        let gate = Gate::new();
         let log = Arc::new(StdMutex::new(Vec::new()));
+        let (runner, started) = gated_runner(Arc::clone(&gate), Arc::clone(&log));
         let s = Scheduler::start(
             SchedConfig {
                 queue_cap: 8,
                 max_inflight: 1,
             },
             ServeMetrics::new(),
-            gated_runner(Arc::clone(&gate), Arc::clone(&log)),
+            runner,
             None,
         );
         let running = s.submit(spec(0)).unwrap();
-        wait_running(&s, running);
+        wait_running(&started, running);
         let queued = s.submit(spec(0)).unwrap();
         assert_eq!(s.cancel(queued), Some(true));
         assert_eq!(s.status(queued).unwrap().state, JobState::Cancelled);
         assert_eq!(s.cancel(running), Some(false), "running jobs are not torn down");
         assert_eq!(s.cancel(999), None, "unknown id");
-        gate.store(true, Ordering::SeqCst);
+        gate.set(true);
         assert!(s.wait_idle(T));
         assert_eq!(*log.lock().unwrap(), vec![running], "cancelled job never ran");
         s.shutdown();
@@ -680,24 +709,25 @@ mod tests {
     fn finish_hook_sees_live_set_without_finished_job() {
         let seen: Seen = Arc::new(StdMutex::new(Vec::new()));
         let hook_seen = Arc::clone(&seen);
-        let gate = Arc::new(AtomicBool::new(false));
+        let gate = Gate::new();
         let log = Arc::new(StdMutex::new(Vec::new()));
+        let (runner, started) = gated_runner(Arc::clone(&gate), log);
         let s = Scheduler::start(
             SchedConfig {
                 queue_cap: 8,
                 max_inflight: 1,
             },
             ServeMetrics::new(),
-            gated_runner(Arc::clone(&gate), log),
+            runner,
             Some(Box::new(move |id, live| {
                 hook_seen.lock().unwrap().push((id, live.clone()));
             })),
         );
         let a = s.submit(spec(0)).unwrap();
-        wait_running(&s, a);
+        wait_running(&started, a);
         let b = s.submit(spec(0)).unwrap();
         assert_eq!(s.live_ids(), HashSet::from([a, b]));
-        gate.store(true, Ordering::SeqCst);
+        gate.set(true);
         assert!(s.wait_idle(T));
         let seen = seen.lock().unwrap();
         assert_eq!(seen.len(), 2);
@@ -748,9 +778,9 @@ mod tests {
     }
     #[test]
     fn wait_result_wakes_on_done_failed_and_cancelled() {
-        let gate = Arc::new(AtomicBool::new(false));
+        let gate = Gate::new();
         let log = Arc::new(StdMutex::new(Vec::new()));
-        let gated = gated_runner(Arc::clone(&gate), log);
+        let (gated, started) = gated_runner(Arc::clone(&gate), log);
         // Job specs with a nonzero timeout fail; the others pass the gate.
         let runner: Arc<RunnerFn> = Arc::new(move |spec, id| {
             if spec.timeout_ms > 0 {
@@ -771,7 +801,7 @@ mod tests {
             None,
         ));
         let done = s.submit(spec(0)).unwrap();
-        wait_running(&s, done);
+        wait_running(&started, done);
         let cancelled = s.submit(spec(0)).unwrap();
         let failed = s
             .submit(JobSpec {
@@ -787,7 +817,7 @@ mod tests {
             })
             .collect();
         assert_eq!(s.cancel(cancelled), Some(true));
-        gate.store(true, Ordering::SeqCst);
+        gate.set(true);
         let got: Vec<_> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
         assert_eq!(got[0].0.state, JobState::Done);
         assert!(got[0].1.is_some(), "Done carries its outcome");
@@ -799,26 +829,27 @@ mod tests {
 
     #[test]
     fn wait_result_returns_current_info_at_timeout() {
-        let gate = Arc::new(AtomicBool::new(false));
+        let gate = Gate::new();
         let log = Arc::new(StdMutex::new(Vec::new()));
+        let (runner, started) = gated_runner(Arc::clone(&gate), log);
         let s = Scheduler::start(
             SchedConfig {
                 queue_cap: 8,
                 max_inflight: 1,
             },
             ServeMetrics::new(),
-            gated_runner(Arc::clone(&gate), log),
+            runner,
             None,
         );
         let running = s.submit(spec(0)).unwrap();
-        wait_running(&s, running);
+        wait_running(&started, running);
         let queued = s.submit(spec(0)).unwrap();
         let (info, outcome) = s.wait_result(running, Duration::from_millis(30)).unwrap();
         assert_eq!(info.state, JobState::Running);
         assert!(outcome.is_none());
         let (info, _) = s.wait_result(queued, Duration::ZERO).unwrap();
         assert_eq!(info.state, JobState::Queued);
-        gate.store(true, Ordering::SeqCst);
+        gate.set(true);
         assert!(s.wait_idle(T));
         s.shutdown();
     }
@@ -843,15 +874,16 @@ mod tests {
         ));
         let (journal, restored) = Journal::open(&path).unwrap();
         assert!(restored.is_empty());
-        let gate = Arc::new(AtomicBool::new(false));
+        let gate = Gate::new();
         let log = Arc::new(StdMutex::new(Vec::new()));
+        let (runner, _started) = gated_runner(Arc::clone(&gate), log);
         let s = Arc::new(Scheduler::start_with_journal(
             SchedConfig {
                 queue_cap: 8,
                 max_inflight: 1,
             },
             ServeMetrics::new(),
-            gated_runner(Arc::clone(&gate), log),
+            runner,
             None,
             Some((journal, restored)),
         ));
@@ -859,7 +891,7 @@ mod tests {
         // waiter reopens the journal.
         let mut ids = Vec::new();
         for _ in 0..20 {
-            gate.store(false, Ordering::SeqCst);
+            gate.set(false);
             let id = s.submit(spec(0)).unwrap();
             ids.push(id);
             let waiter = {
@@ -873,7 +905,7 @@ mod tests {
                     assert_eq!(journaled, ids, "the woken waiter must find job {id}'s record");
                 })
             };
-            gate.store(true, Ordering::SeqCst);
+            gate.set(true);
             waiter.join().unwrap();
         }
         s.shutdown();

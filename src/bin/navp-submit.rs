@@ -42,7 +42,7 @@
 use navp_bench::check::{compare, entries_of, parse_baseline, render_table};
 use navp_bench::timing::{write_groups_json, Entry, Group, Metric};
 use navp_serve::proto::{JobKind, JobSpec, JobState, Request, Response};
-use navp_serve::{client, RejectReason};
+use navp_serve::{client, Client, RejectReason};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -179,18 +179,18 @@ fn expect_io<T>(r: std::io::Result<T>) -> T {
     })
 }
 
-/// One submit-and-wait round trip; returns the client-observed
-/// latency. Exits nonzero on rejection or a failed job.
-fn run_one(addr: &str, spec: &JobSpec) -> Duration {
+/// One submit-and-wait round trip on `conn`; returns the
+/// client-observed latency. Exits nonzero on rejection or a failed job.
+fn run_one(conn: &mut Client, spec: &JobSpec) -> Duration {
     let t = Instant::now();
-    let id = match expect_io(client::submit(addr, spec.clone())) {
+    let id = match expect_io(conn.submit(spec.clone())) {
         Ok(id) => id,
         Err(reason) => {
             eprintln!("navp-submit: rejected: {reason}");
             std::process::exit(1);
         }
     };
-    let (info, outcome) = expect_io(client::wait_terminal(addr, id, Duration::from_secs(600)));
+    let (info, outcome) = expect_io(conn.wait_terminal(id, Duration::from_secs(600)));
     if info.state != JobState::Done || !outcome.as_ref().is_some_and(|o| o.verified) {
         eprintln!(
             "navp-submit: job {id} ended {}: {}",
@@ -203,16 +203,18 @@ fn run_one(addr: &str, spec: &JobSpec) -> Duration {
 }
 
 /// One timed batch at concurrency `c`: `c` clients each running
-/// `jobs_per_client` sequential submit-and-wait round trips. Returns
-/// (batch wall time, every client-observed latency).
+/// `jobs_per_client` sequential submit-and-wait round trips over one
+/// connection. Returns (batch wall time, every client-observed
+/// latency).
 fn perf_batch(args: &Args, c: usize) -> (u64, Vec<u64>) {
     let t = Instant::now();
     let lats: Vec<Duration> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..c)
             .map(|_| {
                 s.spawn(|| {
+                    let mut conn = expect_io(Client::connect(&args.to));
                     (0..args.jobs_per_client)
-                        .map(|_| run_one(&args.to, &args.spec))
+                        .map(|_| run_one(&mut conn, &args.spec))
                         .collect::<Vec<_>>()
                 })
             })

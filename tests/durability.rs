@@ -364,6 +364,46 @@ fn net_survives_kill_dash_nine_of_every_process() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// SIGTERM on an idle `--listen` daemon (no driver session in flight)
+/// exits it promptly with the graceful status: its accept loop wakes
+/// on a bounded wait to check for the stop request.
+#[test]
+fn sigterm_stops_an_idle_listen_daemon() {
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port")
+        .port();
+    let mut pe = std::process::Command::new(env!("CARGO_BIN_EXE_navp-pe"))
+        .arg("--listen")
+        .arg(format!("127.0.0.1:{port}"))
+        .stdin(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn navp-pe");
+    let pid = pe.id();
+    // Wait until the daemon listens; the probe connection closes at
+    // once, which ends the session it opened.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while std::net::TcpStream::connect(("127.0.0.1", port)).is_err() {
+        if std::time::Instant::now() >= deadline {
+            sigkill(pid);
+            panic!("navp-pe never listened on {port}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || tx.send(pe.wait().expect("wait navp-pe")));
+    let _ = std::process::Command::new("kill")
+        .args(["-TERM", &pid.to_string()])
+        .status();
+    let Ok(status) = rx.recv_timeout(Duration::from_secs(5)) else {
+        sigkill(pid);
+        panic!("idle navp-pe ignored SIGTERM for 5 s");
+    };
+    waiter.join().unwrap().unwrap();
+    assert_eq!(status.code(), Some(navp_repro::navp_net::GRACEFUL_EXIT));
+}
+
 /// SIGTERM on a PE daemon is a *graceful* stop: the daemon flushes its
 /// durable state, exits with the distinct graceful status, and the
 /// driver reports [`RunError::PeStopped`] — not a crash, not a generic
