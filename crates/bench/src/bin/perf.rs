@@ -1,7 +1,8 @@
 //! Wall-clock perf baseline: packed vs naive GEMM kernel GFLOP/s,
 //! NavP-stage wall times with effective hop bandwidth, the flight
 //! recorder's on-vs-off overhead on phase1d, and mesh
-//! scaling rows (phase1d over loopback TCP at 4/16/64 PEs), written as
+//! scaling rows (phase1d over loopback TCP at 4/16/64 PEs), and the
+//! paper's Table 1 ladder at N=1536 on two thread PEs, written as
 //! machine-readable JSON (`BENCH_kernel.json`, `BENCH_stages.json`) at
 //! the repo root. With `--kv` the binary benches the key-value
 //! workload instead — journey steps across 1/2/4 PEs, ops/s and scan
@@ -9,13 +10,17 @@
 //!
 //! Usage: `cargo run --release -p navp-bench --bin perf [-- --kv] [-- --quick] [-- --check]`
 //!
-//! `--quick` skips the 128³ kernel and times the stages at n=256
-//! instead of n=384, so the CI perf smoke job finishes in seconds.
+//! `--quick` skips the 128³ kernel and the ladder and times the stages
+//! at n=256 instead of n=384, so the CI perf smoke job finishes in
+//! seconds.
 //! Every entry a quick run shares with the committed baseline takes
 //! the same number of samples as the full run, so `--check` compares a
 //! fastest-of-k with a fastest-of-k. The acceptance gate (packed
-//! kernel strictly faster than naive at 256³) is checked in both modes
-//! and failure exits non-zero.
+//! kernel strictly faster than naive at 256³) is checked in both modes;
+//! in full mode so are the block gate (one carrier column of 128³ block
+//! updates within 10% of the packed one-call rate) and the ladder gate
+//! (1-D DSC slower than the pipelined and the phase-shifted stage).
+//! Failure exits non-zero.
 //!
 //! `--check` flips the binary from baseline *writer* to regression
 //! *gate*: the committed `BENCH_*.json` files are loaded, the benches
@@ -30,13 +35,15 @@
 use navp_bench::check::{compare, entries_of, parse_baseline, render_table, BenchEntry};
 use navp_bench::timing::{rounds, write_groups_json, Entry, Group, Metric};
 use navp_kv::{run_kv, KvConfig, KvStage};
+use navp_matrix::block::PackedA;
 use navp_matrix::gen::seeded_matrix;
 use navp_matrix::kernel::{gemm_acc, gemm_acc_naive, gemm_flops};
-use navp_matrix::Grid2D;
+use navp_matrix::{BlockData, Grid2D};
 use navp_mm::config::MmConfig;
 use navp_mm::runner::{run_navp, NavpStage, NetOpts, On, Run};
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Repo root, resolved at compile time relative to this crate so the
 /// JSON baselines land in the same place regardless of the cwd the
@@ -108,9 +115,36 @@ fn bench_kernel(opts: &Opts) -> Vec<Group> {
             .clone();
         let speedup = naive.median_ns as f64 / packed.median_ns.max(1) as f64;
         println!("kernel_{n}: packed is {speedup:.2}x naive (median)");
+        if n == 128 {
+            bench_block_column(&mut g);
+        }
         groups.push(g);
     }
     groups
+}
+
+/// One carrier column at block order 128, `C(mi, col) = Σ_k mA(k) ·
+/// B(k, col)` over 12 blocks: 12 block updates into one fresh C, with
+/// the operands held the way a 1-D run holds them — the carried row
+/// packed for the visit, the resident B blocks with their cached packs
+/// (filled by the warmup).
+fn bench_block_column(g: &mut Group) {
+    let (ab, nb) = (128, 12);
+    let blocks = |seed: u64| -> Vec<BlockData> {
+        (0..nb)
+            .map(|k| BlockData::real(seeded_matrix(ab, seed + k)))
+            .collect()
+    };
+    let (a_row, b_col) = (blocks(100), blocks(200));
+    let row: Vec<PackedA<'_>> = a_row.iter().map(BlockData::pack_a).collect();
+    let flops = nb * gemm_flops(ab, ab, ab);
+    g.bench_metric("block_128", Some(Metric::Flops(flops)), || {
+        let mut c = BlockData::zeros(ab, ab);
+        for (a, b) in row.iter().zip(&b_col) {
+            c.gemm_acc_packed(a, b).expect("uniform blocks");
+        }
+        c
+    });
 }
 
 /// The acceptance gate: packed strictly faster than naive at 256³.
@@ -124,6 +158,23 @@ fn packed_beats_naive(groups: &[Group]) -> bool {
             .map(|e| e.median_ns)
     };
     matches!((median("packed_256"), median("naive_256")), (Some(p), Some(n)) if p < n)
+}
+
+/// The block-kernel gate: one carrier column (`block_128`) runs at
+/// least 90% of the packed one-call rate at the same order
+/// (`packed_128`), comparing fastest samples of the median round.
+/// `true` when the 128³ kernel did not run (quick mode).
+fn block_near_one_call(groups: &[Group]) -> bool {
+    let Some(g) = groups.iter().find(|g| g.name() == "kernel_128") else {
+        return true;
+    };
+    let best = |label: &str| {
+        let e = g.entries().iter().find(|e| e.label == label).expect("kernel_128 row");
+        e.gflops().expect("flops metric") * e.median_ns as f64 / e.min_ns.max(1) as f64
+    };
+    let ratio = best("block_128") / best("packed_128");
+    println!("kernel_128: block_128 runs at {ratio:.2}x the packed one-call rate (fastest samples)");
+    ratio >= 0.9
 }
 
 /// Stage section: each NavP pipeline stage timed wall-clock on real
@@ -172,6 +223,90 @@ fn bench_stages(opts: &Opts) -> Vec<Group> {
         });
     }
     vec![wall, hops]
+}
+
+/// Matrix order and block order of the ladder: the paper's Table 1.
+const LADDER: (usize, usize) = (1536, 128);
+
+/// The ladder section: the paper's Table 1 at N=1536, ab=128 on real
+/// cores — the one-call sequential kernel and the three 1-D stages on a
+/// 1x2 thread line, all timed in the same round. A stage sample is the
+/// executor's wall (the run, without operand generation or collection);
+/// its warmup run is verified. The group holds each row's samples
+/// normalized to the round's fastest sequential sample, so sequential
+/// takes 1 s, each rate is the per-round speedup over sequential, and
+/// the median round [`rounds`] keeps is the median speedup.
+fn bench_ladder() -> Group {
+    let (n, ab) = LADDER;
+    let (warmup, samples) = (1, 3);
+    let a = seeded_matrix(n, 1);
+    let b = seeded_matrix(n, 2);
+    let mut out = vec![0.0f64; n * n];
+    let seq: Vec<Duration> = (0..warmup + samples)
+        .map(|_| {
+            let t0 = Instant::now();
+            gemm_acc(black_box(&mut out), a.as_slice(), b.as_slice(), n, n, n);
+            t0.elapsed()
+        })
+        .skip(warmup)
+        .collect();
+    drop((a, b, out));
+    let cfg = MmConfig::real(n, ab);
+    let grid = Grid2D::line(2).expect("grid");
+    let mut rows = vec![("sequential", seq)];
+    for stage in [NavpStage::Dsc1D, NavpStage::Pipe1D, NavpStage::Phase1D] {
+        let probe = run_navp(stage, &cfg, grid, Run::on(On::Threads)).expect("run");
+        assert_eq!(probe.verified, Some(true), "{} failed to verify", stage.name());
+        let walls = (0..samples)
+            .map(|_| {
+                run_navp(stage, &cfg, grid, Run::on(On::Threads).unverified())
+                    .expect("run")
+                    .wall
+                    .expect("wall-clock executor")
+            })
+            .collect();
+        rows.push((stage.name(), walls));
+    }
+    let seq_min = rows[0].1.iter().min().copied().expect("samples");
+    let mut g = Group::new(&format!("ladder_speedup_n{n}"));
+    for (label, walls) in rows {
+        let wall = Entry::from_samples(label, walls.clone(), None);
+        println!(
+            "ladder_n{n}/{label}: wall min {:.1} ms | median {:.1} ms",
+            wall.min_ns as f64 / 1e6,
+            wall.median_ns as f64 / 1e6
+        );
+        let norm = walls.iter().map(|w| w.div_f64(seq_min.as_secs_f64())).collect();
+        g.record(Entry::from_samples(label, norm, Some(Metric::Speedup)));
+    }
+    g
+}
+
+/// The ladder gate: the 1-D DSC stage is slower than both the pipelined
+/// and the phase-shifted stage (margins over 40% on two cores). Pipe vs
+/// phase is printed, not gated: its margin is within run-to-run noise.
+/// `true` when the ladder did not run (quick mode).
+fn ladder_ranked(groups: &[Group]) -> bool {
+    let name = format!("ladder_speedup_n{}", LADDER.0);
+    let Some(g) = groups.iter().find(|g| g.name() == name) else {
+        return true;
+    };
+    let speedup = |stage: NavpStage| {
+        let e = g.entries().iter().find(|e| e.label == stage.name()).expect("ladder row");
+        1e9 / e.min_ns.max(1) as f64
+    };
+    let (dsc, pipe, phase) = (
+        speedup(NavpStage::Dsc1D),
+        speedup(NavpStage::Pipe1D),
+        speedup(NavpStage::Phase1D),
+    );
+    println!(
+        "ladder_n{}: speedup over sequential, median round: DSC {dsc:.2}x, pipe {pipe:.2}x, \
+         phase {phase:.2}x (phase/pipe {:.2}, not gated)",
+        LADDER.0,
+        phase / pipe
+    );
+    dsc < pipe && dsc < phase
 }
 
 /// Flight-recorder overhead section: phase1d on real threads with the
@@ -435,9 +570,14 @@ fn main() {
         groups.extend(bench_stages(&opts));
         groups.push(bench_recorder_overhead());
         groups.extend(bench_net_scaling());
+        if !opts.quick {
+            groups.push(bench_ladder());
+        }
         groups
     });
     let packed_ok = packed_beats_naive(&groups);
+    let block_ok = block_near_one_call(&groups);
+    let ladder_ok = ladder_ranked(&groups);
     match baseline {
         Some(baseline) => gate(&baseline, &entries_of(&groups), "perf"),
         None => {
@@ -455,4 +595,16 @@ fn main() {
         std::process::exit(1);
     }
     println!("OK: packed kernel faster than naive at 256^3");
+    if !block_ok {
+        eprintln!("FAIL: block_128 is below 90% of the packed one-call rate");
+        std::process::exit(1);
+    }
+    if !ladder_ok {
+        eprintln!("FAIL: 1-D DSC is not slower than both pipelined and phase-shifted");
+        std::process::exit(1);
+    }
+    if !opts.quick {
+        println!("OK: block_128 within 10% of the packed one-call rate");
+        println!("OK: 1-D DSC slower than pipelined and phase-shifted");
+    }
 }

@@ -26,6 +26,9 @@ pub enum Metric {
     /// Whole jobs/runs per iteration → reported as runs/s (service
     /// throughput: submit-to-result round trips, not element counts).
     Runs(u64),
+    /// Times normalized so a reference run takes 1 s → reported as the
+    /// speedup over that reference (`x`).
+    Speedup,
 }
 
 impl Metric {
@@ -37,6 +40,7 @@ impl Metric {
             Metric::Flops(n) => (*n as f64 / secs / 1e9, "GFLOP/s"),
             Metric::Bytes(n) => (*n as f64 / secs / (1024.0 * 1024.0), "MiB/s"),
             Metric::Runs(n) => (*n as f64 / secs, "runs/s"),
+            Metric::Speedup => (1.0 / secs, "x"),
         }
     }
 }
@@ -59,6 +63,24 @@ pub struct Entry {
 }
 
 impl Entry {
+    /// The entry of `times` (one per sample, any order): fastest,
+    /// median and 90th-percentile sample.
+    ///
+    /// # Panics
+    /// Panics when `times` is empty.
+    pub fn from_samples(label: &str, mut times: Vec<Duration>, metric: Option<Metric>) -> Entry {
+        times.sort();
+        let n = times.len();
+        Entry {
+            label: label.to_string(),
+            samples: n,
+            min_ns: times[0].as_nanos() as u64,
+            median_ns: times[n / 2].as_nanos() as u64,
+            p90_ns: times[((n - 1) * 9).div_ceil(10)].as_nanos() as u64,
+            metric,
+        }
+    }
+
     /// GFLOP/s at the median iteration time, when the metric is flops.
     pub fn gflops(&self) -> Option<f64> {
         match self.metric {
@@ -89,7 +111,7 @@ impl Entry {
             Some(Metric::Flops(n)) => write!(w, ",\"flops\":{n}")?,
             Some(Metric::Bytes(n)) => write!(w, ",\"bytes\":{n}")?,
             Some(Metric::Runs(n)) => write!(w, ",\"runs\":{n}")?,
-            None => {}
+            Some(Metric::Speedup) | None => {}
         }
         if let Some((value, unit)) = self.rate() {
             write!(w, ",\"rate\":{value:.6},\"rate_unit\":{}", json_str(unit))?;
@@ -184,29 +206,7 @@ impl Group {
             std::hint::black_box(f());
             times.push(t.elapsed());
         }
-        times.sort();
-        let n = times.len();
-        let entry = Entry {
-            label: label.to_string(),
-            samples: n,
-            min_ns: times[0].as_nanos() as u64,
-            median_ns: times[n / 2].as_nanos() as u64,
-            p90_ns: times[((n - 1) * 9).div_ceil(10)].as_nanos() as u64,
-            metric,
-        };
-        let mut line = format!(
-            "{}/{label}: min {} | median {} | p90 {} ({n} samples)",
-            self.name,
-            fmt_dur(Duration::from_nanos(entry.min_ns)),
-            fmt_dur(Duration::from_nanos(entry.median_ns)),
-            fmt_dur(Duration::from_nanos(entry.p90_ns)),
-        );
-        if let Some((value, unit)) = entry.rate() {
-            line.push_str(&format!(" | {value:.3} {unit}"));
-        }
-        println!("{line}");
-        self.entries.push(entry);
-        self.entries.last().expect("just pushed")
+        self.record(Entry::from_samples(label, times, metric))
     }
 
     /// Record an externally measured result — used by `--bin perf` to

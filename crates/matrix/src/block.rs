@@ -13,8 +13,90 @@
 
 use crate::dense::Matrix;
 use crate::error::MatrixError;
+use crate::gen::SplitMix64;
 use crate::kernel;
-use std::sync::Arc;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
+
+/// The shared payload of a real block: its values, plus the kernel
+/// panels of its `B` role, packed the first time the block is used as
+/// a `B` operand.
+///
+/// Everything that clones the [`Arc`] around a payload (store clones,
+/// snapshots, checkpoints, the PE threads) shares that pack, so a
+/// resident `B` block is packed once however many carriers use it. The
+/// pack is a cache of the values and nothing else sees it: [`Clone`]
+/// starts the copy without one, the only `&mut` access to the values
+/// drops it, and equality, [`BlockData::bytes`] and the wire codec
+/// read only the values.
+pub struct RealBlock {
+    m: Matrix,
+    pack_b: OnceLock<Vec<f64>>,
+}
+
+impl RealBlock {
+    fn new(m: Matrix) -> RealBlock {
+        RealBlock {
+            m,
+            pack_b: OnceLock::new(),
+        }
+    }
+
+    /// Mutable access to the values. Drops the pack, which the write
+    /// may make stale.
+    fn matrix_mut(&mut self) -> &mut Matrix {
+        self.pack_b.take();
+        &mut self.m
+    }
+
+    /// This block packed for the `B` role ([`kernel::pack_b`]), packed
+    /// on first use.
+    ///
+    /// # Panics
+    /// Panics when the block does not fit one kernel panel
+    /// ([`kernel::fits_one_panel`]).
+    fn packed_b(&self) -> &[f64] {
+        self.pack_b
+            .get_or_init(|| kernel::pack_b(self.m.as_slice(), self.m.rows(), self.m.cols()))
+    }
+}
+
+impl Deref for RealBlock {
+    type Target = Matrix;
+
+    fn deref(&self) -> &Matrix {
+        &self.m
+    }
+}
+
+impl Clone for RealBlock {
+    fn clone(&self) -> RealBlock {
+        RealBlock::new(self.m.clone())
+    }
+}
+
+impl PartialEq for RealBlock {
+    fn eq(&self, other: &RealBlock) -> bool {
+        self.m == other.m
+    }
+}
+
+impl fmt::Debug for RealBlock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.m.fmt(f)
+    }
+}
+
+/// A block in the `A` role of [`BlockData::gemm_acc_packed`], with its
+/// kernel panels packed once ([`BlockData::pack_a`]) for as long as the
+/// holder keeps it: a carrier packs its `A` row when it arrives on a PE
+/// and drops the packs when it leaves, so carried packs never pile up
+/// while the carriers wait.
+pub struct PackedA<'a> {
+    block: &'a BlockData,
+    panels: Option<Vec<f64>>,
+}
 
 /// The payload of one algorithmic block.
 ///
@@ -26,7 +108,7 @@ use std::sync::Arc;
 #[derive(Clone, Debug, PartialEq)]
 pub enum BlockData {
     /// A real block with data; arithmetic actually happens.
-    Real(Arc<Matrix>),
+    Real(Arc<RealBlock>),
     /// A placeholder with the logical shape of a block; arithmetic is
     /// skipped but costs (flops, bytes) are still accounted by callers.
     Phantom {
@@ -40,7 +122,7 @@ pub enum BlockData {
 impl BlockData {
     /// A real block wrapping `m` (single shared owner; no copy).
     pub fn real(m: Matrix) -> Self {
-        BlockData::Real(Arc::new(m))
+        BlockData::Real(Arc::new(RealBlock::new(m)))
     }
 
     /// A real block of zeros.
@@ -85,9 +167,32 @@ impl BlockData {
     ///
     /// Performs real arithmetic only when all three blocks are `Real`;
     /// shape compatibility is checked in both modes so phantom runs catch
-    /// the same indexing bugs real runs would.
+    /// the same indexing bugs real runs would. `b`'s cached pack is used
+    /// when the operands fit one kernel panel.
     pub fn gemm_acc(&mut self, a: &BlockData, b: &BlockData) -> Result<(), MatrixError> {
-        let (m, ka) = a.shape();
+        let a = PackedA { block: a, panels: None };
+        self.gemm_acc_packed(&a, b)
+    }
+
+    /// Pack this block for the `A` role of [`BlockData::gemm_acc_packed`].
+    /// Phantom blocks, and blocks deeper than one kernel panel, stay
+    /// unpacked.
+    pub fn pack_a(&self) -> PackedA<'_> {
+        let panels = match self {
+            BlockData::Real(m) if m.cols() <= kernel::KC => {
+                Some(kernel::pack_a(m.as_slice(), m.rows(), m.cols()))
+            }
+            _ => None,
+        };
+        PackedA { block: self, panels }
+    }
+
+    /// `self += a * b` with `a` packed by [`BlockData::pack_a`]. When the
+    /// operands fit one kernel panel, `a`'s panels and `b`'s cached pack
+    /// go to [`kernel::gemm_packed`]; otherwise the raw values go to
+    /// [`kernel::gemm_acc`]. Every path gives the same bits.
+    pub fn gemm_acc_packed(&mut self, a: &PackedA<'_>, b: &BlockData) -> Result<(), MatrixError> {
+        let (m, ka) = a.block.shape();
         let (kb, n) = b.shape();
         let (cm, cn) = self.shape();
         if ka != kb || cm != m || cn != n {
@@ -97,25 +202,30 @@ impl BlockData {
                 rhs: (kb, n),
             });
         }
-        match (self, a, b) {
-            (BlockData::Real(c), BlockData::Real(a), BlockData::Real(b)) => {
-                // Un-share `c` if a checkpoint still references it; the
-                // accumulation then happens in place on the sole owner.
-                let c = Arc::make_mut(c);
-                kernel::gemm_acc(c.as_mut_slice(), a.as_slice(), b.as_slice(), m, ka, n);
-                Ok(())
+        if let (BlockData::Real(c), BlockData::Real(ar), BlockData::Real(br)) = (self, a.block, b) {
+            // Un-share `c` if a checkpoint still references it; the
+            // accumulation then happens in place on the sole owner.
+            let c = Arc::make_mut(c).matrix_mut().as_mut_slice();
+            if kernel::fits_one_panel(ka, n) {
+                let av = match &a.panels {
+                    Some(p) => kernel::OperandA::Packed(p),
+                    None => kernel::OperandA::Raw(ar.as_slice()),
+                };
+                kernel::gemm_packed(c, av, br.packed_b(), m, ka, n);
+            } else {
+                kernel::gemm_acc(c, ar.as_slice(), br.as_slice(), m, ka, n);
             }
-            // Mixing real and phantom blocks is a configuration error in
-            // the caller, but the cost model still lines up, so treat any
-            // phantom operand as a phantom update.
-            _ => Ok(()),
         }
+        // Mixing real and phantom blocks is a configuration error in
+        // the caller, but the cost model still lines up, so treat any
+        // phantom operand as a phantom update.
+        Ok(())
     }
 
     /// Borrow the real payload, or fail for phantom blocks.
     pub fn as_real(&self) -> Result<&Matrix, MatrixError> {
         match self {
-            BlockData::Real(m) => Ok(m.as_ref()),
+            BlockData::Real(m) => Ok(&m.m),
             BlockData::Phantom { .. } => Err(MatrixError::PhantomData("as_real")),
         }
     }
@@ -143,14 +253,38 @@ impl BlockedMatrix {
                 rhs: (r, r),
             });
         }
-        let mut bm = BlockedMatrix::zeros(r, ab)?;
-        for bi in 0..bm.nb {
-            for bj in 0..bm.nb {
-                let blk = m.submatrix(bi * ab, bj * ab, ab, ab);
-                bm.blocks[bi * bm.nb + bj] = BlockData::real(blk);
+        Self::check(r, ab)?;
+        let nb = r / ab;
+        Ok(BlockedMatrix {
+            n: r,
+            ab,
+            nb,
+            blocks: (0..nb * nb)
+                .map(|i| BlockData::real(m.submatrix(i / nb * ab, i % nb * ab, ab, ab)))
+                .collect(),
+        })
+    }
+
+    /// The blocks of [`crate::gen::seeded_matrix`]`(n, seed)`, generated
+    /// straight into `ab x ab` blocks: the same row-major stream, so the
+    /// values are bitwise those of `from_matrix(&seeded_matrix(n, seed), ab)`
+    /// without the dense intermediate.
+    pub fn seeded(n: usize, ab: usize, seed: u64) -> Result<Self, MatrixError> {
+        Self::check(n, ab)?;
+        let nb = n / ab;
+        let mut rng = SplitMix64(seed);
+        let mut data: Vec<Vec<f64>> = (0..nb * nb).map(|_| Vec::with_capacity(ab * ab)).collect();
+        for i in 0..n {
+            let bi = i / ab;
+            for blk in &mut data[bi * nb..(bi + 1) * nb] {
+                blk.extend((0..ab).map(|_| rng.next_unit()));
             }
         }
-        Ok(bm)
+        let blocks = data
+            .into_iter()
+            .map(|d| BlockData::real(Matrix::from_vec(ab, ab, d).expect("ab*ab values per block")))
+            .collect();
+        Ok(BlockedMatrix { n, ab, nb, blocks })
     }
 
     /// An all-zero real blocked matrix of order `n`.
@@ -343,6 +477,101 @@ mod tests {
         assert_eq!(a.bytes(), 128 * 128 * 8);
         let b = BlockData::phantom(128, 128);
         assert_eq!(BlockData::gemm_cost(&a, &b), 2 * 128u64.pow(3));
+    }
+
+    /// Bit patterns of a real block's values.
+    fn bits(b: &BlockData) -> Vec<u64> {
+        b.as_real()
+            .unwrap()
+            .as_slice()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn cached_packs_match_the_raw_kernel_bitwise() {
+        // Ragged orders exercise the micro-tile and MC-chunk tails;
+        // KC + 3 exceeds one panel and takes the raw-slice path.
+        for n in [1, 3, 5, 33, 130, kernel::KC + 3] {
+            let a = gen::seeded_matrix(n, 7);
+            let b = gen::seeded_matrix(n, 8);
+            let c0 = gen::seeded_matrix(n, 9);
+            let mut want = c0.as_slice().to_vec();
+            kernel::gemm_acc(&mut want, a.as_slice(), b.as_slice(), n, n, n);
+            let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+            let (a, b, c0) = (BlockData::real(a), BlockData::real(b), BlockData::real(c0));
+            let packed = a.pack_a();
+            // Twice: the first call packs `b`, the second reuses its pack.
+            for _ in 0..2 {
+                let mut raw_a = c0.clone();
+                raw_a.gemm_acc(&a, &b).unwrap();
+                assert_eq!(bits(&raw_a), want, "order {n}, A packed per call");
+                let mut packed_a = c0.clone();
+                packed_a.gemm_acc_packed(&packed, &b).unwrap();
+                assert_eq!(bits(&packed_a), want, "order {n}, A packed ahead");
+            }
+        }
+    }
+
+    #[test]
+    fn block_used_as_both_operands() {
+        let m = gen::seeded_matrix(33, 3);
+        let want = m.multiply(&m).unwrap();
+        let ab = BlockData::real(m);
+        let mut c = BlockData::zeros(33, 33);
+        c.gemm_acc_packed(&ab.pack_a(), &ab).unwrap();
+        assert_eq!(c.as_real().unwrap(), &want);
+    }
+
+    #[test]
+    fn accumulated_block_drops_its_stale_pack() {
+        let a = BlockData::real(gen::seeded_matrix(8, 1));
+        let b = BlockData::real(gen::seeded_matrix(8, 2));
+        let id = BlockData::real(Matrix::identity(8));
+        // `c` is packed as a `B` operand, then written (uniquely owned,
+        // so in place), then used as a `B` operand again.
+        let mut c = BlockData::real(gen::seeded_matrix(8, 3));
+        BlockData::zeros(8, 8).gemm_acc(&id, &c).unwrap();
+        c.gemm_acc(&a, &b).unwrap();
+        let mut got = BlockData::zeros(8, 8);
+        got.gemm_acc(&id, &c).unwrap();
+        let mut want = Matrix::zeros(8, 8);
+        let (idm, cm) = (id.as_real().unwrap(), c.as_real().unwrap());
+        kernel::gemm_acc(want.as_mut_slice(), idm.as_slice(), cm.as_slice(), 8, 8, 8);
+        assert_eq!(got.as_real().unwrap(), &want);
+    }
+
+    #[test]
+    fn clones_share_one_pack_and_copies_start_without() {
+        let blk = BlockData::real(gen::seeded_matrix(16, 4));
+        let alias = blk.clone();
+        let (BlockData::Real(x), BlockData::Real(y)) = (&blk, &alias) else {
+            unreachable!("real blocks");
+        };
+        assert!(std::ptr::eq(x.packed_b(), y.packed_b()));
+        let copy = RealBlock::clone(x);
+        assert!(copy.pack_b.get().is_none());
+        assert_eq!(&copy, x.as_ref());
+    }
+
+    #[test]
+    fn seeded_blocks_match_the_dense_stream() {
+        for (n, ab) in [(12, 1), (12, 4), (12, 12), (256, 32)] {
+            let want = BlockedMatrix::from_matrix(&gen::seeded_matrix(n, 77), ab).unwrap();
+            let got = BlockedMatrix::seeded(n, ab, 77).unwrap();
+            assert_eq!(got, want, "n={n} ab={ab}");
+            let bits = |m: &BlockedMatrix| -> Vec<u64> {
+                m.to_matrix()
+                    .unwrap()
+                    .as_slice()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&got), bits(&want));
+        }
+        assert!(BlockedMatrix::seeded(12, 5, 1).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::dense::Matrix;
 
 /// SplitMix64: a tiny, high-quality, dependency-free PRNG. Every stream
 /// is fully determined by its seed, which is all these generators need.
-struct SplitMix64(u64);
+pub(crate) struct SplitMix64(pub(crate) u64);
 
 impl SplitMix64 {
     fn next_u64(&mut self) -> u64 {
@@ -19,7 +19,7 @@ impl SplitMix64 {
     }
 
     /// Uniform in `[-1, 1)` using the top 53 bits.
-    fn next_unit(&mut self) -> f64 {
+    pub(crate) fn next_unit(&mut self) -> f64 {
         let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         2.0 * u - 1.0
     }

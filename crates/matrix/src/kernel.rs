@@ -16,9 +16,14 @@
 //!   of `B` stays L2-resident while `MC x KC` panels of `A` stream
 //!   through it;
 //! * both panels are repacked into contiguous micro-panels (`MR`-row
-//!   panels of `A`, `NR`-column panels of `B`) held in thread-local
-//!   buffers that are reused across calls, so steady-state packing does
-//!   no allocation;
+//!   panels of `A`, `NR`-column panels of `B`). A call on raw slices
+//!   packs them panel by panel into thread-local buffers reused across
+//!   calls. Operands whose order fits one panel (`k <= KC`, `n <= NC`)
+//!   can instead be packed once, whole, by [`pack_a`] and [`pack_b`]
+//!   and multiplied any number of times by [`gemm_packed`]: a
+//!   [`crate::BlockData`] keeps its `B` pack with the block from its
+//!   first use, and a carrier packs its `A` row once per visit to a PE
+//!   ([`crate::BlockData::pack_a`]);
 //! * the innermost [`MR`]`x`[`NR`] micro-kernel keeps all `MR * NR`
 //!   accumulators in registers and is written so LLVM autovectorizes
 //!   it; on x86-64 with AVX2+FMA an explicit intrinsics variant is
@@ -93,14 +98,119 @@ pub fn gemm_acc(c: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usiz
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
                 pack_b_panel(pack_b, b, n, pc, jc, kc, nc);
-                for ic in (0..m).step_by(MC) {
-                    let mc = MC.min(m - ic);
-                    pack_a_panel(pack_a, a, k, ic, pc, mc, kc);
-                    macro_kernel(c, n, ic, jc, mc, nc, kc, pack_a, pack_b, micro);
-                }
+                let rows = OperandA::Raw(a);
+                panel_rows(c, n, jc, nc, pc, kc, m, rows, k, pack_a, pack_b, micro);
             }
         }
     });
+}
+
+/// `true` when a `k x n` operand pair fits one packed panel
+/// (`k <= KC`, `n <= NC`), so [`gemm_packed`] applies.
+#[inline]
+pub const fn fits_one_panel(k: usize, n: usize) -> bool {
+    k <= KC && n <= NC
+}
+
+/// Pack all of the row-major `m x k` matrix `a` (`k <= KC`) into the
+/// `MR`-row micro-panels [`gemm_packed`] reads. The rows of each
+/// `MC`-row chunk are the panel [`gemm_acc`] packs for that chunk.
+///
+/// # Panics
+/// Panics when `a` has the wrong length or `k > KC`.
+pub fn pack_a(a: &[f64], m: usize, k: usize) -> Vec<f64> {
+    assert_eq!(a.len(), m * k, "a has wrong length");
+    assert!(k <= KC, "packed A deeper than one panel");
+    let mut dst = vec![0.0; m.next_multiple_of(MR) * k];
+    pack_a_panel(&mut dst, a, k, 0, 0, m, k);
+    dst
+}
+
+/// Pack all of the row-major `k x n` matrix `b` (`k <= KC`, `n <= NC`)
+/// into the `NR`-column micro-panels [`gemm_packed`] reads: the panel
+/// [`gemm_acc`] packs for it.
+///
+/// # Panics
+/// Panics when `b` has the wrong length or does not fit one panel.
+pub fn pack_b(b: &[f64], k: usize, n: usize) -> Vec<f64> {
+    assert_eq!(b.len(), k * n, "b has wrong length");
+    assert!(fits_one_panel(k, n), "packed B larger than one panel");
+    let mut dst = vec![0.0; k * n.next_multiple_of(NR)];
+    pack_b_panel(&mut dst, b, n, 0, 0, k, n);
+    dst
+}
+
+/// The `A` operand of [`gemm_packed`].
+#[derive(Clone, Copy)]
+pub enum OperandA<'a> {
+    /// Row-major values, packed chunk by chunk into the thread's buffer.
+    Raw(&'a [f64]),
+    /// Panels packed ahead by [`pack_a`].
+    Packed(&'a [f64]),
+}
+
+/// `c += a * b` with `b` packed ahead by [`pack_b`] and `a` raw or
+/// packed by [`pack_a`]. It runs the same packing, macro- and
+/// micro-kernel over the same panels as [`gemm_acc`], so the two are
+/// bitwise equal.
+///
+/// # Panics
+/// Panics when a length does not match the stated shape or the shape
+/// does not fit one panel.
+pub fn gemm_packed(c: &mut [f64], a: OperandA<'_>, pb: &[f64], m: usize, k: usize, n: usize) {
+    assert!(fits_one_panel(k, n), "packed operands larger than one panel");
+    let a_len = match a {
+        OperandA::Raw(a) => a.len() == m * k,
+        OperandA::Packed(pa) => pa.len() == m.next_multiple_of(MR) * k,
+    };
+    assert!(a_len, "a has wrong length");
+    assert_eq!(pb.len(), k * n.next_multiple_of(NR), "packed b has wrong length");
+    assert_eq!(c.len(), m * n, "c has wrong length");
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    let micro = micro_kernel_fn();
+    PACK_BUFS.with(|bufs| {
+        let pack_a = &mut bufs.borrow_mut().0;
+        let a_panel = MC.min(m).next_multiple_of(MR) * k;
+        if pack_a.len() < a_panel {
+            pack_a.resize(a_panel, 0.0);
+        }
+        panel_rows(c, n, 0, n, 0, k, m, a, k, pack_a, pb, micro);
+    });
+}
+
+/// Multiply all `m` rows of `A` by the packed `kc x nc` panel `pb` of
+/// `B` at `(pc, jc)`, one `MC`-row chunk at a time: the chunk's panels
+/// are sliced from a packed `A` (which holds all of `A`, so `pc = 0`
+/// and `kc = k`), or packed from a raw `a` (lead dim `lda`) into
+/// `buf`, and then run through the macro-kernel.
+#[allow(clippy::too_many_arguments)]
+fn panel_rows(
+    c: &mut [f64],
+    ldc: usize,
+    jc: usize,
+    nc: usize,
+    pc: usize,
+    kc: usize,
+    m: usize,
+    a: OperandA<'_>,
+    lda: usize,
+    buf: &mut [f64],
+    pb: &[f64],
+    micro: MicroKernel,
+) {
+    for ic in (0..m).step_by(MC) {
+        let mc = MC.min(m - ic);
+        let pa: &[f64] = match a {
+            OperandA::Packed(pa) => &pa[ic * kc..],
+            OperandA::Raw(a) => {
+                pack_a_panel(buf, a, lda, ic, pc, mc, kc);
+                buf
+            }
+        };
+        macro_kernel(c, ldc, ic, jc, mc, nc, kc, pa, pb, micro);
+    }
 }
 
 /// Pack `a[ic..ic+mc][pc..pc+kc]` (lead dim `lda`) into `MR`-row
@@ -343,6 +453,27 @@ mod tests {
                 fast.max_abs_diff(&refm) < 1e-9 * (k as f64),
                 "mismatch at {m}x{k}x{n}"
             );
+        }
+    }
+
+    #[test]
+    fn packed_operands_match_per_call_packing_bitwise() {
+        for (m, k, n) in [(1, 1, 1), (3, 5, 7), (MC + 5, 33, NR + 3), (130, KC, NC)] {
+            let a = Matrix::from_fn(m, k, |i, j| ((i * 31 + j * 7) % 13) as f64 / 7.0 - 0.9);
+            let b = Matrix::from_fn(k, n, |i, j| 0.5 - ((i + 2 * j) % 9) as f64 / 11.0);
+            let mut want = vec![0.25; m * n];
+            gemm_acc(&mut want, a.as_slice(), b.as_slice(), m, k, n);
+            let pb = pack_b(b.as_slice(), k, n);
+            let pa = pack_a(a.as_slice(), m, k);
+            for (how, av) in [
+                ("raw", OperandA::Raw(a.as_slice())),
+                ("packed", OperandA::Packed(&pa)),
+            ] {
+                let mut got = vec![0.25; m * n];
+                gemm_packed(&mut got, av, &pb, m, k, n);
+                let same = got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "{m}x{k}x{n} with {how} A");
+            }
         }
     }
 

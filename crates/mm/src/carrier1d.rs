@@ -12,6 +12,7 @@ use crate::config::MmConfig;
 use crate::net;
 use crate::util::{a_key, b_key, c_key, gemm_flops, gemm_touched, insert_block, new_c_block, Topo1D};
 use navp::{Effect, Messenger, MsgrCtx, NodeId, WireSnapshot};
+use navp_matrix::block::PackedA;
 use navp_matrix::BlockData;
 use navp_net::codec::{DecodeError, WireReader, WireWriter};
 
@@ -87,16 +88,16 @@ impl RowCarrier {
         self.picked = true;
     }
 
-    /// Compute `C(mi, col)` on the current PE.
-    fn compute_col(&mut self, ctx: &mut MsgrCtx<'_>, col: usize) {
-        let nb = self.cfg.nb();
+    /// Compute `C(mi, col)` on the current PE from `row`, this
+    /// carrier's `mA` packed for the visit.
+    fn compute_col(&self, ctx: &mut MsgrCtx<'_>, col: usize, row: &[PackedA<'_>]) {
         let mut c = new_c_block(self.cfg.payload, self.cfg.ab);
-        for (k, a_blk) in self.m_a.iter().enumerate().take(nb) {
+        for (k, a_blk) in row.iter().enumerate() {
             let b = ctx
                 .store()
                 .get::<BlockData>(b_key(k, col))
                 .expect("B column resident on its owner PE");
-            c.gemm_acc(a_blk, b).expect("uniform block shapes");
+            c.gemm_acc_packed(a_blk, b).expect("uniform block shapes");
             ctx.charge_flops(gemm_flops(self.cfg.ab));
             ctx.charge_touched(gemm_touched(self.cfg.ab));
         }
@@ -115,10 +116,12 @@ impl Messenger for RowCarrier {
         // not preemptive), so all consecutive columns resident here are
         // one step — this is what lets a pipelined successor start on
         // this PE only after we are done with it, and not interleave.
+        // `mA` is packed once for the visit and dropped when it ends.
+        let row: Vec<PackedA<'_>> = self.m_a.iter().map(BlockData::pack_a).collect();
         loop {
             let col = self.col(self.mj);
             debug_assert_eq!(ctx.here(), self.topo.pe_of_col(col));
-            self.compute_col(ctx, col);
+            self.compute_col(ctx, col, &row);
             self.mj += 1;
             if self.mj == nb {
                 return Effect::Done;

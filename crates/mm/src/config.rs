@@ -64,14 +64,10 @@ impl MmConfig {
     /// Build the input operands as blocked matrices.
     pub fn operands(&self) -> Result<(BlockedMatrix, BlockedMatrix), MatrixError> {
         match self.payload {
-            Payload::Real { seed_a, seed_b } => {
-                let a = navp_matrix::gen::seeded_matrix(self.n, seed_a);
-                let b = navp_matrix::gen::seeded_matrix(self.n, seed_b);
-                Ok((
-                    BlockedMatrix::from_matrix(&a, self.ab)?,
-                    BlockedMatrix::from_matrix(&b, self.ab)?,
-                ))
-            }
+            Payload::Real { seed_a, seed_b } => Ok((
+                BlockedMatrix::seeded(self.n, self.ab, seed_a)?,
+                BlockedMatrix::seeded(self.n, self.ab, seed_b)?,
+            )),
             Payload::Phantom => Ok((
                 BlockedMatrix::phantom(self.n, self.ab)?,
                 BlockedMatrix::phantom(self.n, self.ab)?,
@@ -85,8 +81,13 @@ impl MmConfig {
         match self.payload {
             Payload::Phantom => Ok(None),
             Payload::Real { .. } => {
-                let (a, b) = self.operands()?;
-                Ok(Some(a.multiply_blocked(&b)?.to_matrix()?))
+                // Drop the operands, and the packs their blocks keep,
+                // before the dense product is allocated: peak memory.
+                let c = {
+                    let (a, b) = self.operands()?;
+                    a.multiply_blocked(&b)?
+                };
+                Ok(Some(c.to_matrix()?))
             }
         }
     }

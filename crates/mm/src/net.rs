@@ -215,6 +215,22 @@ mod tests {
     }
 
     #[test]
+    fn a_packed_block_encodes_as_its_values() {
+        let m = navp_matrix::gen::seeded_matrix(8, 5);
+        let packed = BlockData::real(m.clone());
+        // Use it as a `B` operand, which fills its pack.
+        BlockData::zeros(8, 8).gemm_acc(&BlockData::real(m.clone()), &packed).unwrap();
+        let bytes = |b: &BlockData| {
+            let mut w = WireWriter::new();
+            put_block(&mut w, b);
+            w.into_vec()
+        };
+        assert_eq!(bytes(&packed), bytes(&BlockData::real(m)));
+        let buf = bytes(&packed);
+        assert_eq!(get_block(&mut WireReader::new(&buf)).unwrap(), packed);
+    }
+
+    #[test]
     fn block_value_codec_claims_blocks() {
         register_net();
         let b = BlockData::real(navp_matrix::gen::seeded_matrix(2, 3));

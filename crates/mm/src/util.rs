@@ -2,7 +2,7 @@
 //! cost charging, data placement and result collection.
 
 use crate::config::{MmConfig, Payload};
-use navp_matrix::{BlockData, BlockedMatrix, Dist1D, Dist2D, Grid2D, Matrix, MatrixError};
+use navp_matrix::{BlockData, Dist1D, Dist2D, Grid2D, Matrix, MatrixError};
 use navp_sim::key::Key;
 use navp_sim::store::NodeStore;
 
@@ -141,8 +141,8 @@ pub fn collect_c(
     cfg: &MmConfig,
     owner: impl Fn(usize, usize) -> usize,
 ) -> Result<Option<Matrix>, MatrixError> {
-    let nb = cfg.nb();
-    let mut out = BlockedMatrix::zeros(cfg.n, cfg.ab)?;
+    let (nb, ab) = (cfg.nb(), cfg.ab);
+    let mut out = Matrix::zeros(cfg.n, cfg.n);
     let mut any_phantom = false;
     for bi in 0..nb {
         for bj in 0..nb {
@@ -150,23 +150,19 @@ pub fn collect_c(
             let block: BlockData = stores[pe]
                 .take(c_key(bi, bj))
                 .ok_or(MatrixError::Degenerate("missing C block after run"))?;
-            if block.is_phantom() {
-                any_phantom = true;
-            } else {
-                out.put_block(bi, bj, block);
+            match block.as_real() {
+                Ok(m) => out.set_submatrix(bi * ab, bj * ab, m),
+                Err(_) => any_phantom = true,
             }
         }
     }
-    if any_phantom {
-        Ok(None)
-    } else {
-        Ok(Some(out.to_matrix()?))
-    }
+    Ok((!any_phantom).then_some(out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use navp_matrix::BlockedMatrix;
 
     #[test]
     fn keys_are_distinct_namespaces() {
