@@ -1,12 +1,11 @@
 //! Wall-clock perf baseline: packed vs naive GEMM kernel GFLOP/s,
-//! NavP-stage wall times with effective hop bandwidth, the flight
-//! recorder's on-vs-off overhead on phase1d, and mesh
-//! scaling rows (phase1d over loopback TCP at 4/16/64 PEs), and the
-//! paper's Table 1 ladder at N=1536 on two thread PEs, written as
-//! machine-readable JSON (`BENCH_kernel.json`, `BENCH_stages.json`) at
-//! the repo root. With `--kv` the binary benches the key-value
-//! workload instead — journey steps across 1/2/4 PEs, ops/s and scan
-//! bandwidth — against `BENCH_kv.json`.
+//! NavP-stage wall times, the flight recorder's on-vs-off overhead on
+//! phase1d, mesh scaling rows (phase1d over loopback TCP at 4/16/64
+//! PEs), and the paper's Table 1 ladder at N=1536 on two thread PEs,
+//! written as machine-readable JSON (`BENCH_kernel.json`,
+//! `BENCH_stages.json`) at the repo root. With `--kv` the binary
+//! benches the key-value workload instead — journey steps across
+//! 1/2/4 PEs as ops/s — against `BENCH_kv.json`.
 //!
 //! Usage: `cargo run --release -p navp-bench --bin perf [-- --kv] [-- --quick] [-- --check]`
 //!
@@ -178,12 +177,8 @@ fn block_near_one_call(groups: &[Group]) -> bool {
 }
 
 /// Stage section: each NavP pipeline stage timed wall-clock on real
-/// threads. Per stage the first group reports GFLOP/s (2n³ flops per
-/// run); the second derives effective hop bandwidth — payload bytes
-/// moved between PEs divided by the same measured wall times — from
-/// the transfer accounting of a verified probe run, since the byte
-/// traffic of a stage is deterministic.
-fn bench_stages(opts: &Opts) -> Vec<Group> {
+/// threads, reported as GFLOP/s (2n³ flops per run).
+fn bench_stages(opts: &Opts) -> Group {
     // nb must be divisible by the grid dims used below (line(4), 2x2).
     let (n, ab) = if opts.quick { (256, 32) } else { (384, 32) };
     let samples = if opts.quick { 3 } else { 7 };
@@ -193,36 +188,23 @@ fn bench_stages(opts: &Opts) -> Vec<Group> {
         .sample_size(samples)
         .warmup(1)
         .flops(flops);
-    let mut hops = Group::new(&format!("hop_bandwidth_n{n}")).sample_size(samples);
     for stage in NavpStage::ALL {
         let grid = if stage.is_1d() {
             Grid2D::line(4).expect("grid")
         } else {
             Grid2D::new(2, 2).expect("grid")
         };
-        // One verified probe: checks the answer against the sequential
-        // reference and records the (deterministic) hop byte traffic.
+        // One verified probe checks the answer against the sequential
+        // reference; the timed samples skip the check.
         let probe = run_navp(stage, &cfg, grid, Run::on(On::Threads)).expect("run");
         assert_eq!(probe.verified, Some(true), "{} failed to verify", stage.name());
-        let e = wall
-            .bench(stage.name(), || {
-                run_navp(stage, &cfg, grid, Run::on(On::Threads).unverified())
-                    .expect("run")
-                    .wall
-            })
-            .clone();
-        // Same measured wall samples, re-expressed as bytes-over-wire
-        // per second. transfers is recorded for the JSON consumer.
-        hops.record(Entry {
-            label: format!("{}_{}transfers", stage.name(), probe.transfers),
-            samples: e.samples,
-            min_ns: e.min_ns,
-            median_ns: e.median_ns,
-            p90_ns: e.p90_ns,
-            metric: Some(Metric::Bytes(probe.bytes)),
+        wall.bench(stage.name(), || {
+            run_navp(stage, &cfg, grid, Run::on(On::Threads).unverified())
+                .expect("run")
+                .wall
         });
     }
-    vec![wall, hops]
+    wall
 }
 
 /// Matrix order and block order of the ladder: the paper's Table 1.
@@ -310,42 +292,51 @@ fn ladder_ranked(groups: &[Group]) -> bool {
 }
 
 /// Flight-recorder overhead section: phase1d on real threads with the
-/// recorder at its default (on) versus forced off. The recorder's
-/// contract is to be an *observer* — `tests/obs.rs` pins the products
-/// bitwise identical — and this group pins the cost side: the
-/// committed `flight_on` / `flight_off` rows let `perf --check` catch
-/// a future event that silently makes recording expensive.
+/// recorder on versus forced off. The recorder's contract is to be an
+/// *observer* — `tests/obs.rs` pins the products bitwise identical —
+/// and this group pins the cost side: the committed `flight_on` /
+/// `flight_off` rows let `perf --check` catch a future event that
+/// silently makes recording expensive. Samples alternate on, off, on,
+/// off… so a host slow phase lands on both rows alike, and the
+/// printed overhead is the median of the per-pair on/off ratios.
 fn bench_recorder_overhead() -> Group {
     let (n, ab) = (256, 32);
-    let samples = 9;
+    let (warmup, pairs) = (1, 9);
     let cfg = MmConfig::real(n, ab);
     let grid = Grid2D::line(4).expect("grid");
-    let mut g = Group::new(&format!("recorder_overhead_n{n}"))
-        .sample_size(samples)
-        .warmup(1)
-        .flops(2 * (n as u64).pow(3));
+    let flops = Some(Metric::Flops(2 * (n as u64).pow(3)));
     let was = navp_obs::flight().enabled();
-    let mut timed = |label: &str, on: bool| {
+    let sample = |on: bool| {
         navp_obs::flight().set_enabled(on);
-        g.bench(label, || {
-            run_navp(
-                NavpStage::Phase1D,
-                &cfg,
-                grid,
-                Run::on(On::Threads).unverified(),
-            )
-            .expect("run")
-            .wall
-        })
-        .clone()
+        run_navp(
+            NavpStage::Phase1D,
+            &cfg,
+            grid,
+            Run::on(On::Threads).unverified(),
+        )
+        .expect("run")
+        .wall
+        .expect("wall-clock executor")
     };
-    let on = timed("flight_on", true);
-    let off = timed("flight_off", false);
+    for _ in 0..warmup {
+        sample(true);
+        sample(false);
+    }
+    let (on, off): (Vec<Duration>, Vec<Duration>) =
+        (0..pairs).map(|_| (sample(true), sample(false))).unzip();
     navp_obs::flight().set_enabled(was);
-    let overhead = on.median_ns as f64 / off.median_ns.max(1) as f64 - 1.0;
+    let mut ratios: Vec<f64> = on
+        .iter()
+        .zip(&off)
+        .map(|(a, b)| a.as_secs_f64() / b.as_secs_f64().max(1e-12))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let mut g = Group::new(&format!("recorder_overhead_n{n}"));
+    g.record(Entry::from_samples("flight_on", on, flops));
+    g.record(Entry::from_samples("flight_off", off, flops));
     println!(
-        "recorder_overhead_n{n}: flight on is {:+.2}% vs off (median)",
-        overhead * 100.0
+        "recorder_overhead_n{n}: flight on is {:+.2}% vs off (median of {pairs} paired on/off ratios)",
+        (ratios[ratios.len() / 2] - 1.0) * 100.0
     );
     g
 }
@@ -355,13 +346,11 @@ fn bench_recorder_overhead() -> Group {
 /// The matrix order is fixed at 256 and the block order shrinks as
 /// `ab = n / (2p)`, so every PE always owns two block rows and the
 /// per-hop payload shrinks as the mesh grows — exactly the
-/// many-small-frames regime the batching event loop exists for. Wall
-/// entries report GFLOP/s; the companion group re-expresses the same
-/// measured walls as effective hop bandwidth from the deterministic
-/// byte traffic of a verified probe run. The problem is already
-/// CI-sized, so quick and full runs are the same and `--check --quick`
-/// shares every scaling entry with the full committed baseline.
-fn bench_net_scaling() -> Vec<Group> {
+/// many-small-frames regime the batching event loop exists for.
+/// Entries report GFLOP/s. The problem is already CI-sized, so quick
+/// and full runs are the same and `--check --quick` shares every
+/// scaling entry with the full committed baseline.
+fn bench_net_scaling() -> Group {
     let n = 256usize;
     let samples = 5;
     let net_opts = NetOpts::default();
@@ -369,51 +358,35 @@ fn bench_net_scaling() -> Vec<Group> {
         .sample_size(samples)
         .warmup(1)
         .flops(2 * (n as u64).pow(3));
-    let mut hops = Group::new(&format!("hop_bandwidth_net_scaling_n{n}")).sample_size(samples);
     for pes in [4usize, 16, 64] {
         let ab = n / (2 * pes);
         let cfg = MmConfig::real(n, ab);
         let grid = Grid2D::line(pes).expect("grid");
         let run = || Run::on(On::Net(&net_opts)).watchdog(Some(Duration::from_secs(120)));
-        // One probe records the deterministic hop byte traffic; every
-        // timed sample also verifies against the sequential product (a
-        // plain `Run` verifies), so a scaling row can never be
-        // fast-but-wrong.
+        // Every run, the probe and each timed sample, verifies against
+        // the sequential product (a plain `Run` verifies), so a scaling
+        // row can never be fast-but-wrong.
         let probe = run_navp(NavpStage::Phase1D, &cfg, grid, run()).expect("net run");
         assert_eq!(
             probe.verified,
             Some(true),
             "phase1d on {pes} PEs failed to verify"
         );
-        let label = format!("phase1d_p{pes}");
-        let e = wall
-            .bench(&label, || {
-                run_navp(NavpStage::Phase1D, &cfg, grid, run())
-                    .expect("net run")
-                    .wall
-            })
-            .clone();
-        hops.record(Entry {
-            label,
-            samples: e.samples,
-            min_ns: e.min_ns,
-            median_ns: e.median_ns,
-            p90_ns: e.p90_ns,
-            metric: Some(Metric::Bytes(probe.bytes)),
+        wall.bench(&format!("phase1d_p{pes}"), || {
+            run_navp(NavpStage::Phase1D, &cfg, grid, run())
+                .expect("net run")
+                .wall
         });
     }
-    vec![wall, hops]
+    wall
 }
 
 /// Key-value section: each journey step timed wall-clock on real
 /// threads across 1-, 2- and 4-PE meshes (the sequential anchor only
-/// on 1 — it collapses to one PE regardless). The first group reports
-/// operation throughput; the second derives scan bandwidth — entries
-/// returned by scans times the value payload, over the same measured
-/// wall times — from a verified probe run, since a config's scan
-/// traffic is deterministic. The workload is small enough that quick
-/// and full runs are the same, so `--check --quick` shares every entry
-/// with the full committed baseline.
+/// on 1 — it collapses to one PE regardless), reported as operation
+/// throughput. The workload is small enough that quick and full runs
+/// are the same, so `--check --quick` shares every entry with the full
+/// committed baseline.
 fn bench_kv() -> Vec<Group> {
     let (ops, batches) = (4_000, 16);
     let samples = 9;
@@ -422,7 +395,6 @@ fn bench_kv() -> Vec<Group> {
         .sample_size(samples)
         .warmup(1)
         .metric_of(Metric::Elems(ops as u64));
-    let mut scans = Group::new(&format!("kv_scan_bandwidth_ops{ops}")).sample_size(samples);
     let mut points = vec![(1, KvStage::Seq)];
     for pes in [2, 4] {
         for stage in [KvStage::Dsc, KvStage::Pipe, KvStage::Phase] {
@@ -430,9 +402,8 @@ fn bench_kv() -> Vec<Group> {
         }
     }
     for (pes, stage) in points {
-        // One verified probe: checks the product against the
-        // sequential reference and records the deterministic scan
-        // volume this (config, step) pair produces.
+        // One verified probe checks the product against the
+        // sequential reference; the timed samples skip the check.
         let probe = run_kv(stage, &cfg, pes, Run::on(On::Threads)).expect("run");
         assert_eq!(
             probe.verified,
@@ -440,24 +411,13 @@ fn bench_kv() -> Vec<Group> {
             "{} on {pes} PEs failed to verify",
             stage.name()
         );
-        let label = format!("{}_p{pes}", stage.name());
-        let e = wall
-            .bench(&label, || {
-                run_kv(stage, &cfg, pes, Run::on(On::Threads).unverified())
-                    .expect("run")
-                    .wall
-            })
-            .clone();
-        scans.record(Entry {
-            label,
-            samples: e.samples,
-            min_ns: e.min_ns,
-            median_ns: e.median_ns,
-            p90_ns: e.p90_ns,
-            metric: Some(Metric::Bytes(probe.stats.scanned * cfg.value_len as u64)),
+        wall.bench(&format!("{}_p{pes}", stage.name()), || {
+            run_kv(stage, &cfg, pes, Run::on(On::Threads).unverified())
+                .expect("run")
+                .wall
         });
     }
-    vec![wall, scans]
+    vec![wall]
 }
 
 /// Load one committed baseline, exiting with a usage hint if absent.
@@ -567,9 +527,9 @@ fn main() {
 
     let groups = rounds(ROUNDS, || {
         let mut groups = bench_kernel(&opts);
-        groups.extend(bench_stages(&opts));
+        groups.push(bench_stages(&opts));
         groups.push(bench_recorder_overhead());
-        groups.extend(bench_net_scaling());
+        groups.push(bench_net_scaling());
         if !opts.quick {
             groups.push(bench_ladder());
         }

@@ -209,9 +209,8 @@ impl Group {
         self.record(Entry::from_samples(label, times, metric))
     }
 
-    /// Record an externally measured result — used by `--bin perf` to
-    /// derive hop-bandwidth entries from already-timed runs without
-    /// running them again under a second metric.
+    /// Record an externally measured result — used by `--bin perf` for
+    /// rows whose samples it times itself (interleaved or normalized).
     pub fn record(&mut self, entry: Entry) -> &Entry {
         let mut line = format!(
             "{}/{}: min {} | median {} | p90 {} ({} samples)",

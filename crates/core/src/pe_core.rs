@@ -11,8 +11,9 @@
 //!   executor), self-hops and waits on banked events, which continue the
 //!   same run;
 //! * the fault plan's lost-signal check and the bad-hop check;
-//! * hop-byte accounting, every [`RunMetrics`] update, the PE's flight
-//!   lane and its wall-clock span recorder;
+//! * hop-byte accounting, every [`RunMetrics`] update and the PE's
+//!   flight events — the one record of what happened, from which a
+//!   traced run's wall-clock trace is derived;
 //! * the run-boundary crash/restart and the per-run journal commit.
 //!
 //! What differs between executors is only their clock and transport,
@@ -30,8 +31,8 @@
 //! event service, admits the time-zero injections and spills the
 //! boundary-0 cut; the executor only decides what to do with each
 //! admitted messenger. `teardown` gives the cores back as stores, one
-//! summed [`Tally`] and the span logs. Every executor is configured by
-//! one [`RunOpts`].
+//! summed [`Tally`] and the traced cores' logs. Every executor is
+//! configured by one [`RunOpts`].
 
 use crate::agent::{Effect, Messenger, MsgrCtx, StepOutputs, WireSnapshot};
 use crate::cluster::Cluster;
@@ -40,27 +41,22 @@ use crate::error::RunError;
 use crate::fault::{FaultPlan, FaultStats, FaultTracker, HopFault};
 use crate::recovery::{CheckpointTable, WriteJournal};
 use navp_metrics::RunMetrics;
-use navp_obs::{EventKind, Lane};
+use navp_obs::{
+    flight, EventKind, FlightEvent, Lane, FAULT_SITE_CRASH, FAULT_SITE_DELAY, FAULT_SITE_DROP,
+};
 use navp_sim::key::{EventKey, NodeId};
 use navp_sim::store::NodeStore;
 use navp_sim::VTime;
-use navp_trace::recorder::DEFAULT_CAPACITY;
-use navp_trace::{PeLog, PeRecorder, TraceKind};
+use navp_trace::PeLog;
 use std::collections::{HashMap, VecDeque};
 use std::ops::{DerefMut, Range};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Fixed per-hop state overhead in bytes (thread control block, program
 /// counter, daemon bookkeeping) — the paper's "small amount of state data".
 pub const HOP_STATE_BYTES: u64 = 256;
-
-/// Flight-recorder `FaultInjected` site codes (the event's `a`
-/// operand): which fault mechanism fired.
-const FAULT_SITE_DELAY: u64 = 1;
-const FAULT_SITE_DROP: u64 = 2;
-const FAULT_SITE_CRASH: u64 = 3;
 
 /// Record that a fault-plan injection fired at `site` on PE `pe`.
 fn injected(lane: &Lane, pe: NodeId, run: u64, site: u64, detail: u64) {
@@ -303,7 +299,7 @@ pub struct Parked<M> {
     pub id: u64,
     /// PE the messenger parked on (it resumes there when woken).
     pub origin: NodeId,
-    /// Park time on the parking executor's clock (0 when nobody reads it).
+    /// Park time on the flight clock (0 when nobody reads it).
     pub parked_ns: u64,
     /// The parked state.
     pub msgr: M,
@@ -593,7 +589,7 @@ pub trait PeIo {
     ) -> Result<Option<Box<dyn Messenger>>, RunError>;
 
     /// Send messenger `id` (carrying `bytes`, left at `sent_ns` on the
-    /// span clock) to PE `dst`.
+    /// flight clock) to PE `dst`.
     fn hop(
         &mut self,
         id: u64,
@@ -623,11 +619,11 @@ pub enum Arrival {
     Hop {
         /// Sending PE.
         from: NodeId,
-        /// Departure stamp on the sender's span clock.
+        /// Departure stamp on the sender's flight clock.
         sent_ns: u64,
         /// Payload plus [`HOP_STATE_BYTES`].
         bytes: u64,
-        /// Arrival stamp on the receiver's span clock (0: when the
+        /// Arrival stamp on the receiver's flight clock (0: when the
         /// receiving core sees it).
         landed_ns: u64,
     },
@@ -669,7 +665,7 @@ impl std::iter::Sum for Tally {
 }
 
 /// One PE: its node store, its slice of the metric set, its flight lane
-/// and span recorder, and the run loop.
+/// and the run loop.
 pub struct PeCore {
     pe: NodeId,
     pes: usize,
@@ -679,10 +675,9 @@ pub struct PeCore {
     run: u64,
     lane: Arc<Lane>,
     metrics: Option<Arc<RunMetrics>>,
-    recorder: PeRecorder,
-    /// Park-time clock for metered-but-untraced runs; also the
-    /// recorder's anchor.
-    anchor: Instant,
+    /// The label of each messenger at its first delivery here; kept
+    /// only when the lane is a traced run's own.
+    labels: Option<HashMap<u64, String>>,
     out: StepOutputs,
     /// What this PE has done so far.
     pub tally: Tally,
@@ -690,8 +685,10 @@ pub struct PeCore {
 
 impl PeCore {
     /// PE `pe` of `pes`, owning `store`; flight events go to `lane`,
-    /// metrics (when on) into this PE's slot of `metrics`. Spans are off
-    /// and the run namespace is 0 until set.
+    /// metrics (when on) into this PE's slot of `metrics`. The run
+    /// namespace is 0 until set. A core recording into a run lane
+    /// ([`navp_obs::Flight::run_lane`]) is traced: it also keeps the
+    /// labels its trace is rendered with.
     pub fn new(
         pe: NodeId,
         pes: usize,
@@ -699,26 +696,17 @@ impl PeCore {
         lane: Arc<Lane>,
         metrics: Option<Arc<RunMetrics>>,
     ) -> PeCore {
-        let anchor = Instant::now();
         PeCore {
             pe,
             pes,
             store,
             run: 0,
+            labels: lane.is_run_lane().then(HashMap::new),
             lane,
             metrics,
-            recorder: PeRecorder::with_anchor(anchor, false, DEFAULT_CAPACITY),
-            anchor,
             out: StepOutputs::default(),
             tally: Tally::default(),
         }
-    }
-
-    /// Record spans iff `trace`, on the clock anchored at `anchor`.
-    pub fn with_trace(mut self, anchor: Instant, trace: bool) -> PeCore {
-        self.anchor = anchor;
-        self.recorder = PeRecorder::with_anchor(anchor, trace, DEFAULT_CAPACITY);
-        self
     }
 
     /// Stamp flight events with run namespace `run`.
@@ -737,14 +725,44 @@ impl PeCore {
         &self.lane
     }
 
-    /// This PE's span recorder.
-    pub fn recorder(&mut self) -> &mut PeRecorder {
-        &mut self.recorder
+    /// A traced core's log: its lane and labels, on the process flight
+    /// clock (offset 0). `None` when untraced.
+    pub fn trace_log(&self) -> Option<PeLog> {
+        let labels = self.labels.as_ref()?;
+        let mut labels: Vec<(u64, String)> =
+            labels.iter().map(|(id, l)| (*id, l.clone())).collect();
+        labels.sort_unstable();
+        Some(PeLog {
+            pe: self.pe,
+            offset_ns: 0,
+            lane: self.lane.snapshot(),
+            labels,
+        })
     }
 
-    /// Record a flight event of this PE's run.
-    fn flight(&self, kind: EventKind, a: u64, b: u64) {
-        self.lane.record(kind, self.pe as u32, self.run, a, b);
+    /// The flight clock, read when anything records or meters; 0
+    /// otherwise, so an unobserved run reads no clock.
+    fn now(&self) -> u64 {
+        if self.metrics.is_some() || self.lane.on() {
+            flight().now_ns()
+        } else {
+            0
+        }
+    }
+
+    /// Record messenger `id`'s event of this PE's run: a span from `t0`
+    /// to `t`, an instant when they are equal.
+    fn event(&self, kind: EventKind, id: u64, t0: u64, t: u64, a: u64, b: u64) {
+        self.lane.put(FlightEvent {
+            t0_ns: t0,
+            t_ns: t,
+            kind: kind as u8,
+            pe: self.pe as u32,
+            run: self.run,
+            id,
+            a,
+            b,
+        });
     }
 
     fn pe_metrics(&self) -> Option<&navp_metrics::PeMetrics> {
@@ -769,21 +787,9 @@ impl PeCore {
         }
     }
 
-    /// Park-time clock: the recorder's when tracing (so spans and
-    /// metrics agree), the anchor when only metered, 0 otherwise.
-    fn clock_ns(&self) -> u64 {
-        if self.recorder.is_enabled() {
-            self.recorder.now_ns()
-        } else if self.metrics.is_some() {
-            self.anchor.elapsed().as_nanos() as u64
-        } else {
-            0
-        }
-    }
-
     /// Messenger `id` was delivered here `via` a hop or a wake-up:
     /// record the transfer or the event wait that delivery ends.
-    pub fn arrived(&mut self, id: u64, via: &Arrival, msgr: &dyn Messenger) {
+    pub fn arrived(&mut self, id: u64, via: &Arrival) {
         match *via {
             Arrival::Fresh | Arrival::Wake { parked_ns: 0 } => {}
             Arrival::Hop {
@@ -792,27 +798,15 @@ impl PeCore {
                 bytes,
                 landed_ns,
             } => {
-                self.flight(EventKind::HopRecv, from as u64, bytes);
-                if self.recorder.is_enabled() {
-                    let end = match landed_ns {
-                        0 => self.recorder.now_ns(),
-                        t => t,
-                    };
-                    let kind = TraceKind::Transfer {
-                        from,
-                        to: self.pe,
-                        bytes,
-                    };
-                    self.recorder.record(sent_ns, end, id, &msgr.label(), kind);
-                }
+                let t = match landed_ns {
+                    0 => self.now(),
+                    t => t,
+                };
+                self.event(EventKind::HopRecv, id, sent_ns, t, from as u64, bytes);
             }
             Arrival::Wake { parked_ns } => {
-                let now = self.clock_ns();
-                if self.recorder.is_enabled() {
-                    let kind = TraceKind::Block { pe: self.pe };
-                    self.recorder
-                        .record(parked_ns, now, id, &msgr.label(), kind);
-                }
+                let now = self.now();
+                self.event(EventKind::Block, id, parked_ns, now, 0, 0);
                 if let Some(m) = &self.metrics {
                     observe_park(m, self.pe, now.saturating_sub(parked_ns));
                 }
@@ -821,16 +815,13 @@ impl PeCore {
     }
 
     /// Close the run's Exec span; returns the end stamp.
-    fn end_exec(&mut self, start: u64, id: u64, label: &str) -> u64 {
-        let now = self.recorder.now_ns();
-        if self.recorder.is_enabled() {
-            self.recorder
-                .record(start, now, id, label, TraceKind::Exec { pe: self.pe });
-        }
+    fn end_exec(&self, start: u64, id: u64) -> u64 {
+        let now = self.now();
+        self.event(EventKind::Exec, id, start, now, 0, 0);
         now
     }
 
-    /// One run of messenger `id`, delivered here: the run-boundary crash
+/// One run of messenger `id`, delivered here: the run-boundary crash
     /// check, then steps until it hops away, parks, or finishes, then
     /// the journal commit. Returns `false` when a crash consumed the
     /// delivery instead (its checkpoint was re-delivered).
@@ -840,26 +831,22 @@ impl PeCore {
         id: u64,
         mut msgr: Box<dyn Messenger>,
     ) -> Result<bool, RunError> {
+        if let Some(labels) = &mut self.labels {
+            labels.entry(id).or_insert_with(|| msgr.label());
+        }
         let restart = match io.recovery() {
             Some(mut r) => r.run_boundary(self.pe, &self.lane, self.run)?,
             None => None,
         };
         if let Some((store, redelivered)) = restart {
             self.store = store;
-            self.recorder
-                .instant(u64::MAX, "crash", TraceKind::Fault { pe: self.pe });
             io.restarted(redelivered);
             return Ok(false);
         }
 
         // One Exec span per run; self-hops and banked waits extend it.
         let pe = self.pe;
-        let label = if self.recorder.is_enabled() {
-            msgr.label()
-        } else {
-            String::new()
-        };
-        let exec_start = self.recorder.now_ns();
+        let exec_start = self.now();
         let metrics = self.metrics.clone();
         let pm = metrics.as_ref().and_then(|m| m.pe(pe));
         loop {
@@ -885,7 +872,10 @@ impl PeCore {
                 self.tally.spawned += 1;
                 io.inject(inj_id, inj);
             }
-            for key in self.out.signals.drain(..) {
+            // Taken out (and put back, keeping its buffer) so the loop
+            // can record through `self`.
+            let mut signals = std::mem::take(&mut self.out.signals);
+            for key in signals.drain(..) {
                 if io.recovery().is_some_and(|mut r| r.signal_lost(pe)) {
                     continue;
                 }
@@ -893,10 +883,10 @@ impl PeCore {
                 if let Some(p) = pm {
                     p.signals.inc();
                 }
-                self.lane
-                    .record(EventKind::Signal, pe as u32, self.run, id, 0);
-                self.recorder.instant(id, &label, TraceKind::Signal { pe });
+                let t = self.now();
+                self.event(EventKind::Signal, id, t, t, 0, 0);
             }
+            self.out.signals = signals;
 
             match effect {
                 Effect::Hop(dst) if dst == pe => continue,
@@ -920,25 +910,25 @@ impl PeCore {
                         }
                         m.hop_payload_bytes.observe(payload);
                     }
-                    self.flight(EventKind::HopSend, dst as u64, bytes);
-                    let sent_ns = self.end_exec(exec_start, id, &label);
+                    let sent_ns = self.end_exec(exec_start, id);
+                    self.event(EventKind::HopSend, id, sent_ns, sent_ns, dst as u64, bytes);
                     io.hop(id, dst, bytes, sent_ns, msgr)?;
                     break;
                 }
                 Effect::WaitEvent(key) => {
-                    let parked_ns = self.clock_ns();
+                    let parked_ns = self.now();
                     if let Some(m) = io.wait(id, key, msgr, parked_ns)? {
                         msgr = m;
                         continue;
                     }
-                    self.end_exec(exec_start, id, &label);
+                    self.end_exec(exec_start, id);
                     if let Some(p) = pm {
                         p.waits.inc();
                     }
                     break;
                 }
                 Effect::Done => {
-                    self.end_exec(exec_start, id, &label);
+                    self.end_exec(exec_start, id);
                     if let Some(mut r) = io.recovery() {
                         r.forget(id);
                     }
@@ -955,12 +945,13 @@ impl PeCore {
     }
 }
 
-/// What every executor runs under: span tracing, live metrics and a
-/// durable spill target.
+/// What every executor runs under: tracing, live metrics and a durable
+/// spill target.
 #[derive(Default)]
 pub struct RunOpts {
-    /// Record a trace: wall-clock spans on the thread and net
-    /// executors, the virtual-time trace on the simulator.
+    /// Record a trace: keep each PE's flight events in a run lane of
+    /// its own on the thread and net executors, the virtual-time trace
+    /// on the simulator.
     pub trace: bool,
     /// Export live metrics into this set.
     pub metrics: Option<Arc<RunMetrics>>,
@@ -983,14 +974,17 @@ pub struct Host {
     pub events: Vec<EventKey>,
     /// Run namespace stamped into flight events (0 in process).
     pub run: u64,
-    /// The span clock every hosted core shares; `None` records no
-    /// wall-clock spans.
-    pub anchor: Option<Instant>,
 }
 
-/// The flight lane of PE `pe` on the thread and net executors.
-pub fn pe_lane(pe: NodeId) -> Arc<Lane> {
-    navp_obs::flight().lane(&format!("pe{pe}"))
+/// The flight lane of PE `pe` on the thread and net executors: the
+/// shared `pe{k}` lane, or on a traced run a fresh run lane that keeps
+/// the run's events until the run drops it.
+pub fn pe_lane(pe: NodeId, trace: bool) -> Arc<Lane> {
+    if trace {
+        flight().run_lane(&format!("pe{pe}.trace"))
+    } else {
+        flight().lane(&format!("pe{pe}"))
+    }
 }
 
 /// The hosted PEs, set up for a run. `M` is how the event service
@@ -1030,12 +1024,7 @@ impl<M: Parkable> Setup<M> {
         let mut cores: Vec<PeCore> = (first..)
             .zip(stores)
             .map(|(pe, store)| {
-                let core =
-                    PeCore::new(pe, pes, store, lane(pe), opts.metrics.clone()).with_run(run);
-                match host.anchor {
-                    Some(anchor) => core.with_trace(anchor, opts.trace),
-                    None => core,
-                }
+                PeCore::new(pe, pes, store, lane(pe), opts.metrics.clone()).with_run(run)
             })
             .collect();
         let mut events = EventTable::default();
@@ -1071,7 +1060,6 @@ impl Setup<Box<dyn Messenger>> {
     pub(crate) fn cluster(
         cluster: Cluster,
         opts: &RunOpts,
-        anchor: Option<Instant>,
         lane: impl Fn(NodeId) -> Arc<Lane>,
     ) -> Result<Setup<Box<dyn Messenger>>, RunError> {
         let parts = cluster.into_parts();
@@ -1087,33 +1075,19 @@ impl Setup<Box<dyn Messenger>> {
                 .collect(),
             events: parts.initial_events,
             run: 0,
-            anchor,
         };
         Setup::new(host, plan, opts, lane)
     }
 }
 
 /// The hosted cores at the end of a run: their stores, their summed
-/// tally and their span logs. The cores shared one anchor, so the logs'
-/// clock offsets are zero.
+/// tally and the traced cores' logs. The cores shared the process
+/// flight clock, so the logs' clock offsets are zero. Dropping the
+/// cores retires their run lanes.
 pub(crate) fn teardown(cores: Vec<PeCore>) -> (Vec<NodeStore>, Tally, Vec<PeLog>) {
     let tally = cores.iter().map(|c| c.tally).sum();
-    let (stores, logs) = cores
-        .into_iter()
-        .map(|mut c| {
-            let (events, dropped) = c.recorder.take();
-            (
-                c.store,
-                PeLog {
-                    pe: c.pe,
-                    offset_ns: 0,
-                    events,
-                    dropped,
-                },
-            )
-        })
-        .unzip();
-    (stores, tally, logs)
+    let logs = cores.iter().filter_map(PeCore::trace_log).collect();
+    (cores.into_iter().map(|c| c.store).collect(), tally, logs)
 }
 
 #[cfg(test)]

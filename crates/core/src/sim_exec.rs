@@ -228,7 +228,7 @@ impl PeIo for Sim<'_> {
         id: u64,
         dst: NodeId,
         bytes: u64,
-        _sent_ns: u64,
+        sent_ns: u64,
         msgr: Box<dyn Messenger>,
     ) -> Result<(), RunError> {
         let (aid, pe, end) = (id as usize, self.pe, self.t);
@@ -254,7 +254,7 @@ impl PeIo for Sim<'_> {
         agent.msgr = Some(msgr);
         agent.via = Arrival::Hop {
             from: pe,
-            sent_ns: 0,
+            sent_ns,
             bytes,
             landed_ns: 0,
         };
@@ -342,8 +342,8 @@ impl SimExecutor {
         // are observational only — nothing reads them back into the
         // run, so products stay bitwise-identical recorder on or off.
         let lane = navp_obs::flight().lane("sim");
-        // No wall-clock spans: the simulator traces virtual time.
-        let setup = Setup::cluster(cluster, &self.opts, None, |_| Arc::clone(&lane))?;
+        // The simulator traces virtual time; the lane is never a run lane.
+        let setup = Setup::cluster(cluster, &self.opts, |_| Arc::clone(&lane))?;
         let mut cores = setup.cores;
         let mut spill = setup.spill;
         let mut sim = Sim {
@@ -381,7 +381,7 @@ impl SimExecutor {
                 continue;
             };
             let via = std::mem::replace(&mut sim.agents[aid].via, Arrival::Fresh);
-            cores[pe].arrived(aid as u64, &via, msgr.as_ref());
+            cores[pe].arrived(aid as u64, &via);
             (sim.pe, sim.t) = (pe, t);
             // The daemon is non-preemptive: the run continues through
             // local hops and banked waits, `t` advancing step by step.

@@ -306,7 +306,7 @@ pub struct WallReport {
     pub watchdog: Duration,
     /// Merged wall-clock trace (present iff tracing was enabled).
     pub trace: Option<Trace>,
-    /// Trace events evicted by the per-PE ring buffers.
+    /// Trace events evicted by the per-PE run lanes.
     pub trace_dropped: u64,
 }
 
@@ -379,8 +379,8 @@ impl ThreadExecutor {
     }
 
     /// Record a wall-clock trace of the run (off by default). Every
-    /// daemon keeps a bounded ring of events; the merged [`Trace`] lands
-    /// in [`WallReport::trace`]. Products are unaffected.
+    /// daemon records into a run lane of its own; the [`Trace`] derived
+    /// from them lands in [`WallReport::trace`]. Products are unaffected.
     pub fn with_trace(mut self, trace: bool) -> ThreadExecutor {
         self.opts.trace = trace;
         self
@@ -403,10 +403,8 @@ impl ThreadExecutor {
     /// [`RunError::RecoveryFailed`] (lost state cannot be restored) —
     /// never a hang.
     pub fn run(&self, cluster: Cluster) -> Result<WallReport, RunError> {
-        // All daemons anchor their recorders at one instant, so per-PE
-        // timestamps are directly comparable (offsets are zero).
-        let anchor = Instant::now();
-        let setup = Setup::cluster(cluster, &self.opts, Some(anchor), pe_lane)?;
+        let trace = self.opts.trace;
+        let setup = Setup::cluster(cluster, &self.opts, |pe| pe_lane(pe, trace))?;
         let (wall, cores, faults) = if setup.admitted.is_empty() {
             // Nothing will ever run: start no daemons.
             let faults = setup.rec.map(|r| r.stats()).unwrap_or_default();
@@ -578,7 +576,7 @@ fn poll_then_recv<T>(
 }
 
 /// The daemon loop of one PE: deliveries in, runs through the core.
-/// Returns the core (store, recorder, tally) when the PE shuts down.
+/// Returns the core (store, lane, tally) when the PE shuts down.
 fn daemon(mut core: PeCore, rx: Receiver<DaemonMsg>, shared: &Shared) -> PeCore {
     let pe = core.pe();
     let mut io = ThreadIo {
@@ -613,7 +611,7 @@ fn daemon(mut core: PeCore, rx: Receiver<DaemonMsg>, shared: &Shared) -> PeCore 
                         // re-delivered it from its checkpoint.
                         continue;
                     }
-                    core.arrived(id, &via, msgr.as_ref());
+                    core.arrived(id, &via);
                     (id, msgr)
                 }
                 Ok(DaemonMsg::Shutdown) => break,

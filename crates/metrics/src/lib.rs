@@ -5,8 +5,8 @@
 //! and log-bucket [`Histogram`]s on relaxed atomics, registered in a
 //! [`MetricsRegistry`] that renders hand-rolled Prometheus text-format
 //! exposition (no serde — same policy as `ChromeTrace::to_chrome_json`
-//! in `navp-trace`). The overhead discipline mirrors `PeRecorder`:
-//! instrumented code holds an `Option<Arc<RunMetrics>>` and pays one
+//! in `navp-trace`). The overhead discipline mirrors the flight
+//! recorder's (`navp-obs`): instrumented code holds an `Option<Arc<RunMetrics>>` and pays one
 //! predictable branch when metrics are off; when on, each event is one
 //! or two relaxed `fetch_add`s on a cache-line the owning PE thread
 //! mostly has to itself.

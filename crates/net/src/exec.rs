@@ -88,7 +88,7 @@ pub struct NetReport {
     /// Wall-clock trace merged from every PE process (clock-offset
     /// corrected), when the run was traced.
     pub trace: Option<Trace>,
-    /// Events the PEs' ring buffers evicted before collection.
+    /// Events the PEs' run lanes evicted before collection.
     pub trace_dropped: u64,
     /// Cluster-wide metric snapshot, merged from every PE's `Report`,
     /// when the run was metered.
@@ -682,8 +682,8 @@ impl NetExecutor {
                 stats,
                 samples,
                 pe_ns,
-                dropped,
-                events,
+                lane,
+                labels,
             } => {
                 let t0 = sent.duration_since(anchor).as_nanos() as i64;
                 let t1 = anchor.elapsed().as_nanos() as i64;
@@ -695,8 +695,8 @@ impl NetExecutor {
                     PeLog {
                         pe,
                         offset_ns,
-                        events,
-                        dropped,
+                        lane: lane.unwrap_or_default(),
+                        labels,
                     },
                 ))
             }

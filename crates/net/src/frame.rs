@@ -18,7 +18,7 @@ use crate::codec::{DecodeError, WireReader, WireWriter};
 use navp::fault::{FaultPlan, HopFault};
 use navp::{FaultStats, Key, RunError, WireSnapshot};
 use navp_metrics::{Sample, SampleKind};
-use navp_trace::{TraceEvent, TraceKind, VTime};
+use navp_obs::LaneSnapshot;
 use std::time::Duration;
 
 /// Upper bound on one frame's body. A frame carries at most one
@@ -114,10 +114,10 @@ pub enum Frame {
     Hop {
         /// The messenger's executor id.
         id: u64,
-        /// When the sender put it on the wire, on the *sender's* trace
-        /// clock (0 on untraced runs). The receiver records the hop's
-        /// Transfer span with this start; the merge step corrects the
-        /// clock domain.
+        /// When the sender put it on the wire, on the *sender's* flight
+        /// clock (0 when the sender read no clock). The receiver records
+        /// the hop's `HopRecv` span with this start; the merge step
+        /// corrects the clock domain.
         sent_ns: u64,
         /// Its serialized agent variables.
         msgr: WireSnapshot,
@@ -132,9 +132,10 @@ pub enum Frame {
         id: u64,
         /// PE the messenger was running on (where it resumes).
         origin: u32,
-        /// When the messenger parked, on the *origin's* trace clock
-        /// (0 untraced). Echoed back in `Deliver` so the origin can
-        /// record the full event-wait span against its own clock.
+        /// When the messenger parked, on the *origin's* flight clock
+        /// (0 when it read no clock). Echoed back in `Deliver` so the
+        /// origin can record the full event-wait span against its own
+        /// clock.
         parked_ns: u64,
         /// Its serialized agent variables.
         msgr: WireSnapshot,
@@ -201,24 +202,24 @@ pub enum Frame {
     /// PE → driver: everything the PE holds at the end of the run. The
     /// driver stamps its `Collect` send and this frame's arrival on its
     /// own clock and pairs them with `pe_ns` (Cristian's algorithm) to
-    /// place this PE's trace events on the driver's timeline.
+    /// place this PE's flight events on the driver's timeline.
     Report {
         /// The PE's post-run store.
         store: Vec<StoreEntry>,
         /// What the local fault machinery did.
         stats: FaultStats,
         /// Flattened metric samples (histograms pre-expanded to
-        /// buckets), taken after the trace's `dropped` count was added.
+        /// buckets), taken after the lane's `dropped` count was added.
         /// Empty when the PE ran without metrics.
         samples: Vec<Sample>,
-        /// The PE's trace clock when it processed the collect (its
-        /// anchor elapsed, in ns); 0 when untraced.
+        /// The PE's flight clock when it processed the collect.
         pe_ns: u64,
-        /// Trace events evicted from the ring buffer.
-        dropped: u64,
-        /// The drained trace events, oldest first, on the PE's clock.
-        /// Empty when untraced.
-        events: Vec<TraceEvent>,
+        /// A traced run's lane, on the PE's flight clock, encoded as
+        /// `navp_obs` records; `None` when untraced.
+        lane: Option<LaneSnapshot>,
+        /// `(id, label)` of each messenger delivered on the PE (traced
+        /// runs only).
+        labels: Vec<(u64, String)>,
     },
     /// PE → driver: the run failed on this PE.
     Fatal {
@@ -395,69 +396,20 @@ fn get_sample(r: &mut WireReader<'_>) -> Result<Sample, DecodeError> {
     })
 }
 
-fn put_trace_event(w: &mut WireWriter, e: &TraceEvent) {
-    w.put_u64(e.start.0);
-    w.put_u64(e.end.0);
-    w.put_u64(e.actor);
-    w.put_str(&e.label);
-    match e.kind {
-        TraceKind::Exec { pe } => {
-            w.put_u8(1);
-            w.put_u32(pe as u32);
-        }
-        TraceKind::Transfer { from, to, bytes } => {
-            w.put_u8(2);
-            w.put_u32(from as u32);
-            w.put_u32(to as u32);
-            w.put_u64(bytes);
-        }
-        TraceKind::Block { pe } => {
-            w.put_u8(3);
-            w.put_u32(pe as u32);
-        }
-        TraceKind::Signal { pe } => {
-            w.put_u8(4);
-            w.put_u32(pe as u32);
-        }
-        TraceKind::Fault { pe } => {
-            w.put_u8(5);
-            w.put_u32(pe as u32);
-        }
+fn put_lane(w: &mut WireWriter, lane: &Option<LaneSnapshot>) {
+    w.put_bool(lane.is_some());
+    if let Some(lane) = lane {
+        w.put_bytes(&navp_obs::encode_records(&navp_obs::lane_records(lane)));
     }
 }
 
-fn get_trace_event(r: &mut WireReader<'_>) -> Result<TraceEvent, DecodeError> {
-    let start = VTime(r.get_u64()?);
-    let end = VTime(r.get_u64()?);
-    let actor = r.get_u64()?;
-    let label = r.get_str()?;
-    let kind = match r.get_u8()? {
-        1 => TraceKind::Exec {
-            pe: r.get_u32()? as usize,
-        },
-        2 => TraceKind::Transfer {
-            from: r.get_u32()? as usize,
-            to: r.get_u32()? as usize,
-            bytes: r.get_u64()?,
-        },
-        3 => TraceKind::Block {
-            pe: r.get_u32()? as usize,
-        },
-        4 => TraceKind::Signal {
-            pe: r.get_u32()? as usize,
-        },
-        5 => TraceKind::Fault {
-            pe: r.get_u32()? as usize,
-        },
-        _ => return Err(DecodeError::BadValue("trace kind")),
-    };
-    Ok(TraceEvent {
-        start,
-        end,
-        actor,
-        label,
-        kind,
-    })
+fn get_lane(r: &mut WireReader<'_>) -> Result<Option<LaneSnapshot>, DecodeError> {
+    if !r.get_bool()? {
+        return Ok(None);
+    }
+    let bad = |_| DecodeError::BadValue("flight lane records");
+    let records = navp_obs::decode_records(&r.get_bytes()?).map_err(bad)?;
+    navp_obs::lane_from_records(records).map(Some).map_err(bad)
 }
 
 fn put_err(w: &mut WireWriter, e: &RunError) {
@@ -721,8 +673,8 @@ impl Frame {
                 stats,
                 samples,
                 pe_ns,
-                dropped,
-                events,
+                lane,
+                labels,
             } => {
                 w.put_u8(K_REPORT);
                 put_store(&mut w, store);
@@ -732,10 +684,11 @@ impl Frame {
                     put_sample(&mut w, s);
                 }
                 w.put_u64(*pe_ns);
-                w.put_u64(*dropped);
-                w.put_u32(events.len() as u32);
-                for e in events {
-                    put_trace_event(&mut w, e);
+                put_lane(&mut w, lane);
+                w.put_u32(labels.len() as u32);
+                for (id, label) in labels {
+                    w.put_u64(*id);
+                    w.put_str(label);
                 }
             }
             Frame::Fatal { err } => {
@@ -849,19 +802,19 @@ impl Frame {
                     samples.push(get_sample(&mut r)?);
                 }
                 let pe_ns = r.get_u64()?;
-                let dropped = r.get_u64()?;
+                let lane = get_lane(&mut r)?;
                 let n = r.get_u32()? as usize;
-                let mut events = Vec::new();
+                let mut labels = Vec::new();
                 for _ in 0..n {
-                    events.push(get_trace_event(&mut r)?);
+                    labels.push((r.get_u64()?, r.get_str()?));
                 }
                 Frame::Report {
                     store,
                     stats,
                     samples,
                     pe_ns,
-                    dropped,
-                    events,
+                    lane,
+                    labels,
                 }
             }
             K_FATAL => Frame::Fatal {
@@ -1067,8 +1020,8 @@ mod tests {
             },
             samples: vec![],
             pe_ns: 0,
-            dropped: 0,
-            events: vec![],
+            lane: None,
+            labels: vec![],
         });
     }
 
@@ -1108,9 +1061,10 @@ mod tests {
         }
     }
 
-    // Every sample and trace-event kind is covered by the codec property
-    // tests; the two tests below round-trip the four shapes an end-of-run
-    // Report takes: traced and metered, traced only, metered only, neither.
+    // Every sample kind and flight record is covered by the codec
+    // property tests; the two tests below round-trip the four shapes an
+    // end-of-run Report takes: traced and metered, traced only, metered
+    // only, neither.
     fn sample() -> Sample {
         Sample {
             name: "navp_park_wait_ns_bucket".into(),
@@ -1120,17 +1074,28 @@ mod tests {
         }
     }
 
-    fn exec_event() -> TraceEvent {
-        TraceEvent {
-            start: VTime(10),
-            end: VTime(20),
-            actor: 1,
-            label: "carrier".into(),
-            kind: TraceKind::Exec { pe: 0 },
+    fn exec_lane() -> LaneSnapshot {
+        LaneSnapshot {
+            name: "pe0.trace".into(),
+            events: vec![navp_obs::FlightEvent {
+                t0_ns: 10,
+                t_ns: 20,
+                kind: navp_obs::EventKind::Exec as u8,
+                pe: 0,
+                run: 0,
+                id: 1,
+                a: 0,
+                b: 0,
+            }],
+            dropped: 3,
         }
     }
 
-    fn report(samples: &[Sample], pe_ns: u64, dropped: u64, events: &[TraceEvent]) -> Frame {
+    fn report(samples: &[Sample], pe_ns: u64, lane: Option<LaneSnapshot>) -> Frame {
+        let labels = match lane {
+            Some(_) => vec![(1, "carrier".to_string())],
+            None => vec![],
+        };
         Frame::Report {
             store: vec![StoreEntry {
                 key: Key::at("C", 1),
@@ -1144,28 +1109,30 @@ mod tests {
             },
             samples: samples.to_vec(),
             pe_ns,
-            dropped,
-            events: events.to_vec(),
+            lane,
+            labels,
         }
     }
 
     #[test]
     fn trace_frames_roundtrip() {
-        let traced = [exec_event()];
-        roundtrip(report(&[sample()], 987_654_321, 3, &traced)); // traced and metered
-        roundtrip(report(&[], 987_654_321, 3, &traced)); // traced only
+        roundtrip(report(&[sample()], 987_654_321, Some(exec_lane()))); // traced and metered
+        roundtrip(report(&[], 987_654_321, Some(exec_lane()))); // traced only
 
-        // A corrupt trace-kind tag is rejected, not panicked on.
-        let mut body = report(&[], 1, 0, &traced).encode();
-        let kind_at = body.len() - 5; // u8 tag + u32 pe at the tail
+        // A corrupt flight-event kind is rejected, not panicked on.
+        let mut body = report(&[], 1, Some(exec_lane())).encode();
+        // The tail is the lane's one event record (56 bytes: u16
+        // length, tag, t0, t, then the kind byte), then 23 label bytes.
+        let kind_at = body.len() - 23 - 56 + 19;
+        assert_eq!(body[kind_at], navp_obs::EventKind::Exec as u8);
         body[kind_at] = 99;
         assert!(Frame::decode(&body).is_err());
     }
 
     #[test]
     fn metrics_frames_roundtrip() {
-        roundtrip(report(&[sample()], 0, 0, &[])); // metered only
-        roundtrip(report(&[], 0, 0, &[])); // neither
+        roundtrip(report(&[sample()], 0, None)); // metered only
+        roundtrip(report(&[], 0, None)); // neither
     }
 
     #[test]

@@ -214,10 +214,9 @@ impl Health {
 
 enum PeEvent {
     Driver(std::io::Result<Frame>),
-    /// A peer frame plus its arrival stamp: nanoseconds on the
-    /// session's trace anchor, taken by the I/O loop the moment the
-    /// frame was decoded (0 on untraced runs). Gives Transfer spans an
-    /// end time unskewed by daemon queueing.
+    /// A peer frame plus its arrival stamp on the flight clock, taken
+    /// by the I/O loop the moment the frame was decoded. Gives a hop's
+    /// `HopRecv` span an end time unskewed by daemon queueing.
     Peer(usize, std::io::Result<Frame>, u64),
 }
 
@@ -429,7 +428,7 @@ impl NetIo {
     /// deliver. Delay holds the frame; drop burns a retry (the re-sent
     /// attempt is a fresh arrival, so the counters keep counting).
     ///
-    /// The Transfer span runs from the sender's `sent_ns` (sender
+    /// The `HopRecv` span runs from the sender's `sent_ns` (sender
     /// clock; corrected at merge) to arrival — `recv_ns`, stamped by
     /// the I/O loop when the frame was decoded, so daemon queueing
     /// doesn't inflate it. A fault hold moves the end stamp past the
@@ -672,7 +671,7 @@ impl Daemon {
     fn drain_runnable(&mut self) -> Result<(), RunError> {
         while let Some((id, m, via)) = self.io.queue.pop_front() {
             self.core.note_queue_depth(self.io.queue.len());
-            self.core.arrived(id, &via, m.as_ref());
+            self.core.arrived(id, &via);
             match self.core.run(&mut self.io, id, m) {
                 // Crash = process exit when the plan does not checkpoint:
                 // the abrupt death the driver must surface as
@@ -691,16 +690,18 @@ impl Daemon {
         Ok(())
     }
 
-    /// The end-of-run report: store, fault stats, metric samples and the
-    /// drained trace. The trace's dropped count joins the metrics before
-    /// they are snapshot.
+    /// The end-of-run report: store, fault stats, metric samples and, on
+    /// a traced run, the PE's run lane and labels. The lane's dropped
+    /// count joins the metrics before they are snapshot.
     fn report(&mut self) -> Result<Frame, RunError> {
-        let recorder = self.core.recorder();
-        let pe_ns = recorder.now_ns();
-        let (events, dropped) = recorder.take();
+        let pe_ns = navp_obs::flight().now_ns();
+        let (lane, labels) = match self.core.trace_log() {
+            Some(log) => (Some(log.lane), log.labels),
+            None => (None, Vec::new()),
+        };
         let samples = match &self.io.metrics {
             Some(met) => {
-                met.trace_dropped.add(dropped);
+                met.trace_dropped.add(lane.as_ref().map_or(0, |l| l.dropped));
                 met.snapshot().samples
             }
             None => Vec::new(),
@@ -715,8 +716,8 @@ impl Daemon {
                 .unwrap_or_default(),
             samples,
             pe_ns,
-            dropped,
-            events,
+            lane,
+            labels,
         })
     }
 
@@ -1075,8 +1076,7 @@ fn driver_session(
 /// handed to [`pe_run`] at the moment the sockets join the event loop.
 struct SessionSetup<'a> {
     peer_streams: Vec<Option<TcpStream>>,
-    /// This PE, its store and its decoded time-zero injections; the
-    /// span anchor is set when the session clock starts.
+    /// This PE, its store and its decoded time-zero injections.
     host: Host,
     plan: Option<FaultPlan>,
     run_opts: RunOpts,
@@ -1231,7 +1231,6 @@ fn pe_handshake<'a>(
             injections: admitted,
             events,
             run,
-            anchor: None,
         },
         plan,
         run_opts: RunOpts {
@@ -1257,7 +1256,7 @@ fn pe_run(
     let transport = |detail: String| RunError::Transport { detail };
     let SessionSetup {
         peer_streams,
-        mut host,
+        host,
         plan,
         run_opts,
         initial_live,
@@ -1273,10 +1272,6 @@ fn pe_run(
         ioloop.stats().adopt_into(&obs.registry);
     }
 
-    // One anchor for the whole session: the recorder stamps on it, and
-    // so do the I/O callbacks below — which run on the loop threads,
-    // where the recorder itself must not be touched (single-writer).
-    let anchor = Instant::now();
     let (tx, rx) = std::sync::mpsc::channel();
     let driver = {
         let tx = tx.clone();
@@ -1296,11 +1291,7 @@ fn pe_run(
             .register(
                 stream,
                 Box::new(move |r| {
-                    let recv_ns = if trace {
-                        anchor.elapsed().as_nanos() as u64
-                    } else {
-                        0
-                    };
+                    let recv_ns = navp_obs::flight().now_ns();
                     tx.send(PeEvent::Peer(q, r, recv_ns)).is_ok()
                 }),
                 reader_bytes.clone(),
@@ -1309,11 +1300,7 @@ fn pe_run(
         peers[q] = Some(handle);
     }
 
-    // The recorder shares the session anchor with the I/O callbacks, so
-    // loop-stamped arrival times and daemon-stamped span times live on
-    // one clock.
-    host.anchor = Some(anchor);
-    let setup = Setup::new(host, plan, &run_opts, pe_lane)?;
+    let setup = Setup::new(host, plan, &run_opts, |pe| pe_lane(pe, trace))?;
     let core = setup.cores.into_iter().next().expect("one hosted PE");
     let mut daemon = Daemon {
         io: NetIo {

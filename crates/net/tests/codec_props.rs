@@ -12,7 +12,7 @@ use navp::{Key, RunError, WireSnapshot};
 use navp_metrics::{Sample, SampleKind};
 use navp_net::frame::{Frame, StoreEntry};
 use navp_net::DecodeError;
-use navp_trace::{TraceEvent, TraceKind, VTime};
+use navp_obs::{EventKind, FlightEvent, LaneSnapshot};
 
 struct SplitMix64(u64);
 
@@ -118,33 +118,26 @@ fn arb_error(rng: &mut SplitMix64) -> RunError {
     }
 }
 
-fn arb_trace_event(rng: &mut SplitMix64) -> TraceEvent {
-    let start = rng.below(1 << 40);
-    let kind = match rng.below(5) {
-        0 => TraceKind::Exec {
-            pe: rng.below(16) as usize,
-        },
-        1 => TraceKind::Transfer {
-            from: rng.below(16) as usize,
-            to: rng.below(16) as usize,
-            bytes: rng.below(1 << 20),
-        },
-        2 => TraceKind::Block {
-            pe: rng.below(16) as usize,
-        },
-        3 => TraceKind::Signal {
-            pe: rng.below(16) as usize,
-        },
-        _ => TraceKind::Fault {
-            pe: rng.below(16) as usize,
-        },
-    };
-    TraceEvent {
-        start: VTime(start),
-        end: VTime(start + rng.below(1 << 20)),
-        actor: rng.next_u64(),
-        label: NAMES[rng.below(NAMES.len() as u64) as usize].to_string(),
-        kind,
+fn arb_lane(rng: &mut SplitMix64) -> LaneSnapshot {
+    let events = (0..rng.below(6))
+        .map(|_| {
+            let t0_ns = rng.below(1 << 40);
+            FlightEvent {
+                t0_ns,
+                t_ns: t0_ns + rng.below(1 << 20),
+                kind: EventKind::ALL[rng.below(EventKind::ALL.len() as u64) as usize] as u8,
+                pe: rng.below(16) as u32,
+                run: rng.next_u64(),
+                id: rng.next_u64(),
+                a: rng.next_u64(),
+                b: rng.next_u64(),
+            }
+        })
+        .collect();
+    LaneSnapshot {
+        name: format!("pe{}.trace", rng.below(16)),
+        events,
+        dropped: rng.below(100),
     }
 }
 
@@ -244,10 +237,15 @@ fn arb_frame(rng: &mut SplitMix64) -> Frame {
                 } else {
                     Vec::new()
                 },
-                pe_ns: if traced { rng.next_u64() >> 1 } else { 0 },
-                dropped: if traced { rng.below(100) } else { 0 },
-                events: if traced {
-                    (0..rng.below(6)).map(|_| arb_trace_event(rng)).collect()
+                pe_ns: rng.next_u64() >> 1,
+                lane: traced.then(|| arb_lane(rng)),
+                labels: if traced {
+                    (0..rng.below(4))
+                        .map(|_| {
+                            let name = NAMES[rng.below(NAMES.len() as u64) as usize];
+                            (rng.next_u64(), name.to_string())
+                        })
+                        .collect()
                 } else {
                     Vec::new()
                 },

@@ -6,7 +6,10 @@
 //! * [`ring`]: per-subsystem lock-free ring buffers of compact
 //!   structured events ([`EventKind`], [`FlightEvent`]), cheap enough
 //!   to leave enabled by default and bitwise-neutral to run products —
-//!   instrumentation observes, it never participates.
+//!   instrumentation observes, it never participates. An event is a
+//!   span (an instant has equal stamps), and it is the one thing the
+//!   executors record: `navp-trace` derives wall-clock traces from a
+//!   traced run's lanes ([`Flight::run_lane`]).
 //! * [`log`]: the hand-rolled, length-prefixed event-log codec and the
 //!   checksummed postmortem container ([`write_postmortem`] /
 //!   [`read_postmortem`]), plus the incremental [`LogDecoder`].
@@ -22,10 +25,13 @@ pub mod ring;
 
 pub use log::{
     decode_container, decode_records, dump_postmortem, encode_container, encode_records,
-    flight_json, json_escape, read_postmortem, snapshot_records, write_postmortem, LogDecoder,
-    LogError, Record,
+    flight_json, json_escape, lane_from_records, lane_records, read_postmortem, snapshot_records,
+    write_postmortem, LogDecoder, LogError, Record,
 };
-pub use ring::{flight, EventKind, Flight, FlightEvent, Lane, LaneSnapshot, DEFAULT_LANE_CAP};
+pub use ring::{
+    flight, EventKind, Flight, FlightEvent, Lane, LaneSnapshot, DEFAULT_LANE_CAP,
+    FAULT_SITE_CRASH, FAULT_SITE_DELAY, FAULT_SITE_DROP, RUN_LANE_CAP,
+};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -25,8 +25,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// bumps go through the explicit version field.
 pub const MAGIC: [u8; 8] = *b"NAVPOBS\0";
 
-/// Container format version.
-pub const VERSION: u32 = 1;
+/// Container format version. Version 2 events are spans: they carry a
+/// start stamp and the messenger id.
+pub const VERSION: u32 = 2;
 
 /// Hard cap on one record body; the `u16` length prefix enforces it
 /// structurally.
@@ -174,7 +175,7 @@ impl<'a> BodyReader<'a> {
 impl Record {
     /// Append this record (length prefix included) to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut body = Vec::with_capacity(48);
+        let mut body = Vec::with_capacity(64);
         match self {
             Record::Meta { reason, pid } => {
                 body.push(TAG_META);
@@ -188,10 +189,12 @@ impl Record {
             }
             Record::Event(ev) => {
                 body.push(TAG_EVENT);
+                put_u64(&mut body, ev.t0_ns);
                 put_u64(&mut body, ev.t_ns);
                 body.push(ev.kind);
                 put_u32(&mut body, ev.pe);
                 put_u64(&mut body, ev.run);
+                put_u64(&mut body, ev.id);
                 put_u64(&mut body, ev.a);
                 put_u64(&mut body, ev.b);
             }
@@ -213,16 +216,19 @@ impl Record {
                 dropped: r.get_u64()?,
             },
             TAG_EVENT => {
+                let t0_ns = r.get_u64()?;
                 let t_ns = r.get_u64()?;
                 let kind = r.get_u8()?;
                 if EventKind::from_u8(kind).is_none() {
                     return Err(LogError::BadRecord("unknown event kind"));
                 }
                 Record::Event(FlightEvent {
+                    t0_ns,
                     t_ns,
                     kind,
                     pe: r.get_u32()?,
                     run: r.get_u64()?,
+                    id: r.get_u64()?,
                     a: r.get_u64()?,
                     b: r.get_u64()?,
                 })
@@ -236,7 +242,7 @@ impl Record {
 
 /// Encode a record stream (no container framing).
 pub fn encode_records(records: &[Record]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(records.len() * 48);
+    let mut out = Vec::with_capacity(records.len() * 64);
     for rec in records {
         rec.encode_into(&mut out);
     }
@@ -377,19 +383,45 @@ pub fn current_records(reason: &str) -> Vec<Record> {
 
 /// Build a record stream from explicit snapshots (tests, remote dumps).
 pub fn snapshot_records(reason: &str, snaps: &[LaneSnapshot]) -> Vec<Record> {
-    let mut records = Vec::with_capacity(1 + snaps.iter().map(|s| s.events.len() + 1).sum::<usize>());
-    records.push(Record::Meta {
+    let mut records = vec![Record::Meta {
         reason: reason.to_string(),
         pid: std::process::id() as u64,
-    });
+    }];
     for snap in snaps {
-        records.push(Record::Lane {
-            name: snap.name.clone(),
-            dropped: snap.dropped,
-        });
-        records.extend(snap.events.iter().map(|&ev| Record::Event(ev)));
+        records.extend(lane_records(snap));
     }
     records
+}
+
+/// One lane's records: its `Lane` header, then its events.
+pub fn lane_records(snap: &LaneSnapshot) -> Vec<Record> {
+    let mut records = Vec::with_capacity(1 + snap.events.len());
+    records.push(Record::Lane {
+        name: snap.name.clone(),
+        dropped: snap.dropped,
+    });
+    records.extend(snap.events.iter().map(|&ev| Record::Event(ev)));
+    records
+}
+
+/// The dual of [`lane_records`]: exactly one `Lane` header, then its
+/// events.
+pub fn lane_from_records(records: Vec<Record>) -> Result<LaneSnapshot, LogError> {
+    let mut records = records.into_iter();
+    let Some(Record::Lane { name, dropped }) = records.next() else {
+        return Err(LogError::BadRecord("lane must start with its header"));
+    };
+    let events = records
+        .map(|rec| match rec {
+            Record::Event(ev) => Ok(ev),
+            _ => Err(LogError::BadRecord("one lane holds only events")),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(LaneSnapshot {
+        name,
+        events,
+        dropped,
+    })
 }
 
 static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -448,8 +480,9 @@ pub fn flight_json(limit: usize) -> String {
             }
             let kind = EventKind::from_u8(ev.kind).map(|k| k.name()).unwrap_or("?");
             out.push_str(&format!(
-                "{{\"t_ns\":{},\"kind\":\"{}\",\"pe\":{},\"run\":{},\"a\":{},\"b\":{}}}",
-                ev.t_ns, kind, ev.pe, ev.run, ev.a, ev.b
+                "{{\"t0_ns\":{},\"t_ns\":{},\"kind\":\"{}\",\"pe\":{},\"run\":{},\"id\":{},\
+                 \"a\":{},\"b\":{}}}",
+                ev.t0_ns, ev.t_ns, kind, ev.pe, ev.run, ev.id, ev.a, ev.b
             ));
         }
         out.push_str("]}");
@@ -473,18 +506,22 @@ mod tests {
                 dropped: 3,
             },
             Record::Event(FlightEvent {
+                t0_ns: 1000,
                 t_ns: 1000,
                 kind: EventKind::HopSend as u8,
                 pe: 0,
                 run: 7,
+                id: 3,
                 a: 1,
                 b: 4096,
             }),
             Record::Event(FlightEvent {
+                t0_ns: 1200,
                 t_ns: 2000,
-                kind: EventKind::CheckpointCut as u8,
+                kind: EventKind::Exec as u8,
                 pe: 0,
                 run: 7,
+                id: 3,
                 a: 2,
                 b: 65536,
             }),
@@ -493,10 +530,12 @@ mod tests {
                 dropped: 0,
             },
             Record::Event(FlightEvent {
+                t0_ns: 1500,
                 t_ns: 1500,
                 kind: EventKind::Backpressure as u8,
                 pe: 0,
                 run: 0,
+                id: 0,
                 a: 67108864,
                 b: 0,
             }),
@@ -542,6 +581,50 @@ mod tests {
     }
 
     #[test]
+    fn version_one_containers_are_rejected_not_misread() {
+        // A version-1 event: t_ns, kind, pe, run, a, b (no start stamp,
+        // no messenger id), in a container that is otherwise valid.
+        let mut body = vec![TAG_EVENT];
+        put_u64(&mut body, 1000);
+        body.push(EventKind::HopSend as u8);
+        put_u32(&mut body, 0);
+        for v in [7, 1, 4096] {
+            put_u64(&mut body, v);
+        }
+        let mut payload = Vec::new();
+        put_u16(&mut payload, body.len() as u16);
+        payload.extend_from_slice(&body);
+        let mut v1 = MAGIC.to_vec();
+        put_u32(&mut v1, 1);
+        put_u64(&mut v1, payload.len() as u64);
+        v1.extend_from_slice(&payload);
+        put_u64(&mut v1, fnv1a(&payload));
+        assert_eq!(decode_container(&v1), Err(LogError::BadVersion(1)));
+    }
+
+    #[test]
+    fn lanes_round_trip_through_their_records() {
+        let snap = LaneSnapshot {
+            name: "pe1.trace".into(),
+            events: vec![FlightEvent {
+                t0_ns: 10,
+                t_ns: 20,
+                kind: EventKind::HopRecv as u8,
+                pe: 1,
+                run: 0,
+                id: 4,
+                a: 0,
+                b: 512,
+            }],
+            dropped: 2,
+        };
+        let bytes = encode_records(&lane_records(&snap));
+        let back = lane_from_records(decode_records(&bytes).unwrap()).unwrap();
+        assert_eq!(back, snap);
+        assert!(lane_from_records(sample_records()).is_err(), "a Meta header is no lane");
+    }
+
+    #[test]
     fn decoder_tolerates_arbitrary_split_boundaries() {
         let records = sample_records();
         let payload = encode_records(&records);
@@ -583,11 +666,12 @@ mod tests {
         // Event with an unknown kind byte.
         let mut body = vec![TAG_EVENT];
         put_u64(&mut body, 1);
+        put_u64(&mut body, 1);
         body.push(99); // not an EventKind
         put_u32(&mut body, 0);
-        put_u64(&mut body, 0);
-        put_u64(&mut body, 0);
-        put_u64(&mut body, 0);
+        for _ in 0..4 {
+            put_u64(&mut body, 0);
+        }
         let mut stream = Vec::new();
         put_u16(&mut stream, body.len() as u16);
         stream.extend_from_slice(&body);

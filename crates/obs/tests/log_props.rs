@@ -44,10 +44,12 @@ fn arb_string(rng: &mut Rng) -> String {
 
 fn arb_event(rng: &mut Rng) -> FlightEvent {
     FlightEvent {
+        t0_ns: rng.next(),
         t_ns: rng.next(),
-        kind: (1 + rng.below(12)) as u8,
+        kind: (1 + rng.below(14)) as u8,
         pe: rng.next() as u32,
         run: rng.next(),
+        id: rng.next(),
         a: rng.next(),
         b: rng.next(),
     }
@@ -218,9 +220,9 @@ fn container_payload_corruption_is_always_caught() {
 }
 
 #[test]
-fn event_kind_bytes_cover_exactly_one_through_twelve() {
+fn event_kind_bytes_cover_exactly_one_through_fourteen() {
     for b in 0..=u8::MAX {
         let known = EventKind::from_u8(b).is_some();
-        assert_eq!(known, (1..=12).contains(&b), "kind byte {b}");
+        assert_eq!(known, (1..=14).contains(&b), "kind byte {b}");
     }
 }

@@ -5,15 +5,14 @@
 //! space-time diagrams. This crate extends the same trace model to the
 //! wall-clock executors:
 //!
-//! * [`PeRecorder`] — a bounded, lock-free (single-writer) ring buffer
-//!   each PE daemon owns. Events are stamped with nanoseconds since a
-//!   per-recorder anchor `Instant`, so recording is one `Instant::elapsed`
-//!   plus a vector write; when disabled it is a single branch.
-//! * [`merge_pe_traces`] — combines per-PE event logs into one
-//!   [`Trace`] on a common timeline, correcting each PE's clock by a
-//!   signed offset measured at collection time (Cristian's algorithm in
-//!   the net executor; zero offsets for in-process threads that share
-//!   one anchor).
+//! * [`merge_pe_traces`] — derives one [`Trace`] from the PEs' flight
+//!   events. The executors record nothing else: a traced run's cores
+//!   write their hop, exec, park and signal spans into per-run flight
+//!   lanes (`navp_obs::Flight::run_lane`), and each event becomes one
+//!   trace record, placed on a common timeline by a signed per-PE clock
+//!   offset measured at collection time (Cristian's algorithm in the
+//!   net executor; zero for in-process threads, which share the
+//!   process flight clock).
 //! * [`ChromeTrace`] — Chrome trace-event / Perfetto JSON export, so a
 //!   traced run opens directly in `ui.perfetto.dev`, plus a hand-rolled
 //!   validator ([`validate_chrome_json`]) used by tests and CI (the
@@ -24,18 +23,16 @@
 //!
 //! The design contract, matching the sim: tracing is off by default,
 //! must not touch the data path (products stay bitwise identical), and
-//! bounded buffers mean a runaway run degrades to dropped trace events,
+//! bounded rings mean a runaway run degrades to dropped trace events,
 //! never to unbounded memory.
 
 pub mod chrome;
 pub mod json;
 pub mod merge;
-pub mod recorder;
 pub mod report;
 
 pub use chrome::{validate_chrome_json, ChromeSummary, ChromeTrace};
 pub use merge::{merge_pe_traces, PeLog};
-pub use recorder::PeRecorder;
 pub use report::TraceReport;
 
 // Re-export the shared trace model so executor crates need only one

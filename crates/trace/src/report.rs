@@ -86,7 +86,7 @@ pub struct TraceReport {
     pub pipeline_fill: Option<f64>,
     /// Per-messenger itinerary summaries, by actor id.
     pub itineraries: Vec<Itinerary>,
-    /// Trace events evicted by ring buffers (report is partial if > 0).
+    /// Trace events evicted by the run lanes (report is partial if > 0).
     pub dropped: u64,
 }
 

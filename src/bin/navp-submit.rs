@@ -375,12 +375,14 @@ fn cmd_postmortem(path: &Path) {
     for (lane, ev) in &timeline {
         let kind = EventKind::from_u8(ev.kind).map(EventKind::name).unwrap_or("?");
         println!(
-            "    [{:>12.3}ms] {:<10} pe {:<3} run {:<4} {:<15} a={} b={}",
+            "    [{:>12.3}ms] {:<10} pe {:<3} run {:<4} {:<15} id {:<5} span {:>10.3}ms a={} b={}",
             ev.t_ns as f64 / 1e6,
             lane,
             ev.pe,
             ev.run,
             kind,
+            ev.id,
+            ev.t_ns.saturating_sub(ev.t0_ns) as f64 / 1e6,
             ev.a,
             ev.b,
         );

@@ -8,8 +8,9 @@
 use navp_repro::navp_matrix::Grid2D;
 use navp_repro::navp_mm::runner::{run_navp, run_navp_sim, NavpStage, NetOpts, On, Run};
 use navp_repro::navp_mm::MmConfig;
-use navp_repro::navp_obs;
+use navp_repro::navp_obs::{self, EventKind};
 use navp_repro::navp_sim::CostModel;
+use navp_repro::navp_trace::TraceKind;
 use std::sync::Mutex;
 
 /// The recorder's enabled flag is process-global; serialize the tests
@@ -144,4 +145,62 @@ fn recorder_actually_records_during_an_instrumented_run() {
         after > before,
         "an enabled recorder saw no events during a thread run ({before} -> {after})"
     );
+}
+
+#[test]
+fn traced_run_with_the_recorder_off_still_returns_a_full_trace() {
+    let _serial = FLIGHT_FLAG.lock().unwrap_or_else(|e| e.into_inner());
+    let grid = Grid2D::line(4).expect("grid");
+    let run = Run::on(On::Threads).traced(true);
+    let out = with_flight(false, || {
+        run_navp(NavpStage::Phase1D, &MmConfig::real(16, 2), grid, run).expect("traced run")
+    });
+    assert_eq!(out.verified, Some(true));
+    let trace = out.trace.expect("trace requested");
+    let mut exec_on = [false; 4];
+    let mut transfers = 0u64;
+    for e in trace.events() {
+        match e.kind {
+            TraceKind::Exec { pe } => exec_on[pe] = true,
+            TraceKind::Transfer { .. } => transfers += 1,
+            _ => {}
+        }
+    }
+    assert_eq!(exec_on, [true; 4], "a run lane records with the recorder off");
+    assert_eq!(transfers, out.transfers, "one Transfer per counted hop");
+    assert_eq!(out.trace_report.expect("report").dropped, 0);
+    let leaked: Vec<String> = navp_obs::flight()
+        .snapshot_all()
+        .into_iter()
+        .map(|s| s.name)
+        .filter(|n| n.ends_with(".trace"))
+        .collect();
+    assert!(leaked.is_empty(), "run lanes outlived their run: {leaked:?}");
+}
+
+#[test]
+fn untraced_thread_run_records_exec_and_hop_spans_in_the_pe_lanes() {
+    let _serial = FLIGHT_FLAG.lock().unwrap_or_else(|e| e.into_inner());
+    let pes = 4;
+    let lanes: Vec<_> = (0..pes)
+        .map(|k| navp_obs::flight().lane(&format!("pe{k}")))
+        .collect();
+    let before: Vec<u64> = lanes.iter().map(|l| l.recorded()).collect();
+    let grid = Grid2D::line(pes).expect("grid");
+    let out = with_flight(true, || {
+        run_navp(NavpStage::Pipe1D, &MmConfig::real(16, 2), grid, Run::on(On::Threads))
+            .expect("untraced run")
+    });
+    assert!(out.trace.is_none());
+    let mut hop_recvs = 0u64;
+    for (k, lane) in lanes.iter().enumerate() {
+        let snap = lane.snapshot();
+        let new = (lane.recorded() - before[k]) as usize;
+        assert!(new <= snap.events.len(), "pe{k}: the run wrapped its lane");
+        let run = &snap.events[snap.events.len() - new..];
+        let count = |kind: EventKind| run.iter().filter(|e| e.kind == kind as u8).count();
+        assert!(count(EventKind::Exec) > 0, "pe{k} recorded no Exec");
+        hop_recvs += count(EventKind::HopRecv) as u64;
+    }
+    assert_eq!(hop_recvs, out.transfers, "one HopRecv per counted hop");
 }
