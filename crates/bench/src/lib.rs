@@ -10,9 +10,9 @@
 //!   from the *actual* cluster builders (not hand-drawn);
 //! * [`check`] — the perf-regression gate joining a committed
 //!   `BENCH_*.json` baseline against a fresh re-run (`perf --check`);
-//! * binaries `table1`–`table4`, `figures`, `ablation`, `all` — run
-//!   `cargo run --release -p navp-bench --bin all` to regenerate the
-//!   entire evaluation.
+//! * binaries `all` (Tables 1–4), `figures`, `ablation` and `perf` —
+//!   run `cargo run --release -p navp-bench --bin all` to regenerate
+//!   every table.
 
 #![warn(missing_docs)]
 

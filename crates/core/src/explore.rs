@@ -12,8 +12,13 @@
 //! schedule and the executors are deterministic, any violation is
 //! reproducible from its seed alone — the explorer shrinks it with a
 //! greedy delta-debugging pass and writes a `repro-<seed>.navpfault`
-//! file that replays the minimized schedule exactly, on the sim or the
-//! thread executor.
+//! file that [`replay`] replays exactly, on the sim or the thread
+//! executor.
+//!
+//! This is the one fault-space driver for every workload: a workload
+//! supplies only a `Fn(&FaultPlan) -> Result<Vec<u8>, RunError>` that
+//! runs the plan once and returns its product's bytes, and [`explore`]
+//! and [`replay`] do the rest.
 
 use crate::error::RunError;
 use crate::fault::{CrashRule, FaultPlan, HopFaultRule, LostSignalRule, SplitMix64};
@@ -156,8 +161,7 @@ pub fn explore<R>(cfg: &ExploreConfig, mut run: R) -> Result<ExploreReport, Stri
 where
     R: FnMut(&FaultPlan) -> Result<Vec<u8>, RunError>,
 {
-    let baseline = run(&FaultPlan::new())
-        .map_err(|e| format!("fault-free baseline run failed: {e}"))?;
+    let baseline = baseline(&mut run)?;
     let start = Instant::now();
     let mut root = SplitMix64::new(cfg.root_seed);
     let mut report = ExploreReport::default();
@@ -201,7 +205,28 @@ where
     Ok(report)
 }
 
-fn rule_count(plan: &FaultPlan) -> usize {
+/// Replay a `repro-<seed>.navpfault` (or any fault-spec) file: run the
+/// fault-free baseline and then the file's plan through `run`, and
+/// [`classify`] the run. [`Outcome::Violation`] means the bug still
+/// reproduces.
+pub fn replay<R>(path: &Path, mut run: R) -> Result<Outcome, String>
+where
+    R: FnMut(&FaultPlan) -> Result<Vec<u8>, RunError>,
+{
+    let plan = read_repro(path)?;
+    let baseline = baseline(&mut run)?;
+    Ok(classify(&plan, &baseline, &run(&plan)))
+}
+
+fn baseline<R>(run: &mut R) -> Result<Vec<u8>, String>
+where
+    R: FnMut(&FaultPlan) -> Result<Vec<u8>, RunError>,
+{
+    run(&FaultPlan::new()).map_err(|e| format!("fault-free baseline run failed: {e}"))
+}
+
+/// How many fault rules `plan` injects.
+pub fn rule_count(plan: &FaultPlan) -> usize {
     plan.crashes.len() + plan.hop_faults.len() + plan.lost_signals.len()
 }
 
@@ -404,6 +429,20 @@ mod tests {
         assert_eq!(rule_count(&min), 2);
         assert!(needs_pair(&min));
         assert!(min.checkpointing, "recovery knobs inherited");
+    }
+
+    #[test]
+    fn replay_classifies_a_spec_file() {
+        let dir = std::env::temp_dir().join(format!("navp-replay-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bug.navpfault");
+        std::fs::write(&path, FaultPlan::new().crash_pe(0, 2).to_spec()).unwrap();
+        assert!(matches!(replay(&path, toy_run), Ok(Outcome::Violation(_))));
+        std::fs::write(&path, FaultPlan::new().crash_pe(1, 2).to_spec()).unwrap();
+        assert_eq!(replay(&path, toy_run), Ok(Outcome::Match));
+        std::fs::write(&path, "crash pe=0\n").unwrap();
+        assert!(replay(&path, toy_run).is_err(), "a malformed spec is an error");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -224,8 +224,11 @@ impl FaultPlan {
 
     /// Render the plan as the line-oriented `navpfault` text format
     /// shared by repro files and `NAVP_FAULT_SPEC` env injection.
-    /// [`FaultPlan::parse_spec`] inverts this exactly (f64 fields use
-    /// Rust's shortest round-trip formatting).
+    /// [`FaultPlan::parse_spec`] inverts this exactly: f64 fields use
+    /// Rust's shortest round-trip formatting, and the retry backoff is
+    /// written in milliseconds when it is a whole number of them, else
+    /// in nanoseconds. It is also the plan's wire form (the net
+    /// `Start` frame carries it).
     pub fn to_spec(&self) -> String {
         let mut out = String::new();
         for c in &self.crashes {
@@ -250,11 +253,13 @@ impl FaultPlan {
         }
         let d = FaultPlan::default();
         if self.max_send_retries != d.max_send_retries || self.retry_backoff != d.retry_backoff {
-            out.push_str(&format!(
-                "retry max={} backoff-ms={}\n",
-                self.max_send_retries,
-                self.retry_backoff.as_millis()
-            ));
+            let b = self.retry_backoff;
+            let backoff = if b.subsec_nanos().is_multiple_of(1_000_000) {
+                format!("backoff-ms={}", b.as_millis())
+            } else {
+                format!("backoff-ns={}", b.as_nanos())
+            };
+            out.push_str(&format!("retry max={} {backoff}\n", self.max_send_retries));
         }
         if self.recovery_seconds != d.recovery_seconds {
             out.push_str(&format!("recovery-seconds {}\n", self.recovery_seconds));
@@ -278,27 +283,27 @@ impl FaultPlan {
             let rest: Vec<&str> = words.collect();
             match verb {
                 "crash" => {
-                    let pe = field_u64(&rest, "pe").ok_or_else(|| err("crash needs pe=N"))?;
-                    let run = field_u64(&rest, "run").ok_or_else(|| err("crash needs run=N"))?;
+                    let pe: u64 = field(&rest, "pe").ok_or_else(|| err("crash needs pe=N"))?;
+                    let run: u64 = field(&rest, "run").ok_or_else(|| err("crash needs run=N"))?;
                     plan = plan.crash_pe(pe as usize, run);
                 }
                 "delay" => {
-                    let pe = field_u64(&rest, "pe").ok_or_else(|| err("delay needs pe=N"))?;
-                    let nth =
-                        field_u64(&rest, "arrival").ok_or_else(|| err("delay needs arrival=N"))?;
-                    let secs =
-                        field_f64(&rest, "seconds").ok_or_else(|| err("delay needs seconds=F"))?;
+                    let pe: u64 = field(&rest, "pe").ok_or_else(|| err("delay needs pe=N"))?;
+                    let nth: u64 =
+                        field(&rest, "arrival").ok_or_else(|| err("delay needs arrival=N"))?;
+                    let secs: f64 =
+                        field(&rest, "seconds").ok_or_else(|| err("delay needs seconds=F"))?;
                     plan = plan.delay_hop(pe as usize, nth, secs);
                 }
                 "drop" => {
-                    let pe = field_u64(&rest, "pe").ok_or_else(|| err("drop needs pe=N"))?;
-                    let nth =
-                        field_u64(&rest, "arrival").ok_or_else(|| err("drop needs arrival=N"))?;
+                    let pe: u64 = field(&rest, "pe").ok_or_else(|| err("drop needs pe=N"))?;
+                    let nth: u64 =
+                        field(&rest, "arrival").ok_or_else(|| err("drop needs arrival=N"))?;
                     plan = plan.drop_hop(pe as usize, nth);
                 }
                 "lose-signal" => {
-                    let pe = field_u64(&rest, "pe").ok_or_else(|| err("lose-signal needs pe=N"))?;
-                    let nth = field_u64(&rest, "signal")
+                    let pe: u64 = field(&rest, "pe").ok_or_else(|| err("lose-signal needs pe=N"))?;
+                    let nth: u64 = field(&rest, "signal")
                         .ok_or_else(|| err("lose-signal needs signal=N"))?;
                     plan = plan.lose_signal(pe as usize, nth);
                 }
@@ -308,10 +313,13 @@ impl FaultPlan {
                     _ => return Err(err("checkpointing takes `on` or `off`")),
                 },
                 "retry" => {
-                    let max = field_u64(&rest, "max").ok_or_else(|| err("retry needs max=N"))?;
-                    let backoff = field_u64(&rest, "backoff-ms")
-                        .ok_or_else(|| err("retry needs backoff-ms=N"))?;
-                    plan = plan.with_retry(max as u32, Duration::from_millis(backoff));
+                    let max: u64 = field(&rest, "max").ok_or_else(|| err("retry needs max=N"))?;
+                    let backoff = field::<u128>(&rest, "backoff-ms")
+                        .and_then(|ms| ms.checked_mul(1_000_000))
+                        .or_else(|| field(&rest, "backoff-ns"))
+                        .and_then(nanos_duration)
+                        .ok_or_else(|| err("retry needs backoff-ms=N or backoff-ns=N"))?;
+                    plan = plan.with_retry(max as u32, backoff);
                 }
                 "recovery-seconds" => {
                     let secs: f64 = rest
@@ -363,18 +371,17 @@ impl FaultPlan {
 /// to inject into a run without touching code.
 pub const FAULT_SPEC_ENV: &str = "NAVP_FAULT_SPEC";
 
-fn field_u64(words: &[&str], key: &str) -> Option<u64> {
+fn field<T: std::str::FromStr>(words: &[&str], key: &str) -> Option<T> {
     words
         .iter()
         .find_map(|w| w.strip_prefix(key)?.strip_prefix('='))
         .and_then(|v| v.parse().ok())
 }
 
-fn field_f64(words: &[&str], key: &str) -> Option<f64> {
-    words
-        .iter()
-        .find_map(|w| w.strip_prefix(key)?.strip_prefix('='))
-        .and_then(|v| v.parse().ok())
+/// `ns` nanoseconds as a [`Duration`], `None` past its range.
+fn nanos_duration(ns: u128) -> Option<Duration> {
+    let secs = u64::try_from(ns / 1_000_000_000).ok()?;
+    Some(Duration::new(secs, (ns % 1_000_000_000) as u32))
 }
 
 /// SplitMix64 — the deterministic generator behind [`FaultPlan::seeded`]
@@ -626,6 +633,26 @@ mod tests {
         let spec = plan.to_spec();
         let back = FaultPlan::parse_spec(&spec).expect("own spec parses");
         assert_eq!(back, plan, "spec:\n{spec}");
+    }
+
+    #[test]
+    fn spec_round_trips_sub_millisecond_backoffs() {
+        for backoff in [
+            Duration::from_micros(500),
+            Duration::from_nanos(1_234_567),
+            Duration::new(3, 7),
+        ] {
+            let plan = FaultPlan::new().with_retry(3, backoff);
+            let spec = plan.to_spec();
+            let back = FaultPlan::parse_spec(&spec).expect("own spec parses");
+            assert_eq!(back.retry_backoff, backoff, "spec:\n{spec}");
+            assert_eq!(back, plan);
+        }
+        // Whole milliseconds keep the `backoff-ms` form.
+        let spec = FaultPlan::new().with_retry(3, Duration::from_millis(25)).to_spec();
+        assert_eq!(spec, "retry max=3 backoff-ms=25\n");
+        let back = FaultPlan::parse_spec("retry max=2 backoff-ms=4").unwrap();
+        assert_eq!(back.retry_backoff, Duration::from_millis(4));
     }
 
     #[test]

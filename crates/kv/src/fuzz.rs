@@ -1,86 +1,61 @@
 //! Fault-space fuzzing for the kv workload.
 //!
-//! Same harness as the matrix case study (`navp::explore` + seeded
-//! `FaultSchedule`s), with the kv product bytes as the bitwise parity
-//! oracle: a schedule either finishes with results and store digest
-//! bit-identical to the fault-free baseline, fails in a *designed* way
-//! (e.g. an unrecoverable crash surfacing as `PeCrashed`), or is a
-//! reproducible violation in the recovery machinery.
+//! Same driver as the matrix case study ([`navp::explore`] with seeded
+//! `FaultSchedule`s); [`product_bytes`] is the kv side of it, with the
+//! kv product bytes as the bitwise parity oracle: a schedule either
+//! finishes with results and store digest bit-identical to the
+//! fault-free baseline, fails in a *designed* way (e.g. an
+//! unrecoverable crash surfacing as `PeCrashed`), or is a reproducible
+//! violation in the recovery machinery.
 
-use std::path::Path;
-
-use navp::explore::{classify, explore, read_repro, ExploreConfig, ExploreReport, Outcome};
 use navp::{FaultPlan, RunError};
-use navp_mm::{FuzzExecutor, FuzzOpts};
-use navp_sim::CostModel;
+use navp_mm::{On, Run};
 
 use crate::config::KvConfig;
 use crate::runner::{run_kv, KvError, KvStage};
 
-/// One complete faulted kv run, reduced to its product bytes.
-fn run_once(
+/// One complete run of `stage` on `pes` PEs under `plan` on `on`,
+/// reduced to its product bytes. The fuzzer sizes plans with
+/// [`KvStage::effective_pes`], and passes that count here too.
+pub fn product_bytes(
     stage: KvStage,
     cfg: &KvConfig,
     pes: usize,
-    executor: FuzzExecutor,
+    on: On<'_>,
     plan: &FaultPlan,
 ) -> Result<Vec<u8>, RunError> {
-    let cost = CostModel::paper_cluster();
-    let out = run_kv(stage, cfg, pes, executor.run(&cost, plan)).map_err(|e| match e {
-        KvError::Navp(e) => e,
-        other => RunError::Transport {
-            detail: other.to_string(),
-        },
-    })?;
+    let out =
+        run_kv(stage, cfg, pes, Run::on(on).plan(Some(plan.clone()))).map_err(|e| match e {
+            KvError::Navp(e) => e,
+            other => RunError::Transport {
+                detail: other.to_string(),
+            },
+        })?;
     Ok(out.product.to_bytes())
-}
-
-/// Explore the fault space of one kv journey step: generate seeded
-/// crash/delay/drop/lost-signal schedules, run each, check bitwise
-/// product parity against the fault-free baseline, and minimize +
-/// persist every violation. A healthy runtime returns an empty
-/// violation list.
-pub fn fuzz_kv_stage(
-    stage: KvStage,
-    cfg: &KvConfig,
-    pes: usize,
-    opts: &FuzzOpts,
-) -> Result<ExploreReport, String> {
-    let pes = stage.effective_pes(pes);
-    let mut ecfg = ExploreConfig::new(opts.root_seed, opts.schedules, pes);
-    ecfg.budget = opts.budget;
-    ecfg.out_dir = opts.out_dir.clone();
-    explore(&ecfg, |plan| {
-        run_once(stage, cfg, pes, opts.executor, plan)
-    })
-}
-
-/// Replay a `repro-<seed>.navpfault` (or any fault-spec) file against a
-/// kv step and classify it against a fresh fault-free baseline.
-/// [`Outcome::Violation`] means the bug still reproduces.
-pub fn replay_kv_repro(
-    path: &Path,
-    stage: KvStage,
-    cfg: &KvConfig,
-    pes: usize,
-    executor: FuzzExecutor,
-) -> Result<Outcome, String> {
-    let pes = stage.effective_pes(pes);
-    let plan = read_repro(path)?;
-    let baseline = run_once(stage, cfg, pes, executor, &FaultPlan::new())
-        .map_err(|e| format!("fault-free baseline run failed: {e}"))?;
-    let result = run_once(stage, cfg, pes, executor, &plan);
-    Ok(classify(&plan, &baseline, &result))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use navp::explore::{explore, replay, ExploreConfig, ExploreReport, Outcome};
+    use navp_sim::CostModel;
+
+    /// Sweep `schedules` seeds from `root_seed` over `stage` with 60
+    /// ops in 3 batches on two sim PEs.
+    fn sweep(stage: KvStage, root_seed: u64, schedules: usize) -> ExploreReport {
+        let cfg = KvConfig::new(60, 3);
+        let cost = CostModel::paper_cluster();
+        let pes = stage.effective_pes(2);
+        let ecfg = ExploreConfig::new(root_seed, schedules, pes);
+        explore(&ecfg, |plan| {
+            product_bytes(stage, &cfg, pes, On::Sim(&cost), plan)
+        })
+        .unwrap()
+    }
 
     #[test]
     fn fuzzing_a_healthy_kv_step_finds_no_violations() {
-        let cfg = KvConfig::new(60, 3);
-        let report = fuzz_kv_stage(KvStage::Pipe, &cfg, 2, &FuzzOpts::new(17, 20)).unwrap();
+        let report = sweep(KvStage::Pipe, 17, 20);
         assert_eq!(report.explored, 20);
         assert!(
             report.violations.is_empty(),
@@ -92,9 +67,8 @@ mod tests {
 
     #[test]
     fn kv_fuzzing_is_deterministic_in_the_root_seed() {
-        let cfg = KvConfig::new(60, 3);
-        let a = fuzz_kv_stage(KvStage::Phase, &cfg, 2, &FuzzOpts::new(5, 10)).unwrap();
-        let b = fuzz_kv_stage(KvStage::Phase, &cfg, 2, &FuzzOpts::new(5, 10)).unwrap();
+        let a = sweep(KvStage::Phase, 5, 10);
+        let b = sweep(KvStage::Phase, 5, 10);
         assert_eq!(a.matches, b.matches);
         assert_eq!(a.expected_failures, b.expected_failures);
     }
@@ -106,7 +80,11 @@ mod tests {
         let path = dir.join("crash.navpfault");
         std::fs::write(&path, FaultPlan::new().crash_pe(1, 1).to_spec()).unwrap();
         let cfg = KvConfig::new(40, 2);
-        let out = replay_kv_repro(&path, KvStage::Dsc, &cfg, 2, FuzzExecutor::Sim).unwrap();
+        let cost = CostModel::paper_cluster();
+        let out = replay(&path, |plan| {
+            product_bytes(KvStage::Dsc, &cfg, 2, On::Sim(&cost), plan)
+        })
+        .unwrap();
         assert_eq!(
             out,
             Outcome::Match,

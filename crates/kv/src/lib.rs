@@ -44,7 +44,6 @@ pub mod workload;
 
 pub use carrier::{BatchCarrier, BatchResult, Compactor, DscKvCarrier};
 pub use config::KvConfig;
-pub use fuzz::{fuzz_kv_stage, replay_kv_repro};
 pub use net::register_net;
 pub use runner::{run_kv, run_kv_sim, KvError, KvRunOutput, KvStage};
 pub use shard::Shard;

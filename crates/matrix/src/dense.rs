@@ -94,6 +94,16 @@ impl Matrix {
         &self.data
     }
 
+    /// The row-major buffer as its little-endian `f64` byte stream: two
+    /// matrices give equal streams iff their values are bitwise equal.
+    pub fn to_le_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.data.len() * 8);
+        for v in &self.data {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out
+    }
+
     /// Mutably borrow the underlying row-major buffer.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {

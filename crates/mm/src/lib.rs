@@ -62,7 +62,6 @@ pub mod summa;
 pub mod util;
 
 pub use config::{MmConfig, Payload};
-pub use fuzz::{fuzz_stage, replay_repro, FuzzExecutor, FuzzOpts};
 pub use net::register_net;
 pub use runner::{
     run_mp_sim, run_mp_threads, run_navp, run_navp_sim, run_seq_sim, MpAlg, NavpStage, NetOpts, On,

@@ -15,11 +15,10 @@
 //! (property-tested in `tests/codec_props.rs`).
 
 use crate::codec::{DecodeError, WireReader, WireWriter};
-use navp::fault::{FaultPlan, HopFault};
+use navp::fault::FaultPlan;
 use navp::{FaultStats, Key, RunError, WireSnapshot};
 use navp_metrics::{Sample, SampleKind};
 use navp_obs::LaneSnapshot;
-use std::time::Duration;
 
 /// Upper bound on one frame's body. A frame carries at most one
 /// messenger or one PE's store image; anything past this cap is a
@@ -285,69 +284,6 @@ fn get_store(r: &mut WireReader<'_>) -> Result<Vec<StoreEntry>, DecodeError> {
     Ok(out)
 }
 
-fn put_plan(w: &mut WireWriter, plan: &FaultPlan) {
-    w.put_u32(plan.crashes.len() as u32);
-    for c in &plan.crashes {
-        w.put_usize(c.pe);
-        w.put_u64(c.at_run);
-    }
-    w.put_u32(plan.hop_faults.len() as u32);
-    for h in &plan.hop_faults {
-        w.put_usize(h.dst);
-        w.put_u64(h.nth);
-        match h.fault {
-            HopFault::Delay { seconds } => {
-                w.put_u8(0);
-                w.put_f64(seconds);
-            }
-            HopFault::Drop => w.put_u8(1),
-        }
-    }
-    w.put_u32(plan.lost_signals.len() as u32);
-    for l in &plan.lost_signals {
-        w.put_usize(l.pe);
-        w.put_u64(l.nth);
-    }
-    w.put_bool(plan.checkpointing);
-    w.put_u32(plan.max_send_retries);
-    w.put_u64(plan.retry_backoff.as_nanos() as u64);
-    w.put_f64(plan.recovery_seconds);
-}
-
-fn get_plan(r: &mut WireReader<'_>) -> Result<FaultPlan, DecodeError> {
-    use navp::fault::{CrashRule, HopFaultRule, LostSignalRule};
-    let mut plan = FaultPlan::new();
-    for _ in 0..r.get_u32()? {
-        plan.crashes.push(CrashRule {
-            pe: r.get_usize()?,
-            at_run: r.get_u64()?,
-        });
-    }
-    for _ in 0..r.get_u32()? {
-        let dst = r.get_usize()?;
-        let nth = r.get_u64()?;
-        let fault = match r.get_u8()? {
-            0 => HopFault::Delay {
-                seconds: r.get_f64()?,
-            },
-            1 => HopFault::Drop,
-            _ => return Err(DecodeError::BadValue("hop fault kind")),
-        };
-        plan.hop_faults.push(HopFaultRule { dst, nth, fault });
-    }
-    for _ in 0..r.get_u32()? {
-        plan.lost_signals.push(LostSignalRule {
-            pe: r.get_usize()?,
-            nth: r.get_u64()?,
-        });
-    }
-    plan.checkpointing = r.get_bool()?;
-    plan.max_send_retries = r.get_u32()?;
-    plan.retry_backoff = Duration::from_nanos(r.get_u64()?);
-    plan.recovery_seconds = r.get_f64()?;
-    Ok(plan)
-}
-
 fn put_stats(w: &mut WireWriter, s: &FaultStats) {
     w.put_u64(s.crashes);
     w.put_u64(s.redelivered);
@@ -588,10 +524,12 @@ impl Frame {
                 for k in events {
                     w.put_key(k);
                 }
+                // The plan travels in its `navpfault` text form, the one
+                // repro files and `NAVP_FAULT_SPEC` hold.
                 match plan {
                     Some(p) => {
                         w.put_bool(true);
-                        put_plan(&mut w, p);
+                        w.put_str(&p.to_spec());
                     }
                     None => w.put_bool(false),
                 }
@@ -742,7 +680,11 @@ impl Frame {
                     events.push(r.get_key()?);
                 }
                 let plan = if r.get_bool()? {
-                    Some(get_plan(&mut r)?)
+                    let spec = r.get_str()?;
+                    Some(
+                        FaultPlan::parse_spec(&spec)
+                            .map_err(|_| DecodeError::BadValue("fault spec"))?,
+                    )
                 } else {
                     None
                 };
@@ -1023,6 +965,38 @@ mod tests {
             lane: None,
             labels: vec![],
         });
+    }
+
+    #[test]
+    fn start_plans_travel_as_their_spec() {
+        let start = |plan| Frame::Start {
+            store: vec![],
+            injections: vec![],
+            events: vec![],
+            plan,
+            initial_live: 1,
+            trace: false,
+            metrics: false,
+        };
+        let plan = FaultPlan::new()
+            .drop_hop(1, 2)
+            .with_retry(3, std::time::Duration::from_micros(500))
+            .with_recovery_seconds(0.125);
+        roundtrip(start(Some(plan.clone())));
+        roundtrip(start(Some(FaultPlan::new())));
+        roundtrip(start(None));
+        // A spec the parser rejects is a decode error, not a panic.
+        let spec = plan.to_spec();
+        let mut bad = start(Some(plan)).encode();
+        let at = bad
+            .windows(spec.len())
+            .position(|w| w == spec.as_bytes())
+            .expect("the spec is on the wire verbatim");
+        bad[at] = b'?';
+        assert_eq!(
+            Frame::decode(&bad),
+            Err(DecodeError::BadValue("fault spec"))
+        );
     }
 
     #[test]

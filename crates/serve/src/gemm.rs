@@ -58,11 +58,7 @@ pub fn parse_stage(name: &str) -> Option<NavpStage> {
 /// job outcome's bitwise fingerprint: two runs computed the identical
 /// product iff their checksums agree.
 pub fn product_checksum(m: &Matrix) -> u64 {
-    let mut bytes = Vec::with_capacity(m.as_slice().len() * 8);
-    for v in m.as_slice() {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    fnv1a(&bytes)
+    fnv1a(&m.to_le_bytes())
 }
 
 pub(crate) fn fail(detail: impl Into<String>) -> JobFailure {

@@ -115,6 +115,17 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
+    /// How many PEs the job runs on: rows × cols for GEMM, and for kv
+    /// the step's [`navp_kv::KvStage::effective_pes`] of `cols`. `None`
+    /// names an unknown kv step, which the runner fails.
+    pub fn pes(&self) -> Option<usize> {
+        match self.kind {
+            JobKind::Gemm => Some(self.rows as usize * self.cols as usize),
+            JobKind::Kv => navp_kv::KvStage::parse(&self.stage)
+                .map(|s| s.effective_pes(self.cols as usize)),
+        }
+    }
+
     /// A runnable default: 1-D DSC at N=48, ab=12 on a 1×4 line.
     pub fn example() -> JobSpec {
         JobSpec {
@@ -370,6 +381,13 @@ pub enum RejectReason {
     },
     /// The server is draining for shutdown and admits nothing new.
     Draining,
+    /// The job's PE count ([`JobSpec::pes`]) is not the joined mesh's.
+    MeshMismatch {
+        /// PEs the job runs on.
+        job: u64,
+        /// PEs in the mesh the service joined.
+        mesh: u64,
+    },
 }
 
 impl std::fmt::Display for RejectReason {
@@ -379,6 +397,9 @@ impl std::fmt::Display for RejectReason {
                 write!(f, "queue full (capacity {cap})")
             }
             RejectReason::Draining => write!(f, "server is draining"),
+            RejectReason::MeshMismatch { job, mesh } => {
+                write!(f, "job runs on {job} PEs but the mesh has {mesh}")
+            }
         }
     }
 }
@@ -575,6 +596,11 @@ impl Response {
                         w.put_u64(*cap);
                     }
                     RejectReason::Draining => w.put_u8(1),
+                    RejectReason::MeshMismatch { job, mesh } => {
+                        w.put_u8(2);
+                        w.put_u64(*job);
+                        w.put_u64(*mesh);
+                    }
                 }
             }
             Response::Job { info } => {
@@ -626,6 +652,10 @@ impl Response {
                 reason: match r.get_u8()? {
                     0 => RejectReason::QueueFull { cap: r.get_u64()? },
                     1 => RejectReason::Draining,
+                    2 => RejectReason::MeshMismatch {
+                        job: r.get_u64()?,
+                        mesh: r.get_u64()?,
+                    },
                     _ => return Err(DecodeError::BadValue("reject reason")),
                 },
             },
@@ -763,6 +793,9 @@ mod tests {
             },
             Response::Rejected {
                 reason: RejectReason::Draining,
+            },
+            Response::Rejected {
+                reason: RejectReason::MeshMismatch { job: 4, mesh: 2 },
             },
             Response::Job {
                 info: info(1, JobState::Running),

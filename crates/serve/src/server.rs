@@ -17,7 +17,7 @@
 //! directory — the liveness set comes from the scheduler itself.
 
 use crate::metrics::ServeMetrics;
-use crate::proto::{read_msg, write_msg, Request, Response};
+use crate::proto::{read_msg, write_msg, JobSpec, RejectReason, Request, Response};
 use crate::sched::{RunnerFn, SchedConfig, Scheduler};
 use crate::traces::TraceStore;
 use std::io;
@@ -54,6 +54,11 @@ pub struct ServerConfig {
     /// `Request::Trace` can serve what the runners recorded. `None`
     /// answers every trace fetch with an error.
     pub traces: Option<Arc<TraceStore>>,
+    /// PE count of the joined mesh: a job of any other width
+    /// ([`JobSpec::pes`]) is rejected at submit with
+    /// [`RejectReason::MeshMismatch`]. `None` (PEs spawned per run)
+    /// admits any width.
+    pub mesh_pes: Option<usize>,
 }
 
 /// A running service instance.
@@ -117,9 +122,10 @@ pub fn serve(
         let sched = Arc::clone(&sched);
         let stop = Arc::clone(&stop);
         let traces = cfg.traces.clone();
+        let mesh_pes = cfg.mesh_pes;
         std::thread::Builder::new()
             .name("navp-serve-accept".into())
-            .spawn(move || accept_loop(listener, sched, traces, stop))
+            .spawn(move || accept_loop(listener, sched, traces, mesh_pes, stop))
             .expect("spawn accept loop")
     };
     Ok(Server {
@@ -136,6 +142,7 @@ fn accept_loop(
     listener: TcpListener,
     sched: Arc<Scheduler>,
     traces: Option<Arc<TraceStore>>,
+    mesh_pes: Option<usize>,
     stop: Arc<AtomicBool>,
 ) {
     for conn in listener.incoming() {
@@ -149,7 +156,8 @@ fn accept_loop(
                 let _ = std::thread::Builder::new()
                     .name("navp-serve-client".into())
                     .spawn(move || {
-                        if let Err(e) = handle_client(stream, &sched, traces.as_deref()) {
+                        if let Err(e) = handle_client(stream, &sched, traces.as_deref(), mesh_pes)
+                        {
                             // Disconnects are normal; anything else is
                             // worth a line.
                             if e.kind() != io::ErrorKind::UnexpectedEof {
@@ -174,6 +182,7 @@ fn handle_client(
     mut stream: TcpStream,
     sched: &Scheduler,
     traces: Option<&TraceStore>,
+    mesh_pes: Option<usize>,
 ) -> io::Result<()> {
     navp_net::cluster::tune_socket(&stream);
     loop {
@@ -184,7 +193,7 @@ fn handle_client(
             Err(e) => return Err(e),
         };
         let resp = match Request::decode(&body) {
-            Ok(req) => dispatch(sched, traces, req),
+            Ok(req) => dispatch(sched, traces, mesh_pes, req),
             Err(e) => Response::Error {
                 detail: format!("bad request: {e}"),
             },
@@ -193,12 +202,30 @@ fn handle_client(
     }
 }
 
-fn dispatch(sched: &Scheduler, traces: Option<&TraceStore>, req: Request) -> Response {
+/// Turn away a job whose width is not the joined mesh's.
+fn check_width(spec: &JobSpec, mesh_pes: Option<usize>) -> Result<(), RejectReason> {
+    match (spec.pes(), mesh_pes) {
+        (Some(job), Some(mesh)) if job != mesh => Err(RejectReason::MeshMismatch {
+            job: job as u64,
+            mesh: mesh as u64,
+        }),
+        _ => Ok(()),
+    }
+}
+
+fn dispatch(
+    sched: &Scheduler,
+    traces: Option<&TraceStore>,
+    mesh_pes: Option<usize>,
+    req: Request,
+) -> Response {
     match req {
-        Request::Submit { spec } => match sched.submit(spec) {
-            Ok(id) => Response::Submitted { id },
-            Err(reason) => Response::Rejected { reason },
-        },
+        Request::Submit { spec } => {
+            match check_width(&spec, mesh_pes).and_then(|()| sched.submit(spec)) {
+                Ok(id) => Response::Submitted { id },
+                Err(reason) => Response::Rejected { reason },
+            }
+        }
         Request::Status { id } => match sched.status(id) {
             Some(info) => Response::Job { info },
             None => Response::Error {
@@ -397,6 +424,51 @@ mod tests {
     }
 
     #[test]
+    fn a_job_wider_or_narrower_than_the_mesh_is_rejected_at_submit() {
+        let cfg = |mesh_pes| ServerConfig {
+            mesh_pes,
+            ..ServerConfig::default()
+        };
+        let server = serve("127.0.0.1:0", cfg(Some(2)), ServeMetrics::new(), fast_runner(0))
+            .expect("bind");
+        let addr = server.local_addr().to_string();
+        let mismatch = |job| Err(RejectReason::MeshMismatch { job, mesh: 2 });
+        // GEMM: rows × cols PEs.
+        assert_eq!(client::submit(&addr, JobSpec::example()).expect("io"), mismatch(4));
+        // kv: the step's effective width (the sequential step is 1 PE).
+        assert_eq!(client::submit(&addr, JobSpec::example_kv()).expect("io"), mismatch(4));
+        let seq = JobSpec {
+            stage: "kv_seq".into(),
+            cols: 2,
+            ..JobSpec::example_kv()
+        };
+        assert_eq!(client::submit(&addr, seq).expect("io"), mismatch(1));
+        // Matching widths are admitted and run.
+        for spec in [
+            JobSpec {
+                cols: 2,
+                ..JobSpec::example()
+            },
+            JobSpec {
+                cols: 2,
+                ..JobSpec::example_kv()
+            },
+        ] {
+            let id = client::submit(&addr, spec).expect("io").expect("admitted");
+            let (info, _) = client::wait_terminal(&addr, id, T).expect("terminal");
+            assert_eq!(info.state, JobState::Done);
+        }
+        server.shutdown();
+
+        // PEs spawned per run: any width is admitted.
+        let server = serve("127.0.0.1:0", cfg(None), ServeMetrics::new(), fast_runner(0))
+            .expect("bind");
+        let addr = server.local_addr().to_string();
+        assert!(client::submit(&addr, JobSpec::example()).expect("io").is_ok());
+        server.shutdown();
+    }
+
+    #[test]
     fn malformed_request_gets_error_not_disconnect() {
         let server = serve(
             "127.0.0.1:0",
@@ -575,6 +647,7 @@ mod tests {
                 durable_keep: Some(1),
                 journal: None,
                 traces: None,
+                mesh_pes: None,
             },
             ServeMetrics::new(),
             runner,

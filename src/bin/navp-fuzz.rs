@@ -19,7 +19,9 @@
 //! `--workload kv` fuzzes the key-value workload instead: `--stage`
 //! names a kv journey step (default `kv_pipe`), `--n` is total
 //! operations, `--ab` is batches, and the grid's columns give the PE
-//! count (kv meshes are 1-D lines).
+//! count (kv meshes are 1-D lines). Both workloads go through the same
+//! driver ([`navp::explore`]): each supplies only one run of a plan,
+//! reduced to its product's bytes.
 //!
 //! Exit status: 0 = clean (or replay no longer violates), 1 = parity
 //! violations found (repros written), 2 = usage error.
@@ -30,11 +32,14 @@
 //! `navp-submit postmortem`), and a panic or `SIGQUIT` mid-sweep
 //! leaves one behind too.
 
-use navp_kv::{fuzz_kv_stage, replay_kv_repro, KvConfig, KvStage};
+use navp::explore::{explore, replay, rule_count, ExploreConfig, Outcome};
+use navp::{FaultPlan, RunError};
+use navp_kv::{KvConfig, KvStage};
 use navp_matrix::Grid2D;
-use navp_mm::{fuzz_stage, replay_repro, FuzzExecutor, FuzzOpts, MmConfig, NavpStage};
+use navp_mm::{MmConfig, On};
+use navp_sim::CostModel;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Workload {
@@ -48,24 +53,10 @@ struct Args {
     grid: Option<Grid2D>,
     n: usize,
     ab: usize,
-    seeds: usize,
-    root_seed: u64,
-    budget: Option<Duration>,
-    out: Option<PathBuf>,
-    executor: FuzzExecutor,
+    /// Seeds, budget and repro directory; `pes` is set from the target.
+    explore: ExploreConfig,
+    threads: bool,
     replay: Option<PathBuf>,
-}
-
-fn parse_gemm_stage(s: &str) -> Result<NavpStage, String> {
-    Ok(match s {
-        "dsc1d" => NavpStage::Dsc1D,
-        "pipe1d" => NavpStage::Pipe1D,
-        "phase1d" => NavpStage::Phase1D,
-        "dsc2d" => NavpStage::Dsc2D,
-        "pipe2d" => NavpStage::Pipe2D,
-        "dpc2d" => NavpStage::Dpc2D,
-        other => return Err(format!("unknown GEMM stage `{other}`")),
-    })
 }
 
 fn parse_grid(s: &str) -> Result<Grid2D, String> {
@@ -84,11 +75,8 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         grid: None,
         n: 12,
         ab: 2,
-        seeds: 1000,
-        root_seed: 0xFA_57_F0_0D,
-        budget: None,
-        out: None,
-        executor: FuzzExecutor::Sim,
+        explore: ExploreConfig::new(0xFA_57_F0_0D, 1000, 0),
+        threads: false,
         replay: None,
     };
     while let Some(flag) = argv.next() {
@@ -108,23 +96,25 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--grid" => args.grid = Some(parse_grid(&value()?)?),
             "--n" => args.n = value()?.parse().map_err(|e| format!("--n: {e}"))?,
             "--ab" => args.ab = value()?.parse().map_err(|e| format!("--ab: {e}"))?,
-            "--seeds" => args.seeds = value()?.parse().map_err(|e| format!("--seeds: {e}"))?,
+            "--seeds" => {
+                args.explore.schedules = value()?.parse().map_err(|e| format!("--seeds: {e}"))?
+            }
             "--root-seed" => {
                 let v = value()?;
                 let v = v.trim();
-                args.root_seed = match v.strip_prefix("0x") {
+                args.explore.root_seed = match v.strip_prefix("0x") {
                     Some(hex) => u64::from_str_radix(hex, 16),
                     None => v.parse(),
                 }
                 .map_err(|e| format!("--root-seed: {e}"))?;
             }
             "--budget-secs" => {
-                args.budget = Some(Duration::from_secs(
+                args.explore.budget = Some(Duration::from_secs(
                     value()?.parse().map_err(|e| format!("--budget-secs: {e}"))?,
                 ))
             }
-            "--out" => args.out = Some(PathBuf::from(value()?)),
-            "--threads" => args.executor = FuzzExecutor::Threads,
+            "--out" => args.explore.out_dir = Some(PathBuf::from(value()?)),
+            "--threads" => args.threads = true,
             "--replay" => args.replay = Some(PathBuf::from(value()?)),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -153,6 +143,58 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
+/// One run of a plan, reduced to the product's bytes.
+type ProductFn<'a> = dyn Fn(&FaultPlan) -> Result<Vec<u8>, RunError> + 'a;
+
+/// What the driver fuzzes: the stage's name and shape for the summary,
+/// the PE count its plans target, and how to run one plan.
+struct Target<'a> {
+    stage: &'static str,
+    shape: String,
+    pes: usize,
+    run: Box<ProductFn<'a>>,
+}
+
+fn target<'a>(args: &Args, on: On<'a>) -> Result<Target<'a>, String> {
+    let (n, ab) = (args.n, args.ab);
+    match args.workload {
+        Workload::Gemm => {
+            let stage = navp_serve::parse_stage(&args.stage)
+                .ok_or_else(|| format!("unknown GEMM stage `{}`", args.stage))?;
+            let grid = args.grid.unwrap_or_else(|| {
+                if stage.is_1d() {
+                    Grid2D::line(3).expect("line(3)")
+                } else {
+                    Grid2D::new(2, 2).expect("2x2")
+                }
+            });
+            let cfg = MmConfig::real(n, ab);
+            Ok(Target {
+                stage: stage.name(),
+                shape: format!("{}x{} PEs, N={n}, AB={ab}", grid.rows, grid.cols),
+                pes: grid.rows * grid.cols,
+                run: Box::new(move |plan| {
+                    navp_mm::fuzz::product_bytes(stage, &cfg, grid, on, plan)
+                }),
+            })
+        }
+        Workload::Kv => {
+            let stage = KvStage::parse(&args.stage)
+                .ok_or_else(|| format!("unknown kv stage `{}`", args.stage))?;
+            let pes = stage.effective_pes(args.grid.map_or(3, |g| g.rows * g.cols));
+            let cfg = KvConfig::new(n, ab);
+            Ok(Target {
+                stage: stage.name(),
+                shape: format!("{pes} PEs, ops={n}, batches={ab}"),
+                pes,
+                run: Box::new(move |plan| {
+                    navp_kv::fuzz::product_bytes(stage, &cfg, pes, on, plan)
+                }),
+            })
+        }
+    }
+}
+
 /// Leave a flight-recorder black box next to the repro files: when a
 /// sweep found violations and `--out` is set, the postmortem lands in
 /// the same directory the `repro-*.navpfault` files went to.
@@ -169,145 +211,54 @@ fn dump_black_box(out: &Option<PathBuf>, stage: &str, violations: usize) {
     }
 }
 
-/// Run the kv side of main: replay or explore, mirroring the GEMM
-/// path but over [`KvStage`] and ops/batches instead of a grid.
-fn kv_main(args: &Args, pes: usize, opts: &FuzzOpts) -> ! {
-    let stage = match KvStage::parse(&args.stage) {
-        Some(s) => s,
-        None => {
-            eprintln!("navp-fuzz: unknown kv stage `{}`", args.stage);
-            std::process::exit(2);
-        }
-    };
-    let cfg = KvConfig::new(args.n, args.ab);
-    if let Some(path) = &args.replay {
-        match replay_kv_repro(path, stage, &cfg, pes, opts.executor) {
-            Ok(outcome) => {
-                println!("{}: {outcome:?}", path.display());
-                let still_violates = matches!(outcome, navp::explore::Outcome::Violation(_));
-                std::process::exit(if still_violates { 1 } else { 0 });
-            }
-            Err(e) => {
-                eprintln!("navp-fuzz: replay failed: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let start = std::time::Instant::now();
-    let report = match fuzz_kv_stage(stage, &cfg, pes, opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("navp-fuzz: {e}");
-            std::process::exit(2);
-        }
-    };
-    println!(
-        "fuzzed {} ({} PEs, ops={}, batches={}): {} schedules in {:.1}s — \
-         {} matched, {} expected failures, {} violations",
-        stage.name(),
-        stage.effective_pes(pes),
-        args.n,
-        args.ab,
-        report.explored,
-        start.elapsed().as_secs_f64(),
-        report.matches,
-        report.expected_failures,
-        report.violations.len(),
-    );
-    for v in &report.violations {
-        match &v.path {
-            Some(p) => println!("  seed {:#018x}: {} -> {}", v.seed, v.detail, p.display()),
-            None => println!("  seed {:#018x}: {}", v.seed, v.detail),
-        }
-    }
-    dump_black_box(&args.out, stage.name(), report.violations.len());
-    std::process::exit(if report.violations.is_empty() { 0 } else { 1 });
+/// Report `e` and exit with the usage-error status.
+fn die(e: impl std::fmt::Display) -> ! {
+    eprintln!("navp-fuzz: {e}");
+    std::process::exit(2);
 }
 
 fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("navp-fuzz: {e}");
-            eprintln!(
-                "usage: navp-fuzz [--workload gemm|kv] [--stage NAME] [--grid RxC] \
-                 [--n N] [--ab AB] [--seeds COUNT] [--root-seed SEED] \
-                 [--budget-secs S] [--out DIR] [--threads] [--replay FILE]"
-            );
-            std::process::exit(2);
-        }
-    };
+    let mut args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("navp-fuzz: {e}");
+        die(
+            "usage: navp-fuzz [--workload gemm|kv] [--stage NAME] [--grid RxC] \
+             [--n N] [--ab AB] [--seeds COUNT] [--root-seed SEED] \
+             [--budget-secs S] [--out DIR] [--threads] [--replay FILE]",
+        )
+    });
     // Black box: panics and SIGQUIT mid-sweep dump the flight
     // recorder; with --out it lands next to the repro files.
     navp_obs::install_panic_hook();
     navp_obs::install_sigquit_dump();
-    if let Some(dir) = &args.out {
+    if let Some(dir) = &args.explore.out_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("navp-fuzz: creating {}: {e}", dir.display());
-            std::process::exit(2);
+            die(format!("creating {}: {e}", dir.display()));
         }
         navp_obs::set_dump_dir(dir);
     }
-    let opts = FuzzOpts {
-        root_seed: args.root_seed,
-        schedules: args.seeds,
-        budget: args.budget,
-        out_dir: args.out.clone(),
-        executor: args.executor,
-    };
-
-    if args.workload == Workload::Kv {
-        let pes = args.grid.map(|g| g.rows * g.cols).unwrap_or(3);
-        kv_main(&args, pes, &opts);
-    }
-
-    let stage = match parse_gemm_stage(&args.stage) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("navp-fuzz: {e}");
-            std::process::exit(2);
-        }
-    };
-    let grid = args.grid.unwrap_or_else(|| {
-        if stage.is_1d() {
-            Grid2D::line(3).expect("line(3)")
-        } else {
-            Grid2D::new(2, 2).expect("2x2")
-        }
-    });
-    let cfg = MmConfig::real(args.n, args.ab);
+    let cost = CostModel::paper_cluster();
+    let on = if args.threads { On::Threads } else { On::Sim(&cost) };
+    let target = target(&args, on).unwrap_or_else(|e| die(e));
 
     if let Some(path) = &args.replay {
-        match replay_repro(path, stage, &cfg, grid, args.executor) {
+        match replay(path, &target.run) {
             Ok(outcome) => {
                 println!("{}: {outcome:?}", path.display());
-                let still_violates =
-                    matches!(outcome, navp::explore::Outcome::Violation(_));
+                let still_violates = matches!(outcome, Outcome::Violation(_));
                 std::process::exit(if still_violates { 1 } else { 0 });
             }
-            Err(e) => {
-                eprintln!("navp-fuzz: replay failed: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => die(format!("replay failed: {e}")),
         }
     }
 
-    let start = std::time::Instant::now();
-    let report = match fuzz_stage(stage, &cfg, grid, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("navp-fuzz: {e}");
-            std::process::exit(2);
-        }
-    };
+    args.explore.pes = target.pes;
+    let start = Instant::now();
+    let report = explore(&args.explore, &target.run).unwrap_or_else(|e| die(e));
     println!(
-        "fuzzed {} ({}x{} PEs, N={}, AB={}): {} schedules in {:.1}s — \
+        "fuzzed {} ({}): {} schedules in {:.1}s — \
          {} matched, {} expected failures, {} violations",
-        stage.name(),
-        grid.rows,
-        grid.cols,
-        args.n,
-        args.ab,
+        target.stage,
+        target.shape,
         report.explored,
         start.elapsed().as_secs_f64(),
         report.matches,
@@ -321,12 +272,12 @@ fn main() {
                 v.seed,
                 v.detail,
                 v.original_rules,
-                v.plan.crashes.len() + v.plan.hop_faults.len() + v.plan.lost_signals.len(),
+                rule_count(&v.plan),
                 p.display()
             ),
             None => println!("  seed {:#018x}: {}", v.seed, v.detail),
         }
     }
-    dump_black_box(&args.out, stage.name(), report.violations.len());
+    dump_black_box(&args.explore.out_dir, target.stage, report.violations.len());
     std::process::exit(if report.violations.is_empty() { 0 } else { 1 });
 }

@@ -245,6 +245,7 @@ fn main() {
         durable_keep: args.durable_keep,
         journal: args.journal.clone(),
         traces: Some(traces),
+        mesh_pes: Some(join.len()),
     };
     let server = match serve(&args.listen, cfg, Arc::clone(&metrics), runner) {
         Ok(s) => s,

@@ -42,7 +42,7 @@
 use navp_bench::check::{compare, entries_of, parse_baseline, render_table};
 use navp_bench::timing::{write_groups_json, Entry, Group, Metric};
 use navp_serve::proto::{JobKind, JobSpec, JobState, Request, Response};
-use navp_serve::{client, Client, RejectReason};
+use navp_serve::{client, Client};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -448,12 +448,8 @@ fn main() {
                         }
                     }
                 }
-                Err(RejectReason::QueueFull { cap }) => {
-                    eprintln!("navp-submit: rejected, queue full (capacity {cap})");
-                    std::process::exit(3);
-                }
-                Err(RejectReason::Draining) => {
-                    eprintln!("navp-submit: rejected, server draining");
+                Err(reason) => {
+                    eprintln!("navp-submit: rejected, {reason}");
                     std::process::exit(3);
                 }
             }

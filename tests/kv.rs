@@ -128,8 +128,8 @@ fn spawn_mesh(pes: usize) -> Mesh {
             cmd.spawn().expect("spawn navp-pe")
         })
         .collect();
-    // Give the listeners a beat to bind; the driver also retries.
-    std::thread::sleep(Duration::from_millis(300));
+    // No wait for the listeners to bind: the joining driver retries its
+    // connect until the handshake window runs out.
     Mesh { addrs, children }
 }
 
